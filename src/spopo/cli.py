@@ -223,15 +223,15 @@ def cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
         ((result.omega[i], result.S[i]) for i in range(result.omega.size)),
     )
     writer.write_json("spectrum_meta.json", {
-        "normalization": result.normalization,
-        **{k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-           for k, v in result.metadata.items()},
+        "normalization": result.normalization, **result.metadata,
     })
 
 
 def cmd_trajectories(cfg: RunConfig, writer: ArtifactWriter, seed: int):
     _sm, mdl = _build_model(cfg)
-    t = _time_grid(cfg)
+    t = dynamics.step_grid(_time_grid(cfg), cfg.dynamics.dt)
+    if t.size < 2:
+        raise ConfigValidationError("field `dynamics.t_max` rounds to zero steps of `dynamics.dt`")
     n_total = hilbert.total_number_operator(mdl.space)
     records = dynamics.sse_ensemble(
         mdl, hilbert.vacuum_state(mdl.space), t,
@@ -349,7 +349,7 @@ def main(argv=None) -> int:
     except ConfigParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConfigValidationError, ValueError, IndexError) as exc:
+    except ConfigValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ConvergenceError as exc:

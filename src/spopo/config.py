@@ -236,6 +236,27 @@ def _parse_dynamics(section: dict) -> DynamicsConfig:
     return cfg
 
 
+def _check_supermode_fits_dispersion(sm: SupermodeConfig, disp: DispersionConfig):
+    """Reject supermode settings the dispersion cannot support."""
+    symmetric = disp.beta1 == 0.0  # parity-symmetric phase matching
+    if sm.odd_only and not symmetric:
+        raise ConfigValidationError("field `supermode.odd_only` requires `dispersion.beta1` = 0")
+    if sm.parity_retention == "even" and not symmetric:
+        raise ConfigValidationError(
+            "field `supermode.parity_retention` = even requires `dispersion.beta1` = 0"
+        )
+    if sm.k_max > 4 * disp.M + 1:
+        raise ConfigValidationError(
+            f"field `supermode.k_max` exceeds the {4 * disp.M + 1} pump lines of `dispersion.M`"
+        )
+    even_only = symmetric and sm.parity_retention != "magnitude"
+    available = disp.M + 1 if even_only else 2 * disp.M + 1
+    if sm.n_signal > available:
+        raise ConfigValidationError(
+            f"field `supermode.n_signal` exceeds the {available} retainable signal supermodes"
+        )
+
+
 def _parse_wigner(section: dict) -> WignerConfig:
     path = "wigner"
     cfg = WignerConfig(
@@ -309,6 +330,8 @@ def validate_config(raw) -> RunConfig:
             raise ConfigValidationError(
                 "field `model.cutoffs` length must equal `supermode.n_signal`"
             )
+    if dispersion is not None and supermode is not None:
+        _check_supermode_fits_dispersion(supermode, dispersion)
     return RunConfig(
         dispersion=dispersion,
         supermode=supermode,

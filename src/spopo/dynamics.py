@@ -5,8 +5,11 @@ Solvers:
 * ``evolve_master`` integrates d rho/dt = -i[H, rho] + sum_i L_i rho L_i^dag
   - 1/2 {L_i^dag L_i, rho} with an adaptive Runge-Kutta on the dense state and
   sparse operator action (no superoperator is materialized).
-* ``steady_state`` finds rho_ss either by long-time integration (residual
-  verified) or from the null space of the materialized Liouvillian.
+* ``steady_state`` finds rho_ss by LGMRES on the trace-stabilized generator,
+  matrix-free and restricted to the photon-number-parity sector of the vacuum
+  (which pins a unique state when parity is a strong symmetry), or by
+  long-time integration as an independent reference; either way the residual
+  is verified against the full generator.
 * ``homodyne_spectrum`` evolves the two-time correlation seed
   A(0) = L rho_ss + rho_ss L^dag under the same generator and Fourier
   transforms the correlation; the delta contribution is the analytic vacuum
@@ -27,11 +30,25 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse import linalg as spla
 
 from .hilbert import DensityOperator, LinearOperator, StateVector, vacuum_state
-from .model import OpenSystemModel, liouvillian_matrix
+from .model import OpenSystemModel
 from .supermode import SupermodeSet
+
+
+# LGMRES settings of the Krylov steady state, solved to near round-off so the
+# exit residual check has ample margin.
+KRYLOV_RTOL = 1e-12
+KRYLOV_INNER_M = 60
+KRYLOV_MAXITER = 1000
+
+# Output times of an SSE trajectory may sit this many steps off the dt lattice.
+GRID_ALIGN_TOL = 1e-6
+
+# Long-time steady state: chunk length and total time budget.
+LONG_TIME_CHUNK = 10.0
+LONG_TIME_MAX = 10000.0
 
 
 class ConvergenceError(RuntimeError):
@@ -171,56 +188,98 @@ def evolve_master(
     return record
 
 
+def _parity_action(op: sparse.spmatrix, even: np.ndarray) -> str:
+    """"keep" if ``op`` preserves total photon-number parity, "flip" if it flips it, else "mix"."""
+    coo = op.tocoo()
+    nonzero = coo.data != 0
+    same = even[coo.row[nonzero]] == even[coo.col[nonzero]]
+    return "keep" if same.all() else "flip" if not same.any() else "mix"
+
+
+def _steady_sector(model: OpenSystemModel) -> np.ndarray:
+    """Boolean d x d mask of the entries of rho in the vacuum's parity sector.
+
+    H and every Lindblad operator preserving photon-number parity (strong
+    symmetry): the even-even block.  H preserving it and each Lindblad operator
+    preserving or flipping it (weak symmetry): the block-diagonal even+odd set.
+    Otherwise every entry.
+    """
+    even = np.indices(model.space.cutoffs).sum(axis=0).ravel() % 2 == 0
+    actions = {_parity_action(l.op.matrix, even) for l in model.lindblads}
+    if _parity_action(model.H.matrix, even) != "keep" or "mix" in actions:
+        return np.ones((even.size, even.size), dtype=bool)
+    if actions == {"keep"}:
+        return np.outer(even, even)
+    return even[:, None] == even[None, :]
+
+
 def steady_state(
     model: OpenSystemModel,
     method: str = "auto",
     tol: float = 1e-8,
     rho0: DensityOperator | None = None,
-    t_chunk: float = 10.0,
-    max_time: float = 10000.0,
-    null_space_max_dim: int = 200,
 ) -> DensityOperator:
-    """Steady state of the model by long-time integration or Liouvillian null space.
+    """Steady state of the model by a sectored Krylov solve or long-time integration.
+
+    ``"null-space"`` (and ``"auto"``) solves L x + tr(x) I_s/d_s = I_s/d_s by
+    matrix-free LGMRES over the entries of rho in the vacuum's parity sector
+    (:func:`_steady_sector`), I_s and d_s being the sector's identity and
+    diagonal size.  The trace term makes the operator invertible when the
+    sector holds one steady state, which fixing the sector ensures even where
+    a strong parity symmetry makes the full kernel degenerate.
+    ``"long-time"`` integrates from ``rho0`` (default vacuum) instead.
 
     The returned state always satisfies ||d rho/dt||_F < tol (verified against
-    the true generator for both methods); otherwise :class:`ConvergenceError`.
+    the full generator for both methods); otherwise :class:`ConvergenceError`.
     """
     if not model.lindblads:
         raise ConvergenceError("model has no Lindblad operators; no relaxation to a steady state")
     if method == "auto":
-        method = "null-space" if model.space.dim <= null_space_max_dim else "long-time"
+        method = "null-space"
     rhs = _MasterRHS(model)
+    dim = model.space.dim
 
     if method == "null-space":
-        gen = liouvillian_matrix(model).tolil()
-        dim = model.space.dim
-        # replace the first row with the trace functional; the lost equation is
-        # restored by the rank deficiency of the generator
-        trace_row = np.zeros(dim * dim, dtype=complex)
-        trace_row[np.arange(dim) * dim + np.arange(dim)] = 1.0
-        gen[0, :] = trace_row
-        b = np.zeros(dim * dim, dtype=complex)
-        b[0] = 1.0
-        try:
-            vec = spsolve(gen.tocsc(), b)
-        except Exception as exc:
-            raise ConvergenceError(f"null-space solve failed: {exc}") from exc
-        rho = vec.reshape(dim, dim)
+        idx = np.flatnonzero(_steady_sector(model))
+        on_diag = idx // dim == idx % dim
+        b = on_diag / complex(on_diag.sum())  # I_s / d_s
+
+        def embed(x: np.ndarray) -> np.ndarray:
+            full = np.zeros(dim * dim, dtype=complex)
+            full[idx] = x
+            return full.reshape(dim, dim)
+
+        def matvec(x: np.ndarray) -> np.ndarray:
+            return rhs.apply(embed(x)).ravel()[idx] + x[on_diag].sum() * b
+
+        iterations = 0
+
+        def count(_x):
+            nonlocal iterations
+            iterations += 1
+
+        x, info = spla.lgmres(
+            spla.LinearOperator((idx.size, idx.size), matvec=matvec, dtype=complex), b,
+            x0=b, rtol=KRYLOV_RTOL, atol=0.0, inner_m=KRYLOV_INNER_M, maxiter=KRYLOV_MAXITER,
+            callback=count,
+        )
+        rho = embed(x)
         rho = (rho + rho.conj().T) / 2.0
         rho = rho / np.trace(rho).real
         residual = float(np.linalg.norm(rhs.apply(rho)))
-        if not np.isfinite(residual) or residual > tol:
+        if info != 0 or not residual <= tol:
             raise ConvergenceError(
-                f"null-space steady state residual {residual:.3e} exceeds {tol:.1g}"
+                f"Krylov steady state failed (LGMRES info {info}) after {iterations} "
+                f"iterations: residual {residual:.3e}, tol {tol:.1g}"
             )
         return DensityOperator(model.space, rho)
 
     if method == "long-time":
         rho = (rho0 or vacuum_state(model.space).to_density()).matrix.copy()
         elapsed = 0.0
-        while elapsed < max_time:
+        while elapsed < LONG_TIME_MAX:
             sol = solve_ivp(
-                rhs.flat, (0.0, t_chunk), rho.ravel(),
+                rhs.flat, (0.0, LONG_TIME_CHUNK), rho.ravel(),
                 method="RK45", rtol=1e-10, atol=1e-12,
             )
             if not sol.success:
@@ -228,12 +287,12 @@ def steady_state(
             rho = sol.y[:, -1].reshape(rho.shape)
             rho = (rho + rho.conj().T) / 2.0
             rho = rho / np.trace(rho).real
-            elapsed += t_chunk
+            elapsed += LONG_TIME_CHUNK
             residual = float(np.linalg.norm(rhs.apply(rho)))
             if residual < tol:
                 return DensityOperator(model.space, rho)
         raise ConvergenceError(
-            f"steady state not reached within t={max_time} (residual {residual:.3e})"
+            f"steady state not reached within t={LONG_TIME_MAX} (residual {residual:.3e})"
         )
 
     raise ValueError(f"unknown steady-state method {method!r}")
@@ -285,7 +344,7 @@ def homodyne_spectrum(
     max_imag = float(np.max(np.abs(corr.imag))) if corr.size else 0.0
     scale = float(np.max(np.abs(corr))) if corr.size else 0.0
     tail = abs(corr[-1]) / scale if scale > 0 else 0.0
-    decayed = tail <= decay_tol
+    decayed = bool(tail <= decay_tol)
     if not decayed:
         warnings.warn(
             f"correlation not decayed at tau_max={tau_max} (tail fraction {tail:.2e}); "
@@ -333,9 +392,22 @@ def _align_grid(t_grid: np.ndarray, dt: float):
     """Output indices of t_grid points on the uniform step grid; grid must align."""
     steps = t_grid / dt
     rounded = np.rint(steps).astype(int)
-    if np.max(np.abs(steps - rounded)) > 1e-6:
+    if np.max(np.abs(steps - rounded)) > GRID_ALIGN_TOL:
         raise ValueError("every t_grid point must be an integer multiple of dt")
     return rounded
+
+
+def step_grid(t_grid, dt: float) -> np.ndarray:
+    """``t_grid`` moved onto the dt step lattice that ``sse_trajectory`` requires.
+
+    A grid already on the lattice is returned unchanged; otherwise every point
+    is rounded to the nearest step and repeated steps are dropped.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    steps = np.rint(t / dt)
+    if np.max(np.abs(t / dt - steps)) <= GRID_ALIGN_TOL:
+        return t
+    return np.unique(steps) * dt
 
 
 def sse_trajectory(

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from spopo import cli
 from spopo.cli import main
 from spopo.model import linearized_spectrum
 
@@ -56,6 +57,14 @@ def test_convergence_failure_exit_code(tmp_path, capsys):
     cfg = cw_config(tmp_path, "unstable", dt=0.5, t_max=5.0)
     assert main(["trajectories", "--config", cfg]) == 4
     assert "convergence" in capsys.readouterr().err
+
+
+def test_trajectories_snap_output_times_to_dt(tmp_path):
+    cfg = cw_config(tmp_path, "snapped", dt=0.01, t_max=1.0, n_points=7)
+    assert main(["trajectories", "--config", cfg]) == 0
+    rows = (tmp_path / "snapped" / "trajectories_photon.csv").read_text().splitlines()[1:]
+    times = np.array([float(r.split(",")[0]) for r in rows])
+    assert np.allclose(times, [0.0, 0.17, 0.33, 0.5, 0.67, 0.83, 1.0], atol=1e-12)
 
 
 def test_build_artifacts_and_manifest(tmp_path):
@@ -175,3 +184,23 @@ def test_cutoffs_must_match_n_signal(tmp_path, capsys):
     })
     assert main(["evolve", "--config", cfg]) == 3
     assert "cutoffs" in capsys.readouterr().err
+
+
+def test_odd_only_needs_parity_symmetric_dispersion(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "dispersion": {**BASE_DISPERSION, "beta1": 0.1},
+        "supermode": BASE_SUPERMODE,
+        "outputs": {"directory": str(tmp_path / "out")},
+    })
+    assert main(["build", "--config", cfg]) == 3
+    assert "supermode.odd_only" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_validation_error(tmp_path, monkeypatch):
+    def broken(_cfg, _writer, _seed):
+        raise ValueError("internal defect")
+
+    monkeypatch.setitem(cli.COMMANDS, "evolve", broken)
+    cfg = cw_config(tmp_path, "broken")
+    with pytest.raises(ValueError, match="internal defect"):
+        main(["evolve", "--config", cfg])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from spopo import analysis
+from spopo import analysis, dynamics
 from spopo.dynamics import (
     ConvergenceError,
     SimulationRecord,
@@ -36,8 +36,10 @@ from spopo.model import (
     build_lossless,
     build_spopo,
     linearized_spectrum,
+    liouvillian_matrix,
 )
-from spopo.supermode import single_mode_set
+from spopo.phasematch import DispersionParams
+from spopo.supermode import build_supermodes, single_mode_set
 
 
 def zero_op(space):
@@ -137,6 +139,46 @@ def test_steady_state_lossless_cat():
     mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(20,))
     rho = steady_state(mdl, method="null-space")
     assert analysis.cat_fidelity(rho, 2.0) > 0.99
+
+
+def test_steady_state_lossless_cat_is_pure_even():
+    # parity is a strong symmetry here, so the full kernel is degenerate; the
+    # vacuum's even sector holds exactly one steady state, the pure even cat
+    mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(16,))
+    rho = steady_state(mdl)
+    assert analysis.purity(rho) >= 1 - 1e-6
+    assert float(np.sum(rho.matrix.diagonal()[0::2].real)) >= 1 - 1e-6
+
+
+def test_steady_state_matches_dense_kernel_on_lossy_comb():
+    desk = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
+    sm = build_supermodes(desk, Np=4.0, n_signal=3, k_max=9)
+    for r in (0.6, 1.2):
+        mdl = build_spopo(sm, r=r, eta=1.0, cutoffs=(4, 3, 2))
+        _, _, vh = np.linalg.svd(liouvillian_matrix(mdl).toarray())
+        kernel = vh[-1].conj().reshape(mdl.space.dim, mdl.space.dim)
+        kernel = kernel / np.trace(kernel)
+        rho = steady_state(mdl)
+        assert np.max(np.abs(rho.matrix - kernel)) < 1e-10
+
+
+def test_steady_state_without_parity_symmetry():
+    # a coherent drive mixes parities, so the solve runs over every entry of rho
+    space = FockSpace((12,))
+    a = annihilation(space, 0)
+    drive = LinearOperator(space, 0.5j * (a.dag().matrix - a.matrix))
+    mdl = OpenSystemModel(
+        space, drive, (Lindblad(math.sqrt(2.0) * a, "linear", 1),), ModelParams("lossy", kappa=1.0)
+    )
+    rho = steady_state(mdl)
+    assert abs(expectation(a, rho) - 0.5) < 1e-9
+    assert trace_distance(rho, steady_state(mdl, method="long-time")) < 1e-6
+
+
+def test_steady_state_krylov_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(dynamics.spla, "lgmres", lambda op, b, **kw: (b, 7))
+    with pytest.raises(ConvergenceError, match="iterations.*residual"):
+        steady_state(damped_cavity())
 
 
 def test_steady_state_requires_lindblads():
