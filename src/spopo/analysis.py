@@ -124,16 +124,14 @@ def cat_fidelity(rho, p: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _mode_pair_expectations(rho: DensityOperator) -> np.ndarray:
-    """Matrix N_ij = <S_i^dag S_j> on the model space."""
-    ns = rho.space.mode_count
-    ladders = [hilbert.annihilation(rho.space, i).matrix for i in range(ns)]
-    N = np.empty((ns, ns), dtype=complex)
-    for i in range(ns):
-        for j in range(ns):
-            op = ladders[i].conj().T @ ladders[j]
-            N[i, j] = complex(op.multiply(rho.matrix.T).sum())
-    return N
+def _gram_expectations(ops, rho: DensityOperator) -> np.ndarray:
+    """Matrix M_ab = <A_a^dag A_b> = tr(A_a^dag A_b rho) over sparse operators A."""
+    n = len(ops)
+    M = np.empty((n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            M[a, b] = hilbert.trace_product(ops[a].conj().T @ ops[b], rho.matrix)
+    return M
 
 
 def flux_spectrum_signal(rho_ss: DensityOperator, sm: SupermodeSet) -> dict:
@@ -145,7 +143,8 @@ def flux_spectrum_signal(rho_ss: DensityOperator, sm: SupermodeSet) -> dict:
     if rho_ss.space.mode_count != sm.n_signal:
         raise ValueError("state mode count does not match retained supermodes")
     T = sm.signal_basis
-    N = _mode_pair_expectations(rho_ss)
+    ladders = [hilbert.annihilation(rho_ss.space, i).matrix for i in range(sm.n_signal)]
+    N = _gram_expectations(ladders, rho_ss)
     flux = 2.0 * np.real(np.einsum("im,ij,jm->m", T, N, T.conj()))
     return {"m": sm.params.indices.copy(), "flux": flux}
 
@@ -165,13 +164,7 @@ def flux_spectrum_pump(rho_ss: DensityOperator, model: OpenSystemModel, sm: Supe
     labels = [l.index for l in nls]
     if list(sm.pump_labels) != labels:
         raise ValueError("model nonlinear labels do not match the supermode set")
-    ops = [l.op.matrix for l in nls]
-    nk = len(ops)
-    Mkk = np.empty((nk, nk), dtype=complex)
-    for a in range(nk):
-        for b in range(nk):
-            op = ops[a].conj().T @ ops[b]
-            Mkk[a, b] = complex(op.multiply(rho_ss.matrix.T).sum())
+    Mkk = _gram_expectations([l.op.matrix for l in nls], rho_ss)
     R = sm.pump_basis
     flux = np.real(np.einsum("kq,kl,lq->q", R, Mkk, R.conj()))
     completeness = np.sum(np.abs(R) ** 2, axis=0)

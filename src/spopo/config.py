@@ -1,8 +1,10 @@
 """Run configuration: JSON ingestion, strict validation, canonical hashing.
 
-The config file is a single JSON document of nested sections (exact grammar in
-the README).  Unknown keys anywhere are rejected; error messages name the
-offending field by dotted path.
+The config file is a single JSON document of nested sections; the section
+dataclasses below (``DispersionConfig`` .. ``OutputConfig``) give each
+section's fields and defaults, and the ``_parse_*`` functions their checks.
+Unknown keys anywhere are rejected; error messages name the offending field
+by dotted path.
 """
 
 import hashlib
@@ -96,7 +98,6 @@ class WignerConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str
-    artifacts: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -274,11 +275,8 @@ def _parse_wigner(section: dict) -> WignerConfig:
 def _parse_outputs(section: dict) -> OutputConfig:
     path = "outputs"
     directory = _require(section, path, "directory", str)
-    artifacts = _require(section, path, "artifacts", list, optional=True, default=[])
-    if not all(isinstance(a, str) for a in artifacts):
-        raise ConfigValidationError("field `outputs.artifacts` must be a list of strings")
     _reject_unknown(section, path)
-    return OutputConfig(directory=directory, artifacts=tuple(artifacts))
+    return OutputConfig(directory=directory)
 
 
 def load_config(path) -> RunConfig:

@@ -22,8 +22,6 @@ Solvers:
   Heisenberg equations of motion (the classical oracle).
 """
 
-import hashlib
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,7 +30,7 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.sparse import linalg as spla
 
-from .hilbert import DensityOperator, LinearOperator, StateVector, vacuum_state
+from .hilbert import DensityOperator, LinearOperator, StateVector, trace_product, vacuum_state
 from .model import OpenSystemModel
 from .supermode import SupermodeSet
 
@@ -50,6 +48,17 @@ GRID_ALIGN_TOL = 1e-6
 LONG_TIME_CHUNK = 10.0
 LONG_TIME_MAX = 10000.0
 
+# Master equation: most negative eigenvalue tolerated at an output point.
+POSITIVITY_TOL = 1e-8
+
+# Homodyne spectrum: correlation tail fraction counted as decayed, and the
+# imaginary part (relative to max(|F|, 1)) that draws a warning.
+SPECTRUM_DECAY_TOL = 1e-3
+SPECTRUM_IMAG_TOL = 1e-8
+
+# SSE: largest per-step norm drift before the step counts as unstable.
+SSE_NORM_DRIFT_MAX = 0.5
+
 
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its tolerance."""
@@ -61,7 +70,6 @@ class SimulationRecord:
     observables: dict[str, np.ndarray]
     final_state: object
     seed: int | None = None
-    config_hash: str | None = None
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -82,12 +90,12 @@ class SpectrumResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _config_hash(payload: dict) -> str:
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
-
 class _MasterRHS:
-    """Sparse-action right-hand side of the Lindblad master equation."""
+    """The Lindblad generator every solver shares, as sparse operator action.
+
+    ``C = -iH - 1/2 sum L^dag L`` and the jump operators ``Ls`` drive both the
+    master equation (``apply``) and the SSE drift.
+    """
 
     def __init__(self, model: OpenSystemModel):
         H = model.H.matrix
@@ -112,10 +120,6 @@ class _MasterRHS:
         return self.apply(y.reshape(self.dim, self.dim)).ravel()
 
 
-def _expect_sparse(op: sparse.spmatrix, rho: np.ndarray) -> complex:
-    return complex(op.multiply(rho.T).sum())
-
-
 def evolve_master(
     model: OpenSystemModel,
     rho0: DensityOperator,
@@ -124,13 +128,11 @@ def evolve_master(
     rtol: float = 1e-9,
     atol: float = 1e-11,
     trace_tol: float = 1e-8,
-    positivity_tol: float = 1e-8,
-    check_positivity: bool = True,
     keep_states: bool = False,
 ) -> SimulationRecord:
     """Integrate the master equation, recording observables on ``t_grid``.
 
-    Trace drift beyond ``trace_tol`` or an eigenvalue below ``-positivity_tol``
+    Trace drift beyond ``trace_tol`` or an eigenvalue below ``-POSITIVITY_TOL``
     at any output point raises :class:`ConvergenceError` with a suggestion to
     tighten tolerances.  Output states are symmetrized before recording.
     """
@@ -165,14 +167,13 @@ def evolve_master(
                 f"trace drift {abs(tr - 1.0):.3e} at t={t[idx]:.4g} exceeds {trace_tol:.1g}; "
                 "tighten rtol/atol"
             )
-        if check_positivity:
-            lam_min = float(np.linalg.eigvalsh(rho_m).min())
-            if lam_min < -positivity_tol:
-                raise ConvergenceError(
-                    f"negative eigenvalue {lam_min:.3e} at t={t[idx]:.4g}; tighten rtol/atol"
-                )
+        lam_min = float(np.linalg.eigvalsh(rho_m).min())
+        if lam_min < -POSITIVITY_TOL:
+            raise ConvergenceError(
+                f"negative eigenvalue {lam_min:.3e} at t={t[idx]:.4g}; tighten rtol/atol"
+            )
         for name, op in observables.items():
-            series[name][idx] = _expect_sparse(op.matrix, rho_m)
+            series[name][idx] = trace_product(op.matrix, rho_m)
         if keep_states:
             states.append(DensityOperator(model.space, rho_m))
         rho_out = rho_m
@@ -181,7 +182,6 @@ def evolve_master(
         times=t,
         observables=series,
         final_state=DensityOperator(model.space, rho_out),
-        config_hash=_config_hash({"solver": "master", "rtol": rtol, "atol": atol}),
     )
     if keep_states:
         record.extras["states"] = states
@@ -217,7 +217,6 @@ def steady_state(
     model: OpenSystemModel,
     method: str = "auto",
     tol: float = 1e-8,
-    rho0: DensityOperator | None = None,
 ) -> DensityOperator:
     """Steady state of the model by a sectored Krylov solve or long-time integration.
 
@@ -227,7 +226,7 @@ def steady_state(
     diagonal size.  The trace term makes the operator invertible when the
     sector holds one steady state, which fixing the sector ensures even where
     a strong parity symmetry makes the full kernel degenerate.
-    ``"long-time"`` integrates from ``rho0`` (default vacuum) instead.
+    ``"long-time"`` integrates from the vacuum instead.
 
     The returned state always satisfies ||d rho/dt||_F < tol (verified against
     the full generator for both methods); otherwise :class:`ConvergenceError`.
@@ -275,7 +274,7 @@ def steady_state(
         return DensityOperator(model.space, rho)
 
     if method == "long-time":
-        rho = (rho0 or vacuum_state(model.space).to_density()).matrix.copy()
+        rho = vacuum_state(model.space).to_density().matrix
         elapsed = 0.0
         while elapsed < LONG_TIME_MAX:
             sol = solve_ivp(
@@ -307,8 +306,6 @@ def homodyne_spectrum(
     n_tau: int = 2001,
     rtol: float = 1e-9,
     atol: float = 1e-11,
-    decay_tol: float = 1e-3,
-    imag_tol: float = 1e-8,
 ) -> SpectrumResult:
     """Steady-state homodyne (squeezing) spectrum of one output channel.
 
@@ -338,13 +335,13 @@ def homodyne_spectrum(
         raise ConvergenceError(f"correlation integrator failed: {sol.message}")
     dim = model.space.dim
     corr = np.array([
-        _expect_sparse(quad, sol.y[:, i].reshape(dim, dim)) for i in range(n_tau)
+        trace_product(quad, sol.y[:, i].reshape(dim, dim)) for i in range(n_tau)
     ])
 
     max_imag = float(np.max(np.abs(corr.imag))) if corr.size else 0.0
     scale = float(np.max(np.abs(corr))) if corr.size else 0.0
     tail = abs(corr[-1]) / scale if scale > 0 else 0.0
-    decayed = bool(tail <= decay_tol)
+    decayed = bool(tail <= SPECTRUM_DECAY_TOL)
     if not decayed:
         warnings.warn(
             f"correlation not decayed at tau_max={tau_max} (tail fraction {tail:.2e}); "
@@ -355,7 +352,7 @@ def homodyne_spectrum(
     phases = np.exp(-1j * np.outer(w, taus))
     integral = np.trapezoid(phases * corr[None, :], taus, axis=1)
     S = 1.0 + 2.0 * integral.real
-    if max_imag > imag_tol * max(scale, 1.0):
+    if max_imag > SPECTRUM_IMAG_TOL * max(scale, 1.0):
         warnings.warn(
             f"correlation has imaginary part {max_imag:.2e}; check channel choice",
             stacklevel=2,
@@ -418,7 +415,6 @@ def sse_trajectory(
     dt: float = 1e-3,
     observables: dict[str, LinearOperator] | None = None,
     trajectory_index: int = 0,
-    norm_drift_max: float = 0.5,
 ) -> SimulationRecord:
     """One homodyne-unraveling trajectory by Euler-Maruyama with per-step normalization.
 
@@ -441,12 +437,9 @@ def sse_trajectory(
         if op.space != model.space:
             raise ValueError(f"observable {name!r} lives on a different space")
 
-    Ls = [l.op.matrix for l in model.lindblads]
+    gen = _MasterRHS(model)
+    C, Ls = gen.C, gen.Ls
     n_ch = len(Ls)
-    A = (-1j * model.H.matrix).tocsr()
-    for L in Ls:
-        A = A - 0.5 * (L.conj().T @ L)
-    A = A.tocsr()
 
     dW = _noise_streams(seed, trajectory_index, n_ch, n_steps, dt) if n_ch else np.zeros((0, n_steps))
 
@@ -464,12 +457,12 @@ def sse_trajectory(
     for step in range(n_steps):
         Lpsis = [L @ psi for L in Ls]
         quad = np.array([2.0 * np.real(np.vdot(psi, Lp)) for Lp in Lpsis])
-        dpsi = dt * (A @ psi)
+        dpsi = dt * (C @ psi)
         for ch in range(n_ch):
             dpsi += (quad[ch] * dt + dW[ch, step]) * Lpsis[ch]
         psi = psi + dpsi
         nrm = np.linalg.norm(psi)
-        if abs(nrm - 1.0) > norm_drift_max or not np.isfinite(nrm):
+        if abs(nrm - 1.0) > SSE_NORM_DRIFT_MAX or not np.isfinite(nrm):
             raise ConvergenceError(
                 f"norm drift {abs(nrm - 1.0):.3g} at step {step}; reduce dt"
             )
@@ -487,7 +480,6 @@ def sse_trajectory(
         observables=series,
         final_state=StateVector(model.space, psi),
         seed=seed,
-        config_hash=_config_hash({"solver": "sse", "dt": dt, "trajectory": trajectory_index}),
         extras={"homodyne_currents": homodyne, "dt": dt},
     )
 
@@ -512,9 +504,14 @@ def sse_ensemble(
 
 
 def ensemble_mean(records: list[SimulationRecord], name: str):
-    """Mean and standard error of one observable across an ensemble."""
+    """Mean and standard error of one observable across an ensemble.
+
+    One record has no sample spread: its standard error is NaN at every time.
+    """
     stack = np.array([r.observables[name] for r in records]).real
     mean = stack.mean(axis=0)
+    if stack.shape[0] < 2:
+        return mean, np.full(mean.shape, np.nan)
     stderr = stack.std(axis=0, ddof=1) / np.sqrt(stack.shape[0])
     return mean, stderr
 
@@ -544,23 +541,23 @@ def mean_field(
 ) -> SimulationRecord:
     """Classical supermode amplitudes under the deterministic equations of motion.
 
-    dS_i/dt = -sum_j (K^dag K)_ij S_j - 2 A sum_j G^(1)_ij conj(S_j)
+    dS_i/dt = -kappa S_i - 2 A sum_j G^(1)_ij conj(S_j)
               - sum_k sum_jmn G^(k)_ij G^(k)_mn conj(S_j) S_m S_n
 
-    with A the drive amplitude on the label-1 pump channel and K in units
-    carrying the supplied kappa (constant loss: K^dag K = kappa * identity).
+    with A the drive amplitude on the label-1 pump channel.  The loss term is
+    -kappa S_i because the loss is uniform over the comb lines and the signal
+    supermodes are orthonormal, so it stays uniform in the supermode basis.
     """
     S0 = np.asarray(S0, dtype=complex)
     if S0.size != sm.n_signal:
         raise ValueError(f"need {sm.n_signal} initial amplitudes, got {S0.size}")
     t = np.asarray(t_grid, dtype=float)
-    KdK = kappa * (sm.loss_coupling.conj().T @ sm.loss_coupling)
     G1 = sm.tensor_for_label(1)
     tensors = list(sm.tensors)
 
     def rhs(_t, S):
         Sc = S.conj()
-        out = -KdK @ S - 2.0 * drive * (G1 @ Sc)
+        out = -kappa * S - 2.0 * drive * (G1 @ Sc)
         for G in tensors:
             out -= (S @ G @ S) * (G @ Sc)
         return out
@@ -575,5 +572,4 @@ def mean_field(
         times=t,
         observables=observables,
         final_state=amplitudes[:, -1],
-        config_hash=_config_hash({"solver": "mean-field", "kappa": kappa, "drive": drive}),
     )

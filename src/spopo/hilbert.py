@@ -131,9 +131,6 @@ class StateVector:
     def to_density(self) -> "DensityOperator":
         return DensityOperator(self.space, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 class DensityOperator:
     """Mixed state: dense complex matrix on a FockSpace."""
@@ -157,16 +154,6 @@ class DensityOperator:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2).min())
-
-    def validate(self, trace_tol: float = 1e-8, positivity_tol: float = 1e-8):
-        """Raise if the state is not Hermitian, trace-one and positive within tolerance."""
-        if abs(self.trace() - 1.0) > trace_tol:
-            raise ValueError(f"trace deviates from 1 by {abs(self.trace() - 1.0):.3e}")
-        if self.hermiticity_defect() > trace_tol:
-            raise ValueError(f"Hermiticity defect {self.hermiticity_defect():.3e}")
-        lam = self.min_eigenvalue()
-        if lam < -positivity_tol:
-            raise ValueError(f"negative eigenvalue {lam:.3e}")
 
 
 def identity(space: FockSpace) -> LinearOperator:
@@ -261,6 +248,11 @@ def coherent_state(space: FockSpace, alpha: complex, truncation_tol: float = 1e-
     return StateVector(space, amps / math.sqrt(kept))
 
 
+def trace_product(op: sparse.spmatrix, rho: np.ndarray) -> complex:
+    """tr(op rho) = sum_ij op_ij rho_ji for a sparse op and a dense matrix rho."""
+    return complex(op.multiply(rho.T).sum())
+
+
 def expectation(op: LinearOperator, state) -> complex:
     """tr(op rho) for a DensityOperator, <psi|op|psi> for a StateVector."""
     if isinstance(state, StateVector):
@@ -270,8 +262,7 @@ def expectation(op: LinearOperator, state) -> complex:
     if isinstance(state, DensityOperator):
         if state.space != op.space:
             raise ValueError("operator and state live on different spaces")
-        # tr(A rho) = sum_ij A_ij rho_ji
-        return complex(op.matrix.multiply(state.matrix.T).sum())
+        return trace_product(op.matrix, state.matrix)
     raise TypeError(f"unsupported state type {type(state)!r}")
 
 

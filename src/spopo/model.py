@@ -28,7 +28,7 @@ from scipy import sparse
 
 from . import hilbert
 from .hilbert import FockSpace, LinearOperator
-from .supermode import SupermodeSet, single_mode_set
+from .supermode import SupermodeSet
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,6 @@ class OpenSystemModel:
     H: LinearOperator
     lindblads: tuple[Lindblad, ...]
     params: ModelParams
-
-    def lindblad_ops(self) -> list[LinearOperator]:
-        return [l.op for l in self.lindblads]
 
     def nonlinear_lindblads(self) -> list[Lindblad]:
         return [l for l in self.lindblads if l.kind == "nonlinear"]
@@ -105,42 +102,52 @@ def liouvillian_matrix(model: OpenSystemModel) -> sparse.csr_matrix:
     return gen.tocsr()
 
 
-def _quadratic_ops(space: FockSpace):
-    ops = [hilbert.annihilation(space, i) for i in range(space.mode_count)]
-    return ops
-
-
-def _squeezing_hamiltonian(space: FockSpace, drive: float, lam_ratio: np.ndarray) -> LinearOperator:
-    """(i * drive / 4) sum_i lam_ratio_i S_i^2 + h.c. as a sparse operator."""
-    S = _quadratic_ops(space)
-    acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
+def _squeezing_hamiltonian(S, drive: float, lam_ratio: np.ndarray) -> sparse.csr_matrix:
+    """(i * drive / 4) sum_i lam_ratio_i S_i^2 + h.c. from the ladder operators S."""
+    acc = sparse.csr_matrix(S[0].shape, dtype=complex)
     for i, ratio in enumerate(lam_ratio):
-        sq = (S[i].matrix @ S[i].matrix) * (1j * drive / 4.0 * ratio)
-        acc = acc + sq
-    acc = acc + acc.conj().T
-    return LinearOperator(space, acc)
+        acc = acc + (S[i] @ S[i]) * (1j * drive / 4.0 * ratio)
+    return acc + acc.conj().T
 
 
-def _pair_operator(space: FockSpace, weights: np.ndarray) -> sparse.csr_matrix:
+def _pair_operator(S, weights: np.ndarray) -> sparse.csr_matrix:
     """sum_ij weights_ij S_i S_j with a symmetric weight matrix."""
-    S = _quadratic_ops(space)
-    acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    ns = len(S)
-    for i in range(ns):
-        for j in range(ns):
+    acc = sparse.csr_matrix(S[0].shape, dtype=complex)
+    for i in range(len(S)):
+        for j in range(len(S)):
             w = weights[i, j]
             if w != 0.0:
-                acc = acc + w * (S[i].matrix @ S[j].matrix)
+                acc = acc + w * (S[i] @ S[j])
     return acc
 
 
-def _check_consistency(sm: SupermodeSet, cutoffs) -> FockSpace:
+def _build(sm: SupermodeSet, cutoffs, params: ModelParams, *, drive: float, scale: float,
+           shift: float, linear_rate: float | None) -> OpenSystemModel:
+    """Squeezing H with pump ``drive``, optional linear loss sqrt(linear_rate) S_i, and
+    nonlinear Lindblads scale * sum_ij (G^(k)_ij / lam_1) S_i S_j + shift * delta_k1."""
     cutoffs = tuple(int(c) for c in cutoffs)
     if len(cutoffs) != sm.n_signal:
         raise ValueError(
             f"{len(cutoffs)} cutoffs for {sm.n_signal} retained signal supermodes"
         )
-    return FockSpace(cutoffs)
+    space = FockSpace(cutoffs)
+    S = [hilbert.annihilation(space, i).matrix for i in range(space.mode_count)]
+    lam1 = sm.lambda1
+    H = LinearOperator(space, _squeezing_hamiltonian(S, drive, sm.eigenvalues / lam1))
+
+    lindblads = []
+    if linear_rate is not None:
+        lindblads = [
+            Lindblad(LinearOperator(space, math.sqrt(linear_rate) * S[i]), "linear", i + 1)
+            for i in range(sm.n_signal)
+        ]
+    for label, G in zip(sm.pump_labels, sm.tensors):
+        op = scale * _pair_operator(S, G / lam1)
+        if label == 1 and drive != 0.0:
+            op = op + shift * sparse.identity(space.dim, dtype=complex)
+        pumped = label == 1 and drive > 0
+        lindblads.append(Lindblad(LinearOperator(space, op), "nonlinear", label, pumped))
+    return OpenSystemModel(space, H, tuple(lindblads), params)
 
 
 def build_spopo(sm: SupermodeSet, r: float, eta: float, cutoffs) -> OpenSystemModel:
@@ -149,57 +156,18 @@ def build_spopo(sm: SupermodeSet, r: float, eta: float, cutoffs) -> OpenSystemMo
         raise ValueError("pump parameter r must be >= 0")
     if eta <= 0:
         raise ValueError("nonlinearity eta must be positive")
-    space = _check_consistency(sm, cutoffs)
-    lam1 = sm.lambda1
-    lam_ratio = sm.eigenvalues / lam1
-    H = _squeezing_hamiltonian(space, r, lam_ratio)
-
-    S = _quadratic_ops(space)
-    lindblads = [
-        Lindblad(LinearOperator(space, math.sqrt(2.0) * S[i].matrix), "linear", i + 1)
-        for i in range(sm.n_signal)
-    ]
     root_eta = math.sqrt(eta)
-    for label, G in zip(sm.pump_labels, sm.tensors):
-        op = root_eta * _pair_operator(space, G / lam1)
-        pumped = label == 1 and r > 0
-        if label == 1 and r != 0.0:
-            op = op + (r / (2.0 * root_eta)) * sparse.identity(space.dim, dtype=complex)
-        lindblads.append(Lindblad(LinearOperator(space, op), "nonlinear", label, pumped))
-    params = ModelParams(family="lossy", r=r, eta=eta, kappa=1.0, lambda1=lam1)
-    return OpenSystemModel(space, H, tuple(lindblads), params)
+    params = ModelParams(family="lossy", r=r, eta=eta, kappa=1.0, lambda1=sm.lambda1)
+    return _build(sm, cutoffs, params, drive=r, scale=root_eta, shift=r / (2.0 * root_eta),
+                  linear_rate=2.0)
 
 
 def build_lossless(sm: SupermodeSet, p: float, cutoffs) -> OpenSystemModel:
     """Lossless SPOPO model in lam_1^2 = 1 units (no linear Lindblads)."""
     if p < 0:
         raise ValueError("pump parameter p must be >= 0")
-    space = _check_consistency(sm, cutoffs)
-    lam1 = sm.lambda1
-    lam_ratio = sm.eigenvalues / lam1
-    H = _squeezing_hamiltonian(space, p, lam_ratio)
-
-    lindblads = []
-    for label, G in zip(sm.pump_labels, sm.tensors):
-        op = _pair_operator(space, G / lam1)
-        pumped = label == 1 and p > 0
-        if label == 1 and p != 0.0:
-            op = op + (p / 2.0) * sparse.identity(space.dim, dtype=complex)
-        lindblads.append(Lindblad(LinearOperator(space, op), "nonlinear", label, pumped))
-    params = ModelParams(family="lossless", p=p, lambda1=lam1)
-    return OpenSystemModel(space, H, tuple(lindblads), params)
-
-
-def restrict_single_mode(model: OpenSystemModel, cutoff: int | None = None) -> OpenSystemModel:
-    """The cw single-mode counterpart: indices restricted to the first supermode."""
-    if cutoff is None:
-        cutoff = model.space.cutoffs[0]
-    sm = single_mode_set(model.params.lambda1)
-    if model.params.family == "lossy":
-        return build_spopo(sm, model.params.r, model.params.eta, (cutoff,))
-    if model.params.family == "lossless":
-        return build_lossless(sm, model.params.p, (cutoff,))
-    raise ValueError(f"unknown model family {model.params.family!r}")
+    params = ModelParams(family="lossless", p=p, lambda1=sm.lambda1)
+    return _build(sm, cutoffs, params, drive=p, scale=1.0, shift=p / 2.0, linear_rate=None)
 
 
 def linearized_spectrum(r: float, kappa: float, omega_grid) -> np.ndarray:

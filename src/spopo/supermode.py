@@ -118,17 +118,6 @@ def coupling_tensors(Fp: list[np.ndarray], T: np.ndarray):
     return G, lam
 
 
-def loss_matrix(kappas, T: np.ndarray) -> np.ndarray:
-    """Supermode loss coupling K_ij = sum_m sqrt(kappa_m) T_im conj(T_jm)."""
-    kappas = np.asarray(kappas, dtype=float)
-    T = np.asarray(T)
-    if kappas.ndim != 1 or kappas.size != T.shape[1]:
-        raise ValueError(f"need {T.shape[1]} loss rates, got {kappas.size}")
-    if np.any(kappas <= 0):
-        raise ValueError("all loss rates must be positive")
-    return (T * np.sqrt(kappas)) @ T.conj().T
-
-
 def parity_signature(vector: np.ndarray, tol: float = 1e-8) -> int:
     """+1 / -1 for definite parity under index reversal, 0 otherwise."""
     v = np.asarray(vector)
@@ -145,7 +134,8 @@ class SupermodeSet:
     """Retained pump/signal bases and coupling tensors of one SPOPO configuration.
 
     ``pump_basis`` rows align with ``pump_labels`` (1-based labels); the signal
-    rows of ``signal_basis`` align with ``eigenvalues`` and ``parities``.
+    rows of ``signal_basis`` align with ``eigenvalues`` and ``parities``; they are
+    orthonormal, so uniform loss on the comb lines is uniform loss on the supermodes.
     ``tensors[j]`` is G^(k) for k = pump_labels[j] on the retained signal block,
     and ``eigenvalues[i]`` equals tensors-of-label-1 diagonal entry i.
     """
@@ -155,7 +145,6 @@ class SupermodeSet:
     signal_basis: np.ndarray        # (n_signal, 2M+1)
     tensors: tuple[np.ndarray, ...]  # each (n_signal, n_signal)
     eigenvalues: np.ndarray         # retained label-1 diagonal, descending |.|
-    loss_coupling: np.ndarray       # (n_signal, n_signal)
     parities: tuple[int, ...]
     params: DispersionParams | None
     Np: float | None
@@ -182,7 +171,6 @@ def single_mode_set(lambda1: float = 1.0) -> SupermodeSet:
         signal_basis=np.array([[1.0]]),
         tensors=(np.array([[lambda1]]),),
         eigenvalues=np.array([lambda1]),
-        loss_coupling=np.array([[1.0]]),
         parities=(1,),
         params=None,
         Np=None,
@@ -196,7 +184,6 @@ def build_supermodes(
     k_max: int,
     odd_only: bool = True,
     parity_retention: str = "auto",
-    kappas=None,
 ) -> SupermodeSet:
     """Run the full decomposition pipeline for one dispersion configuration.
 
@@ -246,10 +233,6 @@ def build_supermodes(
     if lam[0] <= 0:
         raise ValueError("retained leading eigenvalue is not positive")
 
-    if kappas is None:
-        kappas = np.ones(2 * params.M + 1)
-    K = loss_matrix(kappas, T)
-
     tensors = tuple(np.real_if_close(g, tol=1000).astype(float) for g in G_all)
     return SupermodeSet(
         pump_basis=R_all[[k - 1 for k in labels]],
@@ -257,7 +240,6 @@ def build_supermodes(
         signal_basis=T,
         tensors=tensors,
         eigenvalues=lam,
-        loss_coupling=np.asarray(K, dtype=float),
         parities=parities,
         params=params,
         Np=Np,

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -51,12 +52,29 @@ def test_unknown_key_rejected(tmp_path, capsys):
     })
     assert main(["evolve", "--config", cfg]) == 3
     assert "model.bogus" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {
+        "model": {"family": "cw-single", "p": 2.0, "cutoffs": [16]},
+        "outputs": {"directory": str(tmp_path / "out"), "artifacts": ["timeseries.csv"]},
+    })
+    assert main(["evolve", "--config", cfg]) == 3
+    assert "unknown field `outputs.artifacts`" in capsys.readouterr().err
 
 
 def test_convergence_failure_exit_code(tmp_path, capsys):
     cfg = cw_config(tmp_path, "unstable", dt=0.5, t_max=5.0)
     assert main(["trajectories", "--config", cfg]) == 4
     assert "convergence" in capsys.readouterr().err
+
+
+def test_single_trajectory_writes_nan_stderr_without_warning(tmp_path):
+    cfg = cw_config(tmp_path, "single")  # n_trajectories unset: one trajectory
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["trajectories", "--config", cfg]) == 0
+    rows = (tmp_path / "single" / "ensemble.csv").read_text().splitlines()
+    assert rows[0] == "t,mean_n_total,stderr_n_total"
+    assert len(rows) == 10
+    assert all(row.split(",")[2] == "nan" for row in rows[1:])
 
 
 def test_trajectories_snap_output_times_to_dt(tmp_path):

@@ -13,7 +13,6 @@ from spopo.model import (
     build_spopo,
     linearized_spectrum,
     liouvillian_matrix,
-    restrict_single_mode,
 )
 from spopo.phasematch import DispersionParams
 from spopo.supermode import build_supermodes, single_mode_set
@@ -112,11 +111,11 @@ def test_lossless_channel_count_matches_odd_labels():
 
 
 # ---------------------------------------------------------------- restriction
+# The cw counterpart of a comb model, restricted to the first supermode, is the
+# model built on ``single_mode_set``: the CLI's cw-single path.
 
 def test_restrict_single_mode_lossless_p2():
-    sm = desk_sm()
-    mdl = build_lossless(sm, p=2.0, cutoffs=(8, 4, 3))
-    single = restrict_single_mode(mdl)
+    single = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(8,))
     assert single.space.cutoffs == (8,)
     s = single.space
     a = annihilation(s, 0)
@@ -127,9 +126,7 @@ def test_restrict_single_mode_lossless_p2():
 
 
 def test_restrict_single_mode_lossy():
-    sm = desk_sm()
-    mdl = build_spopo(sm, r=1.0, eta=1.0, cutoffs=(8, 4, 3))
-    single = restrict_single_mode(mdl, cutoff=10)
+    single = build_spopo(single_mode_set(1.0), r=1.0, eta=1.0, cutoffs=(10,))
     s = single.space
     a = annihilation(s, 0)
     expected = (a @ a).to_dense() + 0.5 * np.eye(10)
@@ -138,8 +135,7 @@ def test_restrict_single_mode_lossy():
 
 
 def test_restrict_p0_is_pure_two_photon_loss():
-    mdl = build_lossless(desk_sm(), p=0.0, cutoffs=(6, 4, 3))
-    single = restrict_single_mode(mdl)
+    single = build_lossless(single_mode_set(1.0), p=0.0, cutoffs=(6,))
     assert single.H.norm() == 0.0
     assert len(single.lindblads) == 1
 

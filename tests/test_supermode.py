@@ -9,7 +9,6 @@ from spopo.supermode import (
     coupling_tensors,
     diagonalize_signal,
     hermite_gaussian_basis,
-    loss_matrix,
     parity_signature,
     single_mode_set,
     transform_pump,
@@ -179,38 +178,13 @@ def test_single_mode_restriction_tensor():
     assert G[0][0, 0] == pytest.approx(Fp[0][1, 1])
 
 
-# --------------------------------------------------------------- loss matrix
+# ------------------------------------------------------------ signal basis
 
-def test_loss_matrix_constant_kappa():
-    sm = desk_set(n_signal=3)
-    K = loss_matrix(np.full(2 * DESK.M + 1, 0.7), sm.signal_basis)
-    KdK = K.conj().T @ K
-    assert np.allclose(KdK, 0.7 * np.eye(3), atol=1e-12)
-
-
-def test_loss_matrix_identity_basis():
-    kappas = np.array([1.0, 4.0, 9.0])
-    K = loss_matrix(kappas, np.eye(3))
-    assert np.allclose(K, np.diag([1.0, 2.0, 3.0]))
-
-
-def test_loss_matrix_two_mode_rotation_oracle():
-    kappas = np.array([1.0, 4.0])
-    T = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-    K = loss_matrix(kappas, T)
-    expected = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            expected[i, j] = sum(
-                math.sqrt(kappas[m]) * T[i, m] * T[j, m] for m in range(2)
-            )
-    assert np.allclose(K, expected, atol=1e-15)
-    assert np.allclose(expected, [[1.5, -0.5], [-0.5, 1.5]])
-
-
-def test_loss_matrix_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        loss_matrix(np.array([1.0, 0.0]), np.eye(2))
+def test_signal_basis_rows_orthonormal():
+    # T T^dag = I is what makes uniform comb-line loss kappa * identity on the
+    # supermodes, the loss term the models and the mean field use
+    T = desk_set(n_signal=3).signal_basis
+    assert np.allclose(T @ T.conj().T, np.eye(3), rtol=0.0, atol=1e-12)
 
 
 # ------------------------------------------------------------------ builder
