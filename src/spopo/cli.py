@@ -215,9 +215,7 @@ def cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
     if not cfg.dynamics.omega_grid:
         raise ConfigValidationError("missing required field `dynamics.omega_grid` for spectrum")
     channel = _spectrum_channel(cfg, mdl)
-    result = dynamics.homodyne_spectrum(
-        mdl, channel, tau_max=cfg.dynamics.tau_max, omega_grid=cfg.dynamics.omega_grid,
-    )
+    result = dynamics.homodyne_spectrum(mdl, channel, omega_grid=cfg.dynamics.omega_grid)
     writer.write_csv(
         "spectrum.csv", ["omega", "S"],
         ((result.omega[i], result.S[i]) for i in range(result.omega.size)),

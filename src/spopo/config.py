@@ -9,6 +9,7 @@ by dotted path.
 
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,7 +83,6 @@ class DynamicsConfig:
     tolerance: float = 1e-8
     n_trajectories: int = 1
     seed: int = 1
-    tau_max: float = 40.0
     omega_grid: tuple[float, ...] = ()
     channel_index: int = 1
     channel_phase_deg: float = -90.0
@@ -213,7 +213,6 @@ def _parse_dynamics(section: dict) -> DynamicsConfig:
         tolerance=_require(section, path, "tolerance", float, optional=True, default=1e-8),
         n_trajectories=_require(section, path, "n_trajectories", int, optional=True, default=1),
         seed=_require(section, path, "seed", int, optional=True, default=1),
-        tau_max=_require(section, path, "tau_max", float, optional=True, default=40.0),
         omega_grid=tuple(float(w) for w in omega),
         channel_index=_require(section, path, "channel_index", int, optional=True, default=1),
         channel_phase_deg=_require(
@@ -221,9 +220,11 @@ def _parse_dynamics(section: dict) -> DynamicsConfig:
         ),
         method=_require(section, path, "method", str, optional=True, default="auto"),
     )
+    if "tau_max" in section:  # the spectrum no longer integrates over a tau grid
+        del section["tau_max"]
+        warnings.warn("field `dynamics.tau_max` is deprecated and ignored", FutureWarning)
     _reject_unknown(section, path)
-    for name, value in (("t_max", cfg.t_max), ("dt", cfg.dt), ("tau_max", cfg.tau_max),
-                        ("tolerance", cfg.tolerance)):
+    for name, value in (("t_max", cfg.t_max), ("dt", cfg.dt), ("tolerance", cfg.tolerance)):
         if value <= 0:
             raise ConfigValidationError(f"field `dynamics.{name}` must be positive")
     if cfg.n_points < 2:

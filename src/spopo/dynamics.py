@@ -10,10 +10,10 @@ Solvers:
   (which pins a unique state when parity is a strong symmetry), or by
   long-time integration as an independent reference; either way the residual
   is verified against the full generator.
-* ``homodyne_spectrum`` evolves the two-time correlation seed
-  A(0) = L rho_ss + rho_ss L^dag under the same generator and Fourier
-  transforms the correlation; the delta contribution is the analytic vacuum
-  level 1 and negative lags are folded using stationarity, F(-tau) = F(tau)*.
+* ``homodyne_spectrum`` applies the quantum regression theorem in the
+  frequency domain: one resolvent solve (G - i w) X = -A0' per frequency, G
+  being the generator, by the steady state's Krylov solver; A0' is the seed
+  L rho_ss + rho_ss L^dag of channel L without its stationary part.
 * ``sse_trajectory`` integrates the unnormalized stochastic Schroedinger
   equation with an Euler-Maruyama step and per-step normalization; noise
   streams are keyed per (seed, trajectory, channel) so channel-count changes
@@ -22,7 +22,6 @@ Solvers:
   Heisenberg equations of motion (the classical oracle).
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +34,8 @@ from .model import OpenSystemModel
 from .supermode import SupermodeSet
 
 
-# LGMRES settings of the Krylov steady state, solved to near round-off so the
-# exit residual check has ample margin.
+# LGMRES settings of the Krylov solves (steady state and spectrum resolvents),
+# solved to near round-off so the exit residual checks have ample margin.
 KRYLOV_RTOL = 1e-12
 KRYLOV_INNER_M = 60
 KRYLOV_MAXITER = 1000
@@ -51,10 +50,8 @@ LONG_TIME_MAX = 10000.0
 # Master equation: most negative eigenvalue tolerated at an output point.
 POSITIVITY_TOL = 1e-8
 
-# Homodyne spectrum: correlation tail fraction counted as decayed, and the
-# imaginary part (relative to max(|F|, 1)) that draws a warning.
-SPECTRUM_DECAY_TOL = 1e-3
-SPECTRUM_IMAG_TOL = 1e-8
+# Homodyne spectrum: largest accepted ||(G - i w) X + A0'||_F / ||A0'||_F, G the generator.
+SPECTRUM_RESIDUAL_TOL = 1e-8
 
 # SSE: largest per-step norm drift before the step counts as unstable.
 SSE_NORM_DRIFT_MAX = 0.5
@@ -213,6 +210,34 @@ def _steady_sector(model: OpenSystemModel) -> np.ndarray:
     return even[:, None] == even[None, :]
 
 
+def _krylov_solve(rhs: _MasterRHS, mask: np.ndarray, s: complex, y: np.ndarray, x0: np.ndarray):
+    """Solve (G - s) x + tr(x) I_s/d_s = y, G = ``rhs``, by matrix-free LGMRES on ``mask``.
+
+    I_s and d_s are the identity on the mask's diagonal and its size; ``y``,
+    ``x0`` and x (zero off the mask) are d x d.  Returns x, info, iterations.
+    """
+    dim = rhs.dim
+    idx = np.flatnonzero(mask)
+    on_diag = idx // dim == idx % dim
+    pin = on_diag / complex(on_diag.sum())  # I_s / d_s
+
+    def embed(x: np.ndarray) -> np.ndarray:
+        full = np.zeros(dim * dim, dtype=complex)
+        full[idx] = x
+        return full.reshape(dim, dim)
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        return rhs.apply(embed(x)).ravel()[idx] + x[on_diag].sum() * pin - s * x
+
+    outer = []  # one entry per outer LGMRES iteration
+    x, info = spla.lgmres(
+        spla.LinearOperator((idx.size, idx.size), matvec=matvec, dtype=complex),
+        y.ravel()[idx], x0=x0.ravel()[idx], rtol=KRYLOV_RTOL, atol=0.0,
+        inner_m=KRYLOV_INNER_M, maxiter=KRYLOV_MAXITER, callback=lambda _x: outer.append(1),
+    )
+    return embed(x), info, len(outer)
+
+
 def steady_state(
     model: OpenSystemModel,
     method: str = "auto",
@@ -221,7 +246,7 @@ def steady_state(
     """Steady state of the model by a sectored Krylov solve or long-time integration.
 
     ``"null-space"`` (and ``"auto"``) solves L x + tr(x) I_s/d_s = I_s/d_s by
-    matrix-free LGMRES over the entries of rho in the vacuum's parity sector
+    :func:`_krylov_solve` over the entries of rho in the vacuum's parity sector
     (:func:`_steady_sector`), I_s and d_s being the sector's identity and
     diagonal size.  The trace term makes the operator invertible when the
     sector holds one steady state, which fixing the sector ensures even where
@@ -236,33 +261,11 @@ def steady_state(
     if method == "auto":
         method = "null-space"
     rhs = _MasterRHS(model)
-    dim = model.space.dim
 
     if method == "null-space":
-        idx = np.flatnonzero(_steady_sector(model))
-        on_diag = idx // dim == idx % dim
-        b = on_diag / complex(on_diag.sum())  # I_s / d_s
-
-        def embed(x: np.ndarray) -> np.ndarray:
-            full = np.zeros(dim * dim, dtype=complex)
-            full[idx] = x
-            return full.reshape(dim, dim)
-
-        def matvec(x: np.ndarray) -> np.ndarray:
-            return rhs.apply(embed(x)).ravel()[idx] + x[on_diag].sum() * b
-
-        iterations = 0
-
-        def count(_x):
-            nonlocal iterations
-            iterations += 1
-
-        x, info = spla.lgmres(
-            spla.LinearOperator((idx.size, idx.size), matvec=matvec, dtype=complex), b,
-            x0=b, rtol=KRYLOV_RTOL, atol=0.0, inner_m=KRYLOV_INNER_M, maxiter=KRYLOV_MAXITER,
-            callback=count,
-        )
-        rho = embed(x)
+        mask = _steady_sector(model)
+        b = np.diag(mask.diagonal() / complex(mask.diagonal().sum()))  # I_s / d_s
+        rho, info, iterations = _krylov_solve(rhs, mask, 0.0, b, b)
         rho = (rho + rho.conj().T) / 2.0
         rho = rho / np.trace(rho).real
         residual = float(np.linalg.norm(rhs.apply(rho)))
@@ -300,74 +303,49 @@ def steady_state(
 def homodyne_spectrum(
     model: OpenSystemModel,
     channel: LinearOperator,
-    tau_max: float,
     omega_grid,
     rho_ss: DensityOperator | None = None,
-    n_tau: int = 2001,
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
 ) -> SpectrumResult:
     """Steady-state homodyne (squeezing) spectrum of one output channel.
 
-    S(w) = 1 + 2 Re int_0^tau_max exp(-i w tau) F(tau) dtau with
-    F(tau) = tr[(L + L^dag) A(tau)], A(0) = L rho_ss + rho_ss L^dag.  The
-    vacuum level 1 is the analytic delta-function contribution.
+    S(w) = 1 + 2 Re tr[(L + L^dag) X] for channel L, where (G - i w) X + tr(X) I/d
+    = -A0' is solved by :func:`_krylov_solve` (G the generator), warm-started
+    from the previous w, and A0' = A0 - tr(A0) rho_ss, A0 = L rho_ss + rho_ss L^dag.
+    As tr(A0') = 0, the trace term only makes w = 0 solvable.  1 is the analytic
+    vacuum level.  A residual above ``SPECTRUM_RESIDUAL_TOL`` ||A0'|| raises
+    :class:`ConvergenceError`.
     """
     if channel.space != model.space:
         raise ValueError("channel lives on a different space")
-    if tau_max <= 0:
-        raise ValueError("tau_max must be positive")
+    if rho_ss is not None and rho_ss.space != model.space:
+        raise ValueError("steady state lives on a different space")
     w = np.asarray(omega_grid, dtype=float)
-    if rho_ss is None:
-        rho_ss = steady_state(model)
 
+    rho = (steady_state(model) if rho_ss is None else rho_ss).matrix
     L = channel.matrix
-    A0 = L @ rho_ss.matrix + rho_ss.matrix @ L.conj().T
+    A0 = L @ rho + rho @ L.conj().T
+    A0 = A0 - np.trace(A0) * rho
     quad = (L + L.conj().T).tocsr()
+    scale = float(np.linalg.norm(A0))
 
     rhs = _MasterRHS(model)
-    taus = np.linspace(0.0, tau_max, n_tau)
-    sol = solve_ivp(
-        rhs.flat, (0.0, tau_max), A0.ravel(),
-        t_eval=taus, method="RK45", rtol=rtol, atol=atol,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"correlation integrator failed: {sol.message}")
-    dim = model.space.dim
-    corr = np.array([
-        trace_product(quad, sol.y[:, i].reshape(dim, dim)) for i in range(n_tau)
-    ])
-
-    max_imag = float(np.max(np.abs(corr.imag))) if corr.size else 0.0
-    scale = float(np.max(np.abs(corr))) if corr.size else 0.0
-    tail = abs(corr[-1]) / scale if scale > 0 else 0.0
-    decayed = bool(tail <= SPECTRUM_DECAY_TOL)
-    if not decayed:
-        warnings.warn(
-            f"correlation not decayed at tau_max={tau_max} (tail fraction {tail:.2e}); "
-            "spectrum may be distorted",
-            stacklevel=2,
-        )
-
-    phases = np.exp(-1j * np.outer(w, taus))
-    integral = np.trapezoid(phases * corr[None, :], taus, axis=1)
-    S = 1.0 + 2.0 * integral.real
-    if max_imag > SPECTRUM_IMAG_TOL * max(scale, 1.0):
-        warnings.warn(
-            f"correlation has imaginary part {max_imag:.2e}; check channel choice",
-            stacklevel=2,
-        )
-    return SpectrumResult(
-        omega=w,
-        S=S,
-        metadata={
-            "tau_max": tau_max,
-            "n_tau": n_tau,
-            "correlation_tail_fraction": tail,
-            "decayed": decayed,
-            "max_imag": max_imag,
-        },
-    )
+    every = np.ones(rho.shape, dtype=bool)
+    X = np.zeros_like(A0)
+    S = np.empty(w.size)
+    worst, total = 0.0, 0
+    for k, wk in enumerate(w):
+        X, info, iterations = _krylov_solve(rhs, every, 1j * wk, -A0, X)
+        total += iterations
+        residual = float(np.linalg.norm(rhs.apply(X) - 1j * wk * X + A0))
+        if info != 0 or not residual <= SPECTRUM_RESIDUAL_TOL * scale:
+            raise ConvergenceError(
+                f"Krylov spectrum at w={wk:.4g} failed (LGMRES info {info}) after {iterations} "
+                f"iterations: residual {residual:.3e}, tol {SPECTRUM_RESIDUAL_TOL * scale:.1e}"
+            )
+        worst = max(worst, residual / scale if scale else 0.0)
+        S[k] = 1.0 + 2.0 * trace_product(quad, X).real
+    metadata = {"krylov_iterations": total, "max_relative_residual": worst}
+    return SpectrumResult(w, S, metadata=metadata)
 
 
 def rotated_channel(op: LinearOperator, phase_deg: float) -> LinearOperator:

@@ -6,6 +6,7 @@ import pytest
 
 from spopo import cli
 from spopo.cli import main
+from spopo.config import load_config
 from spopo.model import linearized_spectrum
 
 BASE_DISPERSION = {"beta1": 0.0, "beta2s": 0.01, "beta2p": 0.0025, "g0": 1.0, "M": 10}
@@ -58,6 +59,24 @@ def test_unknown_key_rejected(tmp_path, capsys):
     })
     assert main(["evolve", "--config", cfg]) == 3
     assert "unknown field `outputs.artifacts`" in capsys.readouterr().err
+
+
+def test_deprecated_tau_max_loads_with_one_future_warning(tmp_path, capsys):
+    payload = {
+        "model": {"family": "cw-single", "p": 2.0, "cutoffs": [16]},
+        "dynamics": {"tau_max": 20.0, "omega_grid": [0.0]},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = load_config(write_config(tmp_path, payload))
+    assert [type(w.message) for w in caught] == [FutureWarning]
+    assert "dynamics.tau_max" in str(caught[0].message)
+    assert not hasattr(cfg.dynamics, "tau_max")
+    payload["dynamics"]["bogus"] = 1
+    with pytest.warns(FutureWarning, match="dynamics.tau_max"):
+        assert main(["evolve", "--config", write_config(tmp_path, payload)]) == 3
+    assert "unknown field `dynamics.bogus`" in capsys.readouterr().err
 
 
 def test_convergence_failure_exit_code(tmp_path, capsys):
@@ -136,7 +155,7 @@ def test_spectrum_pipeline_matches_linearized(tmp_path):
         "dispersion": BASE_DISPERSION,
         "supermode": {"Np": 4.0, "n_signal": 1, "k_max": 9, "odd_only": True},
         "model": {"family": "lossy", "r": 0.5, "eta": 0.001, "cutoffs": [16]},
-        "dynamics": {"tau_max": 60.0, "omega_grid": omega, "seed": 3},
+        "dynamics": {"omega_grid": omega, "seed": 3},
         "outputs": {"directory": str(out)},
     })
     assert main(["spectrum", "--config", cfg]) == 0

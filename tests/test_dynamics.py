@@ -1,8 +1,10 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from spopo import analysis, dynamics
 from spopo.dynamics import (
@@ -193,10 +195,16 @@ def test_steady_state_without_parity_symmetry():
     assert trace_distance(rho, steady_state(mdl, method="long-time")) < 1e-6
 
 
-def test_steady_state_krylov_nonconvergence_raises(monkeypatch):
+@pytest.mark.parametrize("solver", ["steady_state", "homodyne_spectrum"])
+def test_steady_state_krylov_nonconvergence_raises(monkeypatch, solver):
+    if solver == "steady_state":
+        solve = partial(steady_state, damped_cavity())
+    else:
+        mdl = build_spopo(single_mode_set(1.0), r=0.5, eta=1e-3, cutoffs=(12,))
+        solve = partial(homodyne_spectrum, mdl, mdl.lindblads[0].op, [0.0, 1.0], steady_state(mdl))
     monkeypatch.setattr(dynamics.spla, "lgmres", lambda op, b, **kw: (b, 7))
     with pytest.raises(ConvergenceError, match="iterations.*residual"):
-        steady_state(damped_cavity())
+        solve()
 
 
 def test_steady_state_requires_lindblads():
@@ -209,7 +217,7 @@ def test_steady_state_requires_lindblads():
 def test_spectrum_vacuum_level():
     mdl = damped_cavity()
     w = np.linspace(-4, 4, 17)
-    res = homodyne_spectrum(mdl, mdl.lindblads[0].op, tau_max=20.0, omega_grid=w)
+    res = homodyne_spectrum(mdl, mdl.lindblads[0].op, omega_grid=w)
     assert np.allclose(res.S, 1.0, atol=1e-9)
 
 
@@ -222,9 +230,9 @@ def test_spectrum_matches_linearized_opo():
     rho_ss = steady_state(mdl)
     chan = mdl.linear_lindblads()[0].op
     w = np.linspace(-5, 5, 11)
-    anti = homodyne_spectrum(mdl, rotated_channel(chan, -90.0), 60.0, w, rho_ss=rho_ss)
+    anti = homodyne_spectrum(mdl, rotated_channel(chan, -90.0), w, rho_ss=rho_ss)
     assert np.max(np.abs(anti.S / linearized_spectrum(r, 1.0, w) - 1.0)) < 0.05
-    squeezed = homodyne_spectrum(mdl, chan, 60.0, w, rho_ss=rho_ss)
+    squeezed = homodyne_spectrum(mdl, chan, w, rho_ss=rho_ss)
     expected = (w ** 2 + (1 - r) ** 2) / (w ** 2 + (1 + r) ** 2)
     assert np.max(np.abs(squeezed.S / expected - 1.0)) < 0.05
     assert np.all(squeezed.S > -1e-9)
@@ -233,16 +241,46 @@ def test_spectrum_matches_linearized_opo():
 def test_spectrum_sanity_bounds():
     mdl = build_spopo(single_mode_set(1.0), r=0.3, eta=1e-2, cutoffs=(12,))
     w = np.linspace(-30, 30, 31)
-    res = homodyne_spectrum(mdl, rotated_channel(mdl.lindblads[0].op, -90.0), 60.0, w)
+    res = homodyne_spectrum(mdl, rotated_channel(mdl.lindblads[0].op, -90.0), w)
     assert np.all(res.S > -1e-9)
     assert abs(res.S[0] - 1.0) < 0.02 and abs(res.S[-1] - 1.0) < 0.02
 
 
-def test_spectrum_warns_when_tau_too_short():
-    mdl = build_spopo(single_mode_set(1.0), r=0.8, eta=1e-3, cutoffs=(14,))
-    with pytest.warns(UserWarning, match="not decayed"):
-        homodyne_spectrum(mdl, rotated_channel(mdl.lindblads[0].op, -90.0),
-                          tau_max=1.0, omega_grid=[0.0])
+def spectrum_by_spsolve(mdl, chan, rho, w):
+    """S(w) = 1 + 2 Re tr[(L + L^dag) x], (i w - L) x = A0' by sparse LU on the superoperator."""
+    dim = mdl.space.dim
+    L = chan.matrix
+    A0 = L @ rho + rho @ L.conj().T
+    A0 = A0 - np.trace(A0) * rho
+    gen = liouvillian_matrix(mdl).tocsc()
+    eye = sparse.identity(dim * dim, dtype=complex, format="csc")
+    # at w = 0 the rank-one term |I/d><I| makes -L invertible and keeps tr(x) = 0
+    diag = np.arange(dim) * (dim + 1)
+    pin = sparse.csc_matrix(
+        (np.full(dim * dim, 1.0 / dim), (np.repeat(diag, dim), np.tile(diag, dim))),
+        shape=(dim * dim, dim * dim))
+    quad = (L + L.conj().T).toarray()
+    out = []
+    for wk in w:
+        x = spsolve(1j * wk * eye - gen + (pin if wk == 0 else 0 * eye), A0.ravel())
+        out.append(1.0 + 2.0 * np.real(np.sum(quad.T.ravel() * x)))
+    return np.array(out)
+
+
+def test_spectrum_matches_sparse_resolvent_on_lossy_comb():
+    desk = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
+    sm = build_supermodes(desk, Np=4.0, n_signal=3, k_max=9)
+    w = np.linspace(0.0, 6.0, 13)
+    for r in (0.6, 1.2):
+        mdl = build_spopo(sm, r=r, eta=1.0, cutoffs=(4, 3, 2))
+        rho = steady_state(mdl)
+        chan = rotated_channel(mdl.linear_lindblads()[0].op, -90.0)
+        res = homodyne_spectrum(mdl, chan, w, rho_ss=rho)
+        expected = spectrum_by_spsolve(mdl, chan, rho.matrix, w)
+        assert np.max(np.abs(res.S / expected - 1.0)) < 1e-9
+    # same dimension, other cutoffs: not a state of this model
+    with pytest.raises(ValueError, match="different space"):
+        homodyne_spectrum(mdl, chan, w, rho_ss=DensityOperator(FockSpace((2, 3, 4)), rho.matrix))
 
 
 # ---------------------------------------------------------------- trajectories
