@@ -98,13 +98,13 @@ def purity(rho: DensityOperator) -> float:
     return float(np.real(np.sum(rho.matrix * rho.matrix.T)))
 
 
-def cat_state(space, p: float, truncation_tol: float = 1e-6) -> StateVector:
+def cat_state(space, p: float) -> StateVector:
     """Normalized even superposition of coherent states at +/- i sqrt(p)."""
     if p < 0:
         raise ValueError("p must be >= 0")
     alpha = 1j * math.sqrt(p)
-    plus = hilbert.coherent_state(space, alpha, truncation_tol)
-    minus = hilbert.coherent_state(space, -alpha, truncation_tol)
+    plus = hilbert.coherent_state(space, alpha)
+    minus = hilbert.coherent_state(space, -alpha)
     amps = plus.amplitudes + minus.amplitudes
     return StateVector(space, amps).normalized()
 

@@ -293,18 +293,12 @@ def cmd_fluxes(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
         ((int(sig["m"][i]), sig["flux"][i]) for i in range(sig["m"].size)),
     )
     pump = analysis.flux_spectrum_pump(rho, mdl, sm)
-    rows = []
+    header = ["q", "flux", "completeness"]
+    columns = [pump[name] for name in header]
     if cfg.model.family == "lossy":
-        profile = analysis.pump_input_profile(sm, cfg.model.r, cfg.model.eta)
-        header = ["q", "flux", "completeness", "input_profile"]
-        for i in range(pump["q"].size):
-            rows.append((int(pump["q"][i]), pump["flux"][i],
-                         pump["completeness"][i], profile[i]))
-    else:
-        header = ["q", "flux", "completeness"]
-        for i in range(pump["q"].size):
-            rows.append((int(pump["q"][i]), pump["flux"][i], pump["completeness"][i]))
-    writer.write_csv("flux_pump.csv", header, rows)
+        header.append("input_profile")
+        columns.append(analysis.pump_input_profile(sm, cfg.model.r, cfg.model.eta))
+    writer.write_csv("flux_pump.csv", header, zip(*columns))
 
 
 COMMANDS = {

@@ -14,10 +14,11 @@ Solvers:
   frequency domain: one resolvent solve (G - i w) X = -A0' per frequency, G
   being the generator, by the steady state's Krylov solver; A0' is the seed
   L rho_ss + rho_ss L^dag of channel L without its stationary part.
-* ``sse_trajectory`` integrates the unnormalized stochastic Schroedinger
-  equation with an Euler-Maruyama step and per-step normalization; noise
-  streams are keyed per (seed, trajectory, channel) so channel-count changes
-  never reshuffle existing streams.
+* ``sse_ensemble`` integrates the unnormalized stochastic Schroedinger
+  equation by Euler-Maruyama with per-step normalization, all trajectories as
+  one block; ``sse_trajectory`` is its one-trajectory case.  Noise streams are
+  keyed per (seed, trajectory, channel), so neither the channel nor the
+  trajectory count reshuffles existing streams.
 * ``mean_field`` integrates the deterministic part of the supermode
   Heisenberg equations of motion (the classical oracle).
 """
@@ -47,7 +48,11 @@ GRID_ALIGN_TOL = 1e-6
 LONG_TIME_CHUNK = 10.0
 LONG_TIME_MAX = 10000.0
 
-# Master equation: most negative eigenvalue tolerated at an output point.
+# RK45 tolerances of the master equation and of the mean field.
+MASTER_RTOL, MASTER_ATOL = 1e-9, 1e-11
+MEAN_FIELD_RTOL, MEAN_FIELD_ATOL = 1e-10, 1e-12
+
+# Most negative eigenvalue tolerated in a returned density matrix.
 POSITIVITY_TOL = 1e-8
 
 # Homodyne spectrum: largest accepted ||(G - i w) X + A0'||_F / ||A0'||_F, G the generator.
@@ -117,13 +122,20 @@ class _MasterRHS:
         return self.apply(y.reshape(self.dim, self.dim)).ravel()
 
 
+def _checked_state(rho: np.ndarray, where: str) -> np.ndarray:
+    """``rho`` symmetrized; :class:`ConvergenceError` if an eigenvalue is below -POSITIVITY_TOL."""
+    rho = (rho + rho.conj().T) / 2.0
+    lam_min = float(np.linalg.eigvalsh(rho).min())
+    if lam_min < -POSITIVITY_TOL:
+        raise ConvergenceError(f"negative eigenvalue {lam_min:.3e} {where}")
+    return rho
+
+
 def evolve_master(
     model: OpenSystemModel,
     rho0: DensityOperator,
     t_grid,
     observables: dict[str, LinearOperator] | None = None,
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
     trace_tol: float = 1e-8,
     keep_states: bool = False,
 ) -> SimulationRecord:
@@ -131,7 +143,8 @@ def evolve_master(
 
     Trace drift beyond ``trace_tol`` or an eigenvalue below ``-POSITIVITY_TOL``
     at any output point raises :class:`ConvergenceError` with a suggestion to
-    tighten tolerances.  Output states are symmetrized before recording.
+    tighten ``MASTER_RTOL``/``MASTER_ATOL``.  Output states are symmetrized
+    before recording.
     """
     if rho0.space != model.space:
         raise ValueError("initial state lives on a different space")
@@ -146,43 +159,31 @@ def evolve_master(
 
     sol = solve_ivp(
         rhs.flat, (t[0], t[-1]), rho0.matrix.ravel(),
-        t_eval=t, method="RK45", rtol=rtol, atol=atol,
+        t_eval=t, method="RK45", rtol=MASTER_RTOL, atol=MASTER_ATOL,
     )
     if not sol.success:
         raise ConvergenceError(f"master-equation integrator failed: {sol.message}")
 
     dim = model.space.dim
     series = {name: np.empty(t.size, dtype=complex) for name in observables}
-    states = [] if keep_states else None
-    rho_out = None
+    states = []
     for idx in range(t.size):
-        rho_m = sol.y[:, idx].reshape(dim, dim)
-        rho_m = (rho_m + rho_m.conj().T) / 2.0
+        rho_m = _checked_state(
+            sol.y[:, idx].reshape(dim, dim),
+            f"at t={t[idx]:.4g}; tighten MASTER_RTOL/MASTER_ATOL",
+        )
         tr = np.trace(rho_m).real
         if abs(tr - 1.0) > trace_tol:
             raise ConvergenceError(
                 f"trace drift {abs(tr - 1.0):.3e} at t={t[idx]:.4g} exceeds {trace_tol:.1g}; "
-                "tighten rtol/atol"
-            )
-        lam_min = float(np.linalg.eigvalsh(rho_m).min())
-        if lam_min < -POSITIVITY_TOL:
-            raise ConvergenceError(
-                f"negative eigenvalue {lam_min:.3e} at t={t[idx]:.4g}; tighten rtol/atol"
+                "tighten MASTER_RTOL/MASTER_ATOL"
             )
         for name, op in observables.items():
             series[name][idx] = trace_product(op.matrix, rho_m)
         if keep_states:
             states.append(DensityOperator(model.space, rho_m))
-        rho_out = rho_m
-
-    record = SimulationRecord(
-        times=t,
-        observables=series,
-        final_state=DensityOperator(model.space, rho_out),
-    )
-    if keep_states:
-        record.extras["states"] = states
-    return record
+    extras = {"states": states} if keep_states else {}
+    return SimulationRecord(t, series, DensityOperator(model.space, rho_m), extras=extras)
 
 
 def _parity_action(op: sparse.spmatrix, even: np.ndarray) -> str:
@@ -254,7 +255,8 @@ def steady_state(
     ``"long-time"`` integrates from the vacuum instead.
 
     The returned state always satisfies ||d rho/dt||_F < tol (verified against
-    the full generator for both methods); otherwise :class:`ConvergenceError`.
+    the full generator for both methods) and has no eigenvalue below
+    ``-POSITIVITY_TOL``; otherwise :class:`ConvergenceError`.
     """
     if not model.lindblads:
         raise ConvergenceError("model has no Lindblad operators; no relaxation to a steady state")
@@ -274,9 +276,7 @@ def steady_state(
                 f"Krylov steady state failed (LGMRES info {info}) after {iterations} "
                 f"iterations: residual {residual:.3e}, tol {tol:.1g}"
             )
-        return DensityOperator(model.space, rho)
-
-    if method == "long-time":
+    elif method == "long-time":
         rho = vacuum_state(model.space).to_density().matrix
         elapsed = 0.0
         while elapsed < LONG_TIME_MAX:
@@ -292,12 +292,14 @@ def steady_state(
             elapsed += LONG_TIME_CHUNK
             residual = float(np.linalg.norm(rhs.apply(rho)))
             if residual < tol:
-                return DensityOperator(model.space, rho)
-        raise ConvergenceError(
-            f"steady state not reached within t={LONG_TIME_MAX} (residual {residual:.3e})"
-        )
-
-    raise ValueError(f"unknown steady-state method {method!r}")
+                break
+        else:
+            raise ConvergenceError(
+                f"steady state not reached within t={LONG_TIME_MAX} (residual {residual:.3e})"
+            )
+    else:
+        raise ValueError(f"unknown steady-state method {method!r}")
+    return DensityOperator(model.space, _checked_state(rho, f"in the {method} steady state"))
 
 
 def homodyne_spectrum(
@@ -353,27 +355,19 @@ def rotated_channel(op: LinearOperator, phase_deg: float) -> LinearOperator:
     return np.exp(1j * np.deg2rad(phase_deg)) * op
 
 
-def _noise_streams(seed: int, trajectory: int, n_channels: int, n_steps: int, dt: float):
-    """One Gaussian increment stream per channel, keyed (seed, trajectory, channel)."""
-    streams = np.empty((n_channels, n_steps))
+def _noise_streams(seed: int, n_trajectories: int, n_channels: int, n_steps: int, dt: float):
+    """Increments dW[channel, step, trajectory]; each stream keyed (seed, trajectory, channel)."""
+    dW = np.empty((n_channels, n_steps, n_trajectories))
     root_dt = np.sqrt(dt)
-    for ch in range(n_channels):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(trajectory, ch))
-        streams[ch] = np.random.default_rng(ss).normal(0.0, root_dt, n_steps)
-    return streams
-
-
-def _align_grid(t_grid: np.ndarray, dt: float):
-    """Output indices of t_grid points on the uniform step grid; grid must align."""
-    steps = t_grid / dt
-    rounded = np.rint(steps).astype(int)
-    if np.max(np.abs(steps - rounded)) > GRID_ALIGN_TOL:
-        raise ValueError("every t_grid point must be an integer multiple of dt")
-    return rounded
+    for k in range(n_trajectories):
+        for ch in range(n_channels):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(k, ch))
+            dW[ch, :, k] = np.random.default_rng(ss).normal(0.0, root_dt, n_steps)
+    return dW
 
 
 def step_grid(t_grid, dt: float) -> np.ndarray:
-    """``t_grid`` moved onto the dt step lattice that ``sse_trajectory`` requires.
+    """``t_grid`` moved onto the dt step lattice that :func:`sse_ensemble` requires.
 
     A grid already on the lattice is returned unchanged; otherwise every point
     is rounded to the nearest step and repeated steps are dropped.
@@ -385,83 +379,6 @@ def step_grid(t_grid, dt: float) -> np.ndarray:
     return np.unique(steps) * dt
 
 
-def sse_trajectory(
-    model: OpenSystemModel,
-    psi0: StateVector,
-    t_grid,
-    seed: int,
-    dt: float = 1e-3,
-    observables: dict[str, LinearOperator] | None = None,
-    trajectory_index: int = 0,
-) -> SimulationRecord:
-    """One homodyne-unraveling trajectory by Euler-Maruyama with per-step normalization.
-
-    Records observables at ``t_grid`` (which must lie on the dt step grid) and,
-    per channel, the mean homodyne current over each output interval:
-    (sum of dW + <L + L^dag> dt) / interval.  Bit-reproducible for fixed
-    (seed, trajectory_index, dt, Lindblad order).
-    """
-    if psi0.space != model.space:
-        raise ValueError("initial state lives on a different space")
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
-        raise ValueError("t_grid must start at 0 and increase strictly")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    out_steps = _align_grid(t, dt)
-    n_steps = out_steps[-1]
-    observables = observables or {}
-    for name, op in observables.items():
-        if op.space != model.space:
-            raise ValueError(f"observable {name!r} lives on a different space")
-
-    gen = _MasterRHS(model)
-    C, Ls = gen.C, gen.Ls
-    n_ch = len(Ls)
-
-    dW = _noise_streams(seed, trajectory_index, n_ch, n_steps, dt) if n_ch else np.zeros((0, n_steps))
-
-    psi = psi0.normalized().amplitudes.copy()
-    series = {name: np.empty(t.size, dtype=complex) for name in observables}
-    homodyne = np.zeros((n_ch, t.size - 1))
-    current_acc = np.zeros(n_ch)
-
-    def record(out_idx: int):
-        for name, op in observables.items():
-            series[name][out_idx] = np.vdot(psi, op.matrix @ psi)
-
-    record(0)
-    out_idx = 1
-    for step in range(n_steps):
-        Lpsis = [L @ psi for L in Ls]
-        quad = np.array([2.0 * np.real(np.vdot(psi, Lp)) for Lp in Lpsis])
-        dpsi = dt * (C @ psi)
-        for ch in range(n_ch):
-            dpsi += (quad[ch] * dt + dW[ch, step]) * Lpsis[ch]
-        psi = psi + dpsi
-        nrm = np.linalg.norm(psi)
-        if abs(nrm - 1.0) > SSE_NORM_DRIFT_MAX or not np.isfinite(nrm):
-            raise ConvergenceError(
-                f"norm drift {abs(nrm - 1.0):.3g} at step {step}; reduce dt"
-            )
-        psi /= nrm
-        current_acc += quad * dt + dW[:, step] if n_ch else 0.0
-        if step + 1 == out_steps[out_idx]:
-            record(out_idx)
-            span = t[out_idx] - t[out_idx - 1]
-            homodyne[:, out_idx - 1] = current_acc / span
-            current_acc = np.zeros(n_ch)
-            out_idx += 1
-
-    return SimulationRecord(
-        times=t,
-        observables=series,
-        final_state=StateVector(model.space, psi),
-        seed=seed,
-        extras={"homodyne_currents": homodyne, "dt": dt},
-    )
-
-
 def sse_ensemble(
     model: OpenSystemModel,
     psi0: StateVector,
@@ -471,14 +388,87 @@ def sse_ensemble(
     dt: float = 1e-3,
     observables: dict[str, LinearOperator] | None = None,
 ) -> list[SimulationRecord]:
-    """Independent trajectories with per-trajectory noise keys, merged in seed order."""
+    """Homodyne-unraveling trajectories by Euler-Maruyama with per-step normalization.
+
+    All trajectories evolve as one d x n_trajectories block on one generator
+    build.  Each records observables at ``t_grid`` (which :func:`step_grid`
+    must leave unchanged) and, per channel, the mean homodyne current over each
+    output interval: (sum of dW + <L + L^dag> dt) / interval.  Trajectory k's
+    noise is keyed (seed, k, channel), whatever ``n_trajectories``; a run is
+    bit-reproducible for fixed (seed, n_trajectories, dt, Lindblad order).  A
+    norm drift above ``SSE_NORM_DRIFT_MAX`` raises :class:`ConvergenceError`
+    naming the trajectory and the step.
+    """
+    if psi0.space != model.space:
+        raise ValueError("initial state lives on a different space")
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size < 2 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
+        raise ValueError("t_grid must start at 0 and increase strictly")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    out_steps = np.rint(t / dt).astype(int)
+    if not np.array_equal(step_grid(t, dt), t) or np.any(np.diff(out_steps) == 0):
+        raise ValueError("every t_grid point must be an integer multiple of dt")
+    observables = observables or {}
+    for name, op in observables.items():
+        if op.space != model.space:
+            raise ValueError(f"observable {name!r} lives on a different space")
+
+    gen = _MasterRHS(model)
+    # dW[:, step] becomes that step's homodyne increment <L + L^dag> dt + dW in place
+    dW = _noise_streams(seed, n_trajectories, len(gen.Ls), out_steps[-1], dt)
+    psi = np.repeat(psi0.normalized().amplitudes[:, None], n_trajectories, axis=1)
+    series = {name: np.empty((t.size, n_trajectories), dtype=complex) for name in observables}
+
+    def record(out_idx: int):
+        for name, op in observables.items():
+            series[name][out_idx] = np.einsum("ij,ij->j", psi.conj(), op.matrix @ psi)
+
+    record(0)
+    out_idx = 1
+    for step in range(out_steps[-1]):
+        psi_conj = psi.conj()
+        dpsi = dt * (gen.C @ psi)
+        for L, increment in zip(gen.Ls, dW[:, step]):
+            Lpsi = L @ psi
+            increment += 2.0 * np.einsum("ij,ij->j", psi_conj, Lpsi).real * dt
+            dpsi += increment * Lpsi
+        psi = psi + dpsi
+        nrm = np.sqrt(np.einsum("ij,ij->j", psi.conj(), psi).real)
+        unstable = ~(np.abs(nrm - 1.0) <= SSE_NORM_DRIFT_MAX)
+        if unstable.any():
+            k = int(np.argmax(unstable))
+            raise ConvergenceError(
+                f"norm drift {abs(nrm[k] - 1.0):.3g} in trajectory {k} at step {step}; reduce dt"
+            )
+        psi /= nrm
+        if step + 1 == out_steps[out_idx]:
+            record(out_idx)
+            out_idx += 1
+
+    homodyne = np.add.reduceat(dW, out_steps[:-1], axis=1) / np.diff(t)[:, None]
     return [
-        sse_trajectory(
-            model, psi0, t_grid, seed=seed, dt=dt,
-            observables=observables, trajectory_index=k,
+        SimulationRecord(
+            times=t,
+            observables={name: s[:, k] for name, s in series.items()},
+            final_state=StateVector(model.space, psi[:, k]),
+            seed=seed,
+            extras={"homodyne_currents": homodyne[:, :, k], "dt": dt},
         )
         for k in range(n_trajectories)
     ]
+
+
+def sse_trajectory(
+    model: OpenSystemModel,
+    psi0: StateVector,
+    t_grid,
+    seed: int,
+    dt: float = 1e-3,
+    observables: dict[str, LinearOperator] | None = None,
+) -> SimulationRecord:
+    """One homodyne trajectory: trajectory 0 of :func:`sse_ensemble`, noise keyed (seed, 0, ch)."""
+    return sse_ensemble(model, psi0, t_grid, 1, seed, dt, observables)[0]
 
 
 def ensemble_mean(records: list[SimulationRecord], name: str):
@@ -514,8 +504,6 @@ def mean_field(
     kappa: float,
     S0,
     t_grid,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> SimulationRecord:
     """Classical supermode amplitudes under the deterministic equations of motion.
 
@@ -540,7 +528,10 @@ def mean_field(
             out -= (S @ G @ S) * (G @ Sc)
         return out
 
-    sol = solve_ivp(rhs, (t[0], t[-1]), S0, t_eval=t, method="RK45", rtol=rtol, atol=atol)
+    sol = solve_ivp(
+        rhs, (t[0], t[-1]), S0, t_eval=t, method="RK45",
+        rtol=MEAN_FIELD_RTOL, atol=MEAN_FIELD_ATOL,
+    )
     if not sol.success:
         raise ConvergenceError(f"mean-field integrator failed: {sol.message}")
     amplitudes = sol.y  # (n_signal, n_times)

@@ -14,8 +14,12 @@ import numpy as np
 from scipy import sparse
 
 
+# Weight a truncated coherent state may lose before a TruncationWarning.
+TRUNCATION_TOL = 1e-6
+
+
 class TruncationWarning(UserWarning):
-    """A state constructor discarded more weight than the configured tolerance."""
+    """A state constructor discarded more weight than ``TRUNCATION_TOL``."""
 
 
 @dataclass(frozen=True)
@@ -222,11 +226,11 @@ def vacuum_state(space: FockSpace) -> StateVector:
     return fock_state(space, (0,) * space.mode_count)
 
 
-def coherent_state(space: FockSpace, alpha: complex, truncation_tol: float = 1e-6) -> StateVector:
+def coherent_state(space: FockSpace, alpha: complex) -> StateVector:
     """Truncated coherent state on a single-mode space, renormalized.
 
     Amplitudes c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!) are accumulated
-    iteratively; if the weight lost to truncation exceeds ``truncation_tol``
+    iteratively; if the weight lost to truncation exceeds ``TRUNCATION_TOL``
     a :class:`TruncationWarning` is emitted.
     """
     if space.mode_count != 1:
@@ -238,10 +242,10 @@ def coherent_state(space: FockSpace, alpha: complex, truncation_tol: float = 1e-
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     kept = float(np.sum(np.abs(amps) ** 2))
     discarded = max(0.0, 1.0 - kept)
-    if discarded > truncation_tol:
+    if discarded > TRUNCATION_TOL:
         warnings.warn(
             f"coherent state |alpha|^2={abs(alpha)**2:.3g} loses weight {discarded:.3g} "
-            f"at cutoff {cutoff} (tolerance {truncation_tol:.1g})",
+            f"at cutoff {cutoff} (tolerance {TRUNCATION_TOL:.1g})",
             TruncationWarning,
             stacklevel=2,
         )

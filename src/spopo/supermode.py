@@ -26,6 +26,12 @@ from scipy.special import eval_hermite
 from .phasematch import CouplingMatrix, DispersionParams, coupling_matrix, is_parity_symmetric
 
 
+# Largest relative asymmetry diagonalize_signal accepts, and how far from +/-1
+# a normalized parity overlap may sit in parity_signature and count as definite.
+SYMMETRY_TOL = 1e-10
+PARITY_TOL = 1e-8
+
+
 def hermite_gaussian_basis(Np: float, pump_grid, count: int) -> np.ndarray:
     """Sampled Hermite-Gaussian rows, re-orthonormalized on the grid.
 
@@ -76,7 +82,7 @@ def transform_pump(F: CouplingMatrix, R: np.ndarray) -> list[np.ndarray]:
     return [R[k][qindex] * F.matrix for k in range(R.shape[0])]
 
 
-def diagonalize_signal(Fp1: np.ndarray, symmetry_tol: float = 1e-10):
+def diagonalize_signal(Fp1: np.ndarray):
     """Orthonormal eigenbasis of the label-1 transformed coupling matrix.
 
     Returns (T, lam) with rows of T the eigenvectors ordered by descending
@@ -87,7 +93,7 @@ def diagonalize_signal(Fp1: np.ndarray, symmetry_tol: float = 1e-10):
     if Fp1.ndim != 2 or Fp1.shape[0] != Fp1.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {Fp1.shape}")
     asym = np.max(np.abs(Fp1 - Fp1.T)) if Fp1.size else 0.0
-    if asym > symmetry_tol * max(1.0, np.max(np.abs(Fp1))):
+    if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(Fp1))):
         raise ValueError(f"input not symmetric (defect {asym:.3e})")
     lam, vecs = np.linalg.eigh((Fp1 + Fp1.T) / 2.0)
     order = np.argsort(-np.abs(lam), kind="stable")
@@ -118,13 +124,13 @@ def coupling_tensors(Fp: list[np.ndarray], T: np.ndarray):
     return G, lam
 
 
-def parity_signature(vector: np.ndarray, tol: float = 1e-8) -> int:
+def parity_signature(vector: np.ndarray) -> int:
     """+1 / -1 for definite parity under index reversal, 0 otherwise."""
     v = np.asarray(vector)
     s = float(np.real(np.vdot(v, v[::-1])) / np.real(np.vdot(v, v)))
-    if s > 1 - tol:
+    if s > 1 - PARITY_TOL:
         return 1
-    if s < -1 + tol:
+    if s < -1 + PARITY_TOL:
         return -1
     return 0
 

@@ -1,5 +1,6 @@
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from spopo.hilbert import (
     expectation,
     fock_state,
     number_operator,
+    total_number_operator,
     vacuum_state,
 )
 from spopo.model import (
@@ -207,6 +209,21 @@ def test_steady_state_krylov_nonconvergence_raises(monkeypatch, solver):
         solve()
 
 
+@pytest.mark.parametrize("method", ["null-space", "long-time"])
+def test_steady_state_rejects_negative_eigenvalue(monkeypatch, method):
+    # pure dephasing (H = 0, L = n): every diagonal matrix is stationary, so a
+    # unit-trace diagonal with a negative entry passes the residual check
+    space = FockSpace((4,))
+    dephasing = (Lindblad(number_operator(space, 0), "linear", 1),)
+    mdl = OpenSystemModel(space, zero_op(space), dephasing, ModelParams("lossy"))
+    bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+    monkeypatch.setattr(dynamics, "_krylov_solve", lambda *args: (bad.copy(), 0, 1))
+    monkeypatch.setattr(dynamics, "solve_ivp",
+                        lambda *args, **kw: SimpleNamespace(success=True, y=bad.reshape(-1, 1)))
+    with pytest.raises(ConvergenceError, match="negative eigenvalue"):
+        steady_state(mdl, method=method)
+
+
 def test_steady_state_requires_lindblads():
     with pytest.raises(ConvergenceError):
         steady_state(free_model())
@@ -330,6 +347,13 @@ def test_sse_grid_alignment_required():
         sse_trajectory(mdl, vacuum_state(mdl.space), [0.0, 0.0015], seed=1, dt=1e-3)
 
 
+def test_sse_grid_points_on_one_step_rejected():
+    # both points lie within GRID_ALIGN_TOL of step 0: an empty output interval
+    mdl = free_model()
+    with pytest.raises(ValueError, match="integer multiple of dt"):
+        sse_trajectory(mdl, vacuum_state(mdl.space), [0.0, 1e-10], seed=1, dt=1e-3)
+
+
 def test_sse_instability_detection():
     mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(20,))
     with pytest.raises(ConvergenceError):
@@ -363,6 +387,61 @@ def test_sse_homodyne_record_shape():
     t = np.linspace(0, 1, 5)
     rec = sse_trajectory(mdl, vacuum_state(mdl.space), t, seed=3, dt=1e-3)
     assert rec.extras["homodyne_currents"].shape == (1, 4)
+
+
+def sse_comb_model():
+    desk = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
+    return build_spopo(build_supermodes(desk, Np=4.0, n_signal=3, k_max=9), r=1.2, eta=1.0,
+                       cutoffs=(4, 3, 2))
+
+
+def test_sse_trajectory_independent_of_ensemble_size():
+    # eight channels; trajectory k must not depend on how many others run beside it
+    mdl = sse_comb_model()
+    psi0 = vacuum_state(mdl.space)
+    t = np.linspace(0, 0.5, 6)
+    obs = {"n": total_number_operator(mdl.space)}
+    eight = sse_ensemble(mdl, psi0, t, 8, seed=11, observables=obs)
+    three = sse_ensemble(mdl, psi0, t, 3, seed=11, observables=obs)
+    single = sse_trajectory(mdl, psi0, t, seed=11, observables=obs)
+    pairs = [(eight[k], three[k]) for k in range(3)] + [(eight[0], single)]
+    for a, b in pairs:
+        assert np.max(np.abs(a.observables["n"] - b.observables["n"])) <= 1e-12
+        currents = a.extras["homodyne_currents"] - b.extras["homodyne_currents"]
+        assert np.max(np.abs(currents)) <= 1e-12
+        assert np.max(np.abs(a.final_state.amplitudes - b.final_state.amplitudes)) <= 1e-12
+    assert not np.array_equal(eight[0].observables["n"], eight[1].observables["n"])
+
+
+def test_sse_ensemble_builds_generator_and_noise_once(monkeypatch):
+    calls = {"generator": 0, "noise": 0}
+
+    class CountingRHS(dynamics._MasterRHS):
+        def __init__(self, model):
+            calls["generator"] += 1
+            super().__init__(model)
+
+    def counting_noise(*args):
+        calls["noise"] += 1
+        return noise(*args)
+
+    noise = dynamics._noise_streams
+    monkeypatch.setattr(dynamics, "_MasterRHS", CountingRHS)
+    monkeypatch.setattr(dynamics, "_noise_streams", counting_noise)
+    mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(12,))
+    recs = sse_ensemble(mdl, vacuum_state(mdl.space), np.linspace(0, 0.1, 3), 5, seed=2)
+    assert len(recs) == 5
+    assert calls == {"generator": 1, "noise": 1}
+
+
+def test_sse_norm_drift_names_trajectory_and_step():
+    mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(20,))
+    psi0 = coherent_state(mdl.space, 1.0)
+    with pytest.raises(ConvergenceError, match=r"in trajectory 1 at step 1; reduce dt"):
+        sse_ensemble(mdl, psi0, [0.0, 2.0], 4, seed=15, dt=0.05)
+    # trajectory 0 alone first fails later, so step 1's drift is trajectory 1's own
+    with pytest.raises(ConvergenceError, match=r"in trajectory 0 at step 6;"):
+        sse_ensemble(mdl, psi0, [0.0, 2.0], 1, seed=15, dt=0.05)
 
 
 # ------------------------------------------------------------------ mean field
