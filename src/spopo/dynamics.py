@@ -21,6 +21,11 @@ Solvers:
   trajectory count reshuffles existing streams.
 * ``mean_field`` integrates the deterministic part of the supermode
   Heisenberg equations of motion (the classical oracle).
+
+The generator is real: every model operator makes -iH and each Lindblad
+operator real, and ``_MasterRHS`` refuses one that is not.  A state keeps the
+dtype of its input, so the vacuum evolves, relaxes and unravels in float64,
+while a resolvent seeded by a complex homodyne channel runs in complex128.
 """
 
 from dataclasses import dataclass, field
@@ -93,29 +98,37 @@ class SpectrumResult:
 
 
 class _MasterRHS:
-    """The Lindblad generator every solver shares, as sparse operator action.
+    """The Lindblad generator every solver shares, as real sparse operator action.
 
-    ``C = -iH - 1/2 sum L^dag L`` and the jump operators ``Ls`` drive both the
-    master equation (``apply``) and the SSE drift.
+    ``C = -iH - 1/2 sum L^T L`` and the jump operators ``Ls`` drive both the
+    master equation (``apply``) and the SSE drift.  Every model operator makes
+    -iH and each L real, so C and L are stored as real CSR and L^dag = L^T; a
+    real state stays real and a complex one goes through the same products.
+    A nonzero imaginary entry of -iH or of an L would be lost, so it raises
+    :class:`ValueError` naming the operator.  ``apply`` forms rho C^T and
+    L rho L^T as (C rho^T)^T and (L (L rho)^T)^T, so every product is a CSR
+    matrix times a dense one.
     """
 
     def __init__(self, model: OpenSystemModel):
-        H = model.H.matrix
-        Ls = [l.op.matrix for l in model.lindblads]
-        acc = -1j * H
-        for L in Ls:
-            acc = acc - 0.5 * (L.conj().T @ L)
-        self.C = acc.tocsr()            # drho = C rho + rho C^dag + sum L rho L^dag
-        self.C_conj = acc.conj().tocsr()  # rho C^dag computed as (C_conj rho^T)^T
-        self.Ls = [L.tocsr() for L in Ls]
-        self.Ldags = [L.conj().T.tocsr() for L in Ls]
+        named = [("-iH", -1j * model.H.matrix)] + [
+            (f"Lindblad {k} ({l.kind}, index {l.index})", l.op.matrix)
+            for k, l in enumerate(model.lindblads)
+        ]
+        for name, op in named:
+            if op.imag.count_nonzero():
+                raise ValueError(f"{name} has a nonzero imaginary entry; the generator is real")
+        acc, *self.Ls = [op.real.tocsr() for _, op in named]  # -iH, then every L
+        for L in self.Ls:
+            acc = acc - 0.5 * (L.T @ L)
+        self.C = acc.tocsr()  # drho = C rho + rho C^T + sum L rho L^T
         self.dim = model.space.dim
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = self.C @ rho
-        out += (self.C_conj @ rho.T).T
-        for L, Ldag in zip(self.Ls, self.Ldags):
-            out += (L @ rho) @ Ldag
+        out += (self.C @ rho.T).T
+        for L in self.Ls:
+            out += (L @ (L @ rho).T).T
         return out
 
     def flat(self, _t, y: np.ndarray) -> np.ndarray:
@@ -218,12 +231,13 @@ def _krylov_solve(rhs: _MasterRHS, mask: np.ndarray, s: complex, y: np.ndarray, 
     ``x0`` and x (zero off the mask) are d x d.  Returns x, info, iterations.
     """
     dim = rhs.dim
+    dtype = np.result_type(y, s)  # float64 for the steady state, complex for a resolvent
     idx = np.flatnonzero(mask)
     on_diag = idx // dim == idx % dim
-    pin = on_diag / complex(on_diag.sum())  # I_s / d_s
+    pin = on_diag / on_diag.sum()  # I_s / d_s
 
     def embed(x: np.ndarray) -> np.ndarray:
-        full = np.zeros(dim * dim, dtype=complex)
+        full = np.zeros(dim * dim, dtype=dtype)
         full[idx] = x
         return full.reshape(dim, dim)
 
@@ -232,7 +246,7 @@ def _krylov_solve(rhs: _MasterRHS, mask: np.ndarray, s: complex, y: np.ndarray, 
 
     outer = []  # one entry per outer LGMRES iteration
     x, info = spla.lgmres(
-        spla.LinearOperator((idx.size, idx.size), matvec=matvec, dtype=complex),
+        spla.LinearOperator((idx.size, idx.size), matvec=matvec, dtype=dtype),
         y.ravel()[idx], x0=x0.ravel()[idx], rtol=KRYLOV_RTOL, atol=0.0,
         inner_m=KRYLOV_INNER_M, maxiter=KRYLOV_MAXITER, callback=lambda _x: outer.append(1),
     )
@@ -266,7 +280,7 @@ def steady_state(
 
     if method == "null-space":
         mask = _steady_sector(model)
-        b = np.diag(mask.diagonal() / complex(mask.diagonal().sum()))  # I_s / d_s
+        b = np.diag(mask.diagonal() / mask.diagonal().sum())  # I_s / d_s
         rho, info, iterations = _krylov_solve(rhs, mask, 0.0, b, b)
         rho = (rho + rho.conj().T) / 2.0
         rho = rho / np.trace(rho).real
@@ -482,20 +496,6 @@ def ensemble_mean(records: list[SimulationRecord], name: str):
         return mean, np.full(mean.shape, np.nan)
     stderr = stack.std(axis=0, ddof=1) / np.sqrt(stack.shape[0])
     return mean, stderr
-
-
-def sse_step_convergence(
-    model: OpenSystemModel,
-    psi0: StateVector,
-    t_grid,
-    seed: int,
-    dt: float,
-    observable: LinearOperator,
-) -> float:
-    """Half-step self-test: max deviation of one observable between dt and dt/2 runs."""
-    a = sse_trajectory(model, psi0, t_grid, seed, dt, {"obs": observable})
-    b = sse_trajectory(model, psi0, t_grid, seed, dt / 2.0, {"obs": observable})
-    return float(np.max(np.abs(a.observables["obs"].real - b.observables["obs"].real)))
 
 
 def mean_field(

@@ -3,7 +3,9 @@
 Every operator lives on a :class:`FockSpace`, a tensor product of per-mode
 truncated ladders.  Operators are stored sparse (CSR); density operators are
 dense, which is the right trade-off at desk-scale dimensions where Lindblad
-evolution is dominated by sparse-times-dense products.
+evolution is dominated by sparse-times-dense products.  Operators are
+complex; a state keeps the dtype of its data, float64 when that is real
+(Fock states and the vacuum) and complex128 otherwise.
 """
 
 import math
@@ -109,13 +111,18 @@ class LinearOperator:
         return f"LinearOperator(dim={self.space.dim}, nnz={self.matrix.nnz})"
 
 
+def _state_dtype(data):
+    """complex128 for complex data, float64 for real."""
+    return complex if np.iscomplexobj(data) else float
+
+
 class StateVector:
-    """Pure state: complex amplitude vector on a FockSpace."""
+    """Pure state: amplitude vector on a FockSpace, float64 or complex128 as given."""
 
     __slots__ = ("space", "amplitudes")
 
     def __init__(self, space: FockSpace, amplitudes):
-        amplitudes = np.asarray(amplitudes, dtype=complex).ravel()
+        amplitudes = np.asarray(amplitudes, dtype=_state_dtype(amplitudes)).ravel()
         if amplitudes.size != space.dim:
             raise ValueError(
                 f"amplitude vector length {amplitudes.size} does not match dim {space.dim}"
@@ -137,12 +144,12 @@ class StateVector:
 
 
 class DensityOperator:
-    """Mixed state: dense complex matrix on a FockSpace."""
+    """Mixed state: dense matrix on a FockSpace, float64 or complex128 as given."""
 
     __slots__ = ("space", "matrix")
 
     def __init__(self, space: FockSpace, matrix):
-        matrix = np.asarray(matrix, dtype=complex)
+        matrix = np.asarray(matrix, dtype=_state_dtype(matrix))
         if matrix.shape != (space.dim, space.dim):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match space dim {space.dim}"
@@ -152,9 +159,6 @@ class DensityOperator:
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2).min())
@@ -217,7 +221,7 @@ def fock_state(space: FockSpace, occupations) -> StateVector:
     for n, c in zip(occ, space.cutoffs):
         if not 0 <= n < c:
             raise ValueError(f"occupation {n} outside cutoff {c}")
-    amplitudes = np.zeros(space.dim, dtype=complex)
+    amplitudes = np.zeros(space.dim)
     amplitudes[np.ravel_multi_index(occ, space.cutoffs)] = 1.0
     return StateVector(space, amplitudes)
 
@@ -289,21 +293,3 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     d = math.prod(dims[m] for m in keep)
     reduced_space = FockSpace(tuple(dims[m] for m in keep))
     return DensityOperator(reduced_space, traced.reshape(d, d))
-
-
-def reduced_from_ket(psi: StateVector, keep) -> DensityOperator:
-    """Reduced density operator of a pure state without forming the full projector."""
-    keep = sorted({psi.space.check_mode(m) for m in keep})
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    n = psi.space.mode_count
-    dims = psi.space.cutoffs
-    if len(keep) == n:
-        return psi.to_density()
-    rest = [m for m in range(n) if m not in keep]
-    tensor = psi.amplitudes.reshape(dims)
-    perm = keep + rest
-    d_keep = math.prod(dims[m] for m in keep)
-    mat = np.transpose(tensor, perm).reshape(d_keep, -1)
-    reduced_space = FockSpace(tuple(dims[m] for m in keep))
-    return DensityOperator(reduced_space, mat @ mat.conj().T)

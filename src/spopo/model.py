@@ -62,10 +62,6 @@ class OpenSystemModel:
     def linear_lindblads(self) -> list[Lindblad]:
         return [l for l in self.lindblads if l.kind == "linear"]
 
-    def hermiticity_defect(self) -> float:
-        d = self.H.matrix - self.H.matrix.conj().T
-        return float(np.max(np.abs(d.toarray()))) if d.nnz else 0.0
-
     def summary(self) -> dict:
         p = self.params
         return {

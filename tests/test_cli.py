@@ -127,9 +127,11 @@ def test_trajectories_and_wigner_deterministic(tmp_path):
     cfg_a = cw_config(tmp_path, "run_a", n_trajectories=3)
     cfg_b = cw_config(tmp_path, "run_b", n_trajectories=3)
     assert main(["trajectories", "--config", cfg_a]) == 0
-    assert main(["wigner", "--config", cfg_a, "--out", str(tmp_path / "run_a")]) == 0
+    with pytest.warns(UserWarning, match="Wigner grid integral"):
+        assert main(["wigner", "--config", cfg_a, "--out", str(tmp_path / "run_a")]) == 0
     assert main(["trajectories", "--config", cfg_b]) == 0
-    assert main(["wigner", "--config", cfg_b, "--out", str(tmp_path / "run_b")]) == 0
+    with pytest.warns(UserWarning, match="Wigner grid integral"):
+        assert main(["wigner", "--config", cfg_b, "--out", str(tmp_path / "run_b")]) == 0
     for name in ("trajectories_photon.csv", "homodyne_pumped_channel.csv",
                  "ensemble.csv", "wigner.csv", "wigner_axes.csv"):
         a = (tmp_path / "run_a" / name).read_bytes()

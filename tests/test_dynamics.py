@@ -17,7 +17,6 @@ from spopo.dynamics import (
     mean_field,
     rotated_channel,
     sse_ensemble,
-    sse_step_convergence,
     sse_trajectory,
     steady_state,
 )
@@ -97,7 +96,7 @@ def test_master_trace_and_positivity_guarantees():
     rec = evolve_master(mdl, vacuum_state(mdl.space).to_density(), t, keep_states=True)
     for rho in rec.extras["states"]:
         assert abs(rho.trace() - 1.0) < 1e-8
-        assert rho.hermiticity_defect() == 0.0
+        assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) == 0.0
         assert rho.min_eigenvalue() > -1e-8
 
 
@@ -117,6 +116,48 @@ def test_generator_action_matches_liouvillian_matrix(family):
     got = dynamics._MasterRHS(mdl).apply(rho).ravel()
     want = liouvillian_matrix(mdl) @ rho.ravel()
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def detuned_cavity(cutoff=8, detuning=0.7):
+    # H = detuning * n is real and Hermitian, so -iH is imaginary
+    space = FockSpace((cutoff,))
+    return OpenSystemModel(
+        space, detuning * number_operator(space, 0),
+        (Lindblad(math.sqrt(2.0) * annihilation(space, 0), "linear", 1),),
+        ModelParams("lossy", kappa=1.0),
+    )
+
+
+@pytest.mark.parametrize("solver", [
+    lambda mdl: evolve_master(mdl, vacuum_state(mdl.space).to_density(), [0.0, 1.0]),
+    lambda mdl: steady_state(mdl),
+    lambda mdl: homodyne_spectrum(mdl, mdl.lindblads[0].op, [0.0, 1.0]),
+    lambda mdl: sse_ensemble(mdl, vacuum_state(mdl.space), [0.0, 0.01], 2, seed=1),
+], ids=["evolve_master", "steady_state", "homodyne_spectrum", "sse_ensemble"])
+def test_generator_rejects_an_imaginary_part(solver):
+    with pytest.raises(ValueError, match=r"-iH has a nonzero imaginary entry"):
+        solver(detuned_cavity())
+
+
+def test_generator_names_a_complex_lindblad():
+    mdl = damped_cavity()
+    complex_loss = Lindblad(1j * mdl.lindblads[0].op, "linear", 1)
+    mdl = OpenSystemModel(mdl.space, mdl.H, mdl.lindblads + (complex_loss,), mdl.params)
+    with pytest.raises(ValueError, match=r"Lindblad 1 \(linear, index 1\)"):
+        dynamics._MasterRHS(mdl)
+
+
+def test_solvers_keep_the_vacuum_real():
+    # the real generator takes a real state to a real state: no complex arithmetic
+    mdl = sse_comb_model()
+    vac = vacuum_state(mdl.space)
+    assert vac.amplitudes.dtype == vac.to_density().matrix.dtype == np.float64
+    rec = evolve_master(mdl, vac.to_density(), np.linspace(0.0, 0.5, 3))
+    assert rec.final_state.matrix.dtype == np.float64
+    for method in ("null-space", "long-time"):
+        assert steady_state(mdl, method=method).matrix.dtype == np.float64
+    recs = sse_ensemble(mdl, vac, np.linspace(0.0, 0.01, 2), 2, seed=4)
+    assert all(r.final_state.amplitudes.dtype == np.float64 for r in recs)
 
 
 def test_lossless_single_mode_reaches_pure_state():
@@ -300,6 +341,21 @@ def test_spectrum_matches_sparse_resolvent_on_lossy_comb():
         homodyne_spectrum(mdl, chan, w, rho_ss=DensityOperator(FockSpace((2, 3, 4)), rho.matrix))
 
 
+@pytest.mark.parametrize("phase", [0.0, 37.0])
+def test_spectrum_matches_sparse_resolvent_at_other_phases(phase):
+    # a general homodyne phase makes A0' and X complex; the generator stays real
+    desk = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
+    sm = build_supermodes(desk, Np=4.0, n_signal=3, k_max=9)
+    w = np.linspace(0.0, 6.0, 13)
+    for r in (0.6, 1.2):
+        mdl = build_spopo(sm, r=r, eta=1.0, cutoffs=(4, 3, 2))
+        rho = steady_state(mdl)
+        chan = rotated_channel(mdl.linear_lindblads()[0].op, phase)
+        res = homodyne_spectrum(mdl, chan, w, rho_ss=rho)
+        expected = spectrum_by_spsolve(mdl, chan, rho.matrix, w)
+        assert np.max(np.abs(res.S / expected - 1.0)) < 1e-9
+
+
 # ---------------------------------------------------------------- trajectories
 
 def test_sse_free_state_constant():
@@ -375,10 +431,11 @@ def test_sse_ensemble_matches_master_in_transient():
 
 def test_sse_half_step_convergence():
     mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(14,))
-    dev = sse_step_convergence(
-        mdl, vacuum_state(mdl.space), np.linspace(0, 1, 3), seed=5, dt=1e-3,
-        observable=number_operator(mdl.space, 0),
-    )
+    psi0, t = vacuum_state(mdl.space), np.linspace(0, 1, 3)
+    obs = {"n": number_operator(mdl.space, 0)}
+    a = sse_trajectory(mdl, psi0, t, seed=5, dt=1e-3, observables=obs)
+    b = sse_trajectory(mdl, psi0, t, seed=5, dt=1e-3 / 2.0, observables=obs)
+    dev = float(np.max(np.abs(a.observables["n"].real - b.observables["n"].real)))
     assert dev < 0.2
 
 

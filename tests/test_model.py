@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from spopo import dynamics
 from spopo.hilbert import FockSpace, LinearOperator, annihilation
 from spopo.model import (
     Lindblad,
@@ -169,7 +170,31 @@ def test_hamiltonian_hermitian():
         build_spopo(desk_sm(), r=0.9, eta=1.0, cutoffs=(5, 4, 3)),
         build_lossless(desk_sm(), p=2.0, cutoffs=(5, 4, 3)),
     ):
-        assert mdl.hermiticity_defect() < 1e-12
+        assert abs(mdl.H.matrix - mdl.H.matrix.conj().T).max() < 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_spopo(desk_sm(), r=1.2, eta=1.0, cutoffs=(4, 3, 2)),
+    lambda: build_lossless(desk_sm(), p=2.0, cutoffs=(4, 3, 2)),
+    lambda: build_spopo(build_supermodes(DESK, Np=4.0, n_signal=3, k_max=9, odd_only=False),
+                        r=0.8, eta=1.0, cutoffs=(4, 3, 2)),
+    lambda: build_lossless(build_supermodes(DESK, Np=4.0, n_signal=3, k_max=9, odd_only=False),
+                           p=2.0, cutoffs=(4, 3, 2)),
+    lambda: build_spopo(
+        build_supermodes(DispersionParams(beta1=0.05, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10),
+                         Np=4.0, n_signal=3, k_max=9, odd_only=False,
+                         parity_retention="magnitude"),
+        r=0.8, eta=1.0, cutoffs=(4, 3, 2)),
+    lambda: build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(16,)),
+], ids=["lossy", "lossless", "lossy-all-labels", "lossless-all-labels", "lossy-beta1",
+        "cw-lossless"])
+def test_model_builds_give_a_real_generator(build):
+    # -iH and every Lindblad operator are real, so the generator drops nothing
+    mdl = build()
+    assert abs((-1j * mdl.H.matrix).imag).max() == 0.0
+    assert all(abs(l.op.matrix.imag).max() == 0.0 for l in mdl.lindblads)
+    gen = dynamics._MasterRHS(mdl)
+    assert {op.dtype for op in [gen.C, *gen.Ls]} == {np.dtype(float)}
 
 
 def test_displacement_equivalence_of_liouvillians():
