@@ -25,6 +25,7 @@ from .config import (
 )
 from .dynamics import ConvergenceError
 from .phasematch import DispersionParams, coupling_matrix
+from .supermode import SupermodeDataError
 
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
@@ -343,6 +344,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ConfigValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except SupermodeDataError as exc:
+        print(f"validation error: {exc}; adjust `supermode.Np` or `supermode.k_max`",
+              file=sys.stderr)
         return EXIT_VALIDATION
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)

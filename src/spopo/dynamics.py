@@ -16,9 +16,10 @@ Solvers:
   L rho_ss + rho_ss L^dag of channel L without its stationary part.
 * ``sse_ensemble`` integrates the unnormalized stochastic Schroedinger
   equation by Euler-Maruyama with per-step normalization, all trajectories as
-  one block; ``sse_trajectory`` is its one-trajectory case.  Noise streams are
-  keyed per (seed, trajectory, channel), so neither the channel nor the
-  trajectory count reshuffles existing streams.
+  one block and every channel through one stacked sparse product per step;
+  ``sse_trajectory`` is its one-trajectory case.  Noise streams are keyed per
+  (seed, trajectory, channel), so neither the channel nor the trajectory
+  count reshuffles existing streams.
 * ``mean_field`` integrates the deterministic part of the supermode
   Heisenberg equations of motion (the classical oracle).
 
@@ -405,7 +406,9 @@ def sse_ensemble(
     """Homodyne-unraveling trajectories by Euler-Maruyama with per-step normalization.
 
     All trajectories evolve as one d x n_trajectories block on one generator
-    build.  Each records observables at ``t_grid`` (which :func:`step_grid`
+    build, and each step is one product of that block with the stacked CSR
+    [dt C; L_1; ...; L_n], which gives the drift and every channel's L psi at
+    once.  Each records observables at ``t_grid`` (which :func:`step_grid`
     must leave unchanged) and, per channel, the mean homodyne current over each
     output interval: (sum of dW + <L + L^dag> dt) / interval.  Trajectory k's
     noise is keyed (seed, k, channel), whatever ``n_trajectories``; a run is
@@ -429,8 +432,10 @@ def sse_ensemble(
             raise ValueError(f"observable {name!r} lives on a different space")
 
     gen = _MasterRHS(model)
+    n_channels = len(gen.Ls)
+    stacked = sparse.vstack([dt * gen.C, *gen.Ls], format="csr")
     # dW[:, step] becomes that step's homodyne increment <L + L^dag> dt + dW in place
-    dW = _noise_streams(seed, n_trajectories, len(gen.Ls), out_steps[-1], dt)
+    dW = _noise_streams(seed, n_trajectories, n_channels, out_steps[-1], dt)
     psi = np.repeat(psi0.normalized().amplitudes[:, None], n_trajectories, axis=1)
     series = {name: np.empty((t.size, n_trajectories), dtype=complex) for name in observables}
 
@@ -441,13 +446,10 @@ def sse_ensemble(
     record(0)
     out_idx = 1
     for step in range(out_steps[-1]):
-        psi_conj = psi.conj()
-        dpsi = dt * (gen.C @ psi)
-        for L, increment in zip(gen.Ls, dW[:, step]):
-            Lpsi = L @ psi
-            increment += 2.0 * np.einsum("ij,ij->j", psi_conj, Lpsi).real * dt
-            dpsi += increment * Lpsi
-        psi = psi + dpsi
+        Y = (stacked @ psi).reshape(n_channels + 1, -1, n_trajectories)  # dt C psi, L_c psi
+        increment = dW[:, step]
+        increment += 2.0 * dt * np.einsum("ij,cij->cj", psi.conj(), Y[1:]).real
+        psi = psi + Y[0] + np.einsum("cj,cij->ij", increment, Y[1:])
         nrm = np.sqrt(np.einsum("ij,ij->j", psi.conj(), psi).real)
         unstable = ~(np.abs(nrm - 1.0) <= SSE_NORM_DRIFT_MAX)
         if unstable.any():

@@ -32,6 +32,10 @@ SYMMETRY_TOL = 1e-10
 PARITY_TOL = 1e-8
 
 
+class SupermodeDataError(ValueError):
+    """Valid-looking parameters whose sampled basis or coupling admits no supermode set."""
+
+
 def hermite_gaussian_basis(Np: float, pump_grid, count: int) -> np.ndarray:
     """Sampled Hermite-Gaussian rows, re-orthonormalized on the grid.
 
@@ -41,8 +45,9 @@ def hermite_gaussian_basis(Np: float, pump_grid, count: int) -> np.ndarray:
     orthonormality, with signs fixed so each row keeps positive overlap with
     its raw sampled version.
 
-    Raises if ``count`` exceeds the grid size or the sampled rows are
-    numerically dependent (Np too small for the requested order).
+    Raises :class:`ValueError` if ``count`` exceeds the grid size, and
+    :class:`SupermodeDataError` if the sampled rows are numerically dependent
+    (Np too small for the requested order).
     """
     grid = np.asarray(pump_grid, dtype=float)
     if Np <= 0:
@@ -59,7 +64,7 @@ def hermite_gaussian_basis(Np: float, pump_grid, count: int) -> np.ndarray:
     Q, Rtri = np.linalg.qr(rows.T)
     diag = np.diag(Rtri)
     if np.min(np.abs(diag)) < 1e-10 * np.max(np.abs(diag)):
-        raise ValueError(
+        raise SupermodeDataError(
             f"sampled Hermite-Gaussian rows are numerically dependent at count {count} "
             f"(Np {Np} too small for the grid)"
         )
@@ -237,7 +242,7 @@ def build_supermodes(
     G_all, _ = coupling_tensors([Fp_all[k - 1] for k in labels], T)
     lam = np.real(np.diag(G_all[labels.index(1)])).copy()
     if lam[0] <= 0:
-        raise ValueError("retained leading eigenvalue is not positive")
+        raise SupermodeDataError("retained leading eigenvalue is not positive")
 
     tensors = tuple(np.real_if_close(g, tol=1000).astype(float) for g in G_all)
     return SupermodeSet(

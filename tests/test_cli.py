@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from spopo import cli
+from spopo import cli, supermode
 from spopo.cli import main
 from spopo.config import load_config
-from spopo.model import linearized_spectrum
+
+from oracles import linearized_spectrum
 
 BASE_DISPERSION = {"beta1": 0.0, "beta2s": 0.01, "beta2p": 0.0025, "g0": 1.0, "M": 10}
 BASE_SUPERMODE = {"Np": 4.0, "n_signal": 2, "k_max": 9, "odd_only": True}
@@ -233,6 +234,35 @@ def test_odd_only_needs_parity_symmetric_dispersion(tmp_path, capsys):
     })
     assert main(["build", "--config", cfg]) == 3
     assert "supermode.odd_only" in capsys.readouterr().err
+
+
+def test_supermode_data_failures_exit_3_naming_np_and_k_max(tmp_path, capsys, monkeypatch):
+    # Np = 0.05 is far too narrow for k_max = 9 Hermite-Gaussian rows on the pump grid
+    cfg = write_config(tmp_path, {
+        "dispersion": BASE_DISPERSION,
+        "supermode": {**BASE_SUPERMODE, "Np": 0.05},
+        "outputs": {"directory": str(tmp_path / "out")},
+    })
+    assert main(["build", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "numerically dependent" in err
+    assert "supermode.Np" in err and "supermode.k_max" in err
+
+    def negated(Fp, T):
+        G, lam = coupling_tensors(Fp, T)
+        return [-g for g in G], -lam
+
+    coupling_tensors = supermode.coupling_tensors
+    monkeypatch.setattr(supermode, "coupling_tensors", negated)
+    cfg = write_config(tmp_path, {
+        "dispersion": BASE_DISPERSION,
+        "supermode": BASE_SUPERMODE,
+        "outputs": {"directory": str(tmp_path / "out")},
+    })
+    assert main(["build", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "retained leading eigenvalue is not positive" in err
+    assert "supermode.Np" in err and "supermode.k_max" in err
 
 
 def test_internal_value_error_is_not_a_validation_error(tmp_path, monkeypatch):

@@ -24,6 +24,7 @@ from spopo.hilbert import (
     DensityOperator,
     FockSpace,
     LinearOperator,
+    StateVector,
     annihilation,
     coherent_state,
     expectation,
@@ -38,11 +39,12 @@ from spopo.model import (
     OpenSystemModel,
     build_lossless,
     build_spopo,
-    linearized_spectrum,
     liouvillian_matrix,
 )
 from spopo.phasematch import DispersionParams
 from spopo.supermode import build_supermodes, single_mode_set
+
+from oracles import linearized_spectrum
 
 
 def zero_op(space):
@@ -499,6 +501,73 @@ def test_sse_norm_drift_names_trajectory_and_step():
     # trajectory 0 alone first fails later, so step 1's drift is trajectory 1's own
     with pytest.raises(ConvergenceError, match=r"in trajectory 0 at step 6;"):
         sse_ensemble(mdl, psi0, [0.0, 2.0], 1, seed=15, dt=0.05)
+
+
+def sse_per_channel(mdl, psi0, t, n_traj, seed, dt, observables):
+    """Euler-Maruyama with one product per channel per step: the stacked step's reference.
+
+    Returns observables[name][time, trajectory], currents[channel, interval,
+    trajectory] and the final d x n_traj block.
+    """
+    gen = dynamics._MasterRHS(mdl)
+    out_steps = np.rint(t / dt).astype(int)
+    out_index = {int(s): k for k, s in enumerate(out_steps)}
+    dW = dynamics._noise_streams(seed, n_traj, len(gen.Ls), out_steps[-1], dt)
+    psi = np.repeat(psi0.normalized().amplitudes[:, None], n_traj, axis=1)
+    series = {name: np.empty((t.size, n_traj), dtype=complex) for name in observables}
+
+    def record(k):
+        for name, op in observables.items():
+            series[name][k] = np.einsum("ij,ij->j", psi.conj(), op.matrix @ psi)
+
+    record(0)
+    for step in range(out_steps[-1]):
+        psi_conj = psi.conj()
+        dpsi = dt * (gen.C @ psi)
+        for L, increment in zip(gen.Ls, dW[:, step]):
+            Lpsi = L @ psi
+            increment += 2.0 * np.einsum("ij,ij->j", psi_conj, Lpsi).real * dt
+            dpsi += increment * Lpsi
+        psi = psi + dpsi
+        psi /= np.sqrt(np.einsum("ij,ij->j", psi.conj(), psi).real)
+        if step + 1 in out_index:
+            record(out_index[step + 1])
+    currents = np.add.reduceat(dW, out_steps[:-1], axis=1) / np.diff(t)[:, None]
+    return series, currents, psi
+
+
+@pytest.mark.parametrize("start", ["vacuum", "complex"])
+def test_sse_stacked_step_matches_per_channel_loop(start):
+    # eight channels, d = 24: one stacked product per step against a loop over channels
+    mdl = sse_comb_model()
+    if start == "vacuum":
+        psi0 = vacuum_state(mdl.space)
+    else:
+        rng = np.random.default_rng(23)
+        psi0 = StateVector(mdl.space, rng.normal(size=mdl.space.dim)
+                           + 1j * rng.normal(size=mdl.space.dim))
+    t = np.linspace(0, 0.2, 5)
+    obs = {"n": total_number_operator(mdl.space), "a1": annihilation(mdl.space, 0)}
+    recs = sse_ensemble(mdl, psi0, t, 3, seed=17, observables=obs)
+    series, currents, psi = sse_per_channel(mdl, psi0, t, 3, 17, 1e-3, obs)
+    for k, rec in enumerate(recs):
+        for name in obs:
+            assert np.max(np.abs(rec.observables[name] - series[name][:, k])) <= 1e-12
+        assert np.max(np.abs(rec.extras["homodyne_currents"] - currents[:, :, k])) <= 1e-12
+        assert np.max(np.abs(rec.final_state.amplitudes - psi[:, k])) <= 1e-12
+
+
+def test_sse_comb_ensemble_matches_master_in_transient():
+    # the multimode counterpart of test_sse_ensemble_matches_master_in_transient
+    mdl = sse_comb_model()
+    t = np.linspace(0, 1, 6)
+    obs = {"n_total": total_number_operator(mdl.space)}
+    recs = sse_ensemble(mdl, vacuum_state(mdl.space), t, 40, seed=2718, dt=1e-3,
+                        observables=obs)
+    mean, se = ensemble_mean(recs, "n_total")
+    target = evolve_master(mdl, vacuum_state(mdl.space).to_density(), t, obs)
+    dev = np.abs(mean - target.observables["n_total"].real)
+    assert np.all(dev[1:] < 4.0 * se[1:] + 1e-3)
 
 
 # ------------------------------------------------------------------ mean field

@@ -12,11 +12,12 @@ from spopo.model import (
     OpenSystemModel,
     build_lossless,
     build_spopo,
-    linearized_spectrum,
     liouvillian_matrix,
 )
 from spopo.phasematch import DispersionParams
 from spopo.supermode import build_supermodes, single_mode_set
+
+from oracles import linearized_spectrum
 
 DESK = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
 
