@@ -9,6 +9,7 @@ by dotted path.
 
 import hashlib
 import json
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,13 +26,25 @@ class ConfigValidationError(Exception):
 FAMILIES = ("lossy", "lossless", "cw-single")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(number) -> bool:
+    """False for what ``json`` reads as NaN or +-inf (``NaN``, ``Infinity``, ``1e999``) and
+    for an integer too large for a float."""
+    return abs(number) <= sys.float_info.max
+
+
 def _require(section: dict, path: str, key: str, kind, *, optional=False, default=None):
     if key not in section:
         if optional:
             return default
         raise ConfigValidationError(f"missing required field `{path}.{key}`")
     value = section.pop(key)
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+    if kind is float and _is_number(value):
+        if not _is_finite(value):
+            raise ConfigValidationError(f"field `{path}.{key}` must be finite")
         value = float(value)
     if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ConfigValidationError(f"field `{path}.{key}` must be an integer")
@@ -204,8 +217,8 @@ def _parse_model(section: dict) -> ModelConfig:
 def _parse_dynamics(section: dict) -> DynamicsConfig:
     path = "dynamics"
     omega = _require(section, path, "omega_grid", list, optional=True, default=[])
-    if not all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in omega):
-        raise ConfigValidationError("field `dynamics.omega_grid` must be a list of numbers")
+    if not all(_is_number(w) and _is_finite(w) for w in omega):
+        raise ConfigValidationError("field `dynamics.omega_grid` must be a list of finite numbers")
     cfg = DynamicsConfig(
         t_max=_require(section, path, "t_max", float, optional=True, default=10.0),
         n_points=_require(section, path, "n_points", int, optional=True, default=101),

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spopo
 from spopo import cli, supermode
 from spopo.cli import main
 from spopo.config import load_config
@@ -28,6 +33,31 @@ def cw_config(tmp_path, outdir, **dynamics):
         "outputs": {"directory": str(tmp_path / outdir)},
     }
     return write_config(tmp_path, payload, f"{outdir}.json")
+
+
+def run_python(*args, timeout=120):
+    """``python <args>`` in a fresh interpreter that imports this checkout's spopo."""
+    path = [str(Path(spopo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+def lossy_config_text(tmp_path, field, literal):
+    """A valid lossy config as JSON text, with ``field`` set to the raw JSON ``literal``."""
+    payload = {
+        "dispersion": dict(BASE_DISPERSION),
+        "supermode": dict(BASE_SUPERMODE),
+        "model": {"family": "lossy", "r": 0.5, "eta": 1.0, "cutoffs": [3, 2]},
+        "dynamics": {"t_max": 1.0, "n_points": 3, "omega_grid": [0.0, 1.0]},
+        "wigner": {"x_max": 4.0},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }
+    section, key = field.split(".")
+    payload[section][key] = "@literal@"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload).replace('"@literal@"', literal))
+    return str(path)
 
 
 def test_missing_family_names_field(tmp_path, capsys):
@@ -78,6 +108,49 @@ def test_deprecated_tau_max_loads_with_one_future_warning(tmp_path, capsys):
     with pytest.warns(FutureWarning, match="dynamics.tau_max"):
         assert main(["evolve", "--config", write_config(tmp_path, payload)]) == 3
     assert "unknown field `dynamics.bogus`" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, literal", [
+    ("model.r", "NaN"),
+    ("model.eta", "Infinity"),
+    ("supermode.Np", "Infinity"),
+    pytest.param("dispersion.g0", "1" + "0" * 400, id="dispersion.g0-10**400"),  # > float max
+    ("dynamics.tolerance", "NaN"),
+    ("dynamics.omega_grid", "[0, NaN]"),
+    ("dynamics.dt", "Infinity"),
+    ("wigner.x_max", "1e999"),  # json reads it as inf
+])
+def test_non_finite_number_is_a_validation_error(tmp_path, capsys, field, literal):
+    assert main(["evolve", "--config", lossy_config_text(tmp_path, field, literal)]) == 3
+    err = capsys.readouterr().err
+    assert f"field `{field}`" in err and "finite" in err
+
+
+def test_nan_t_max_exits_3_promptly(tmp_path):
+    # unchecked, t_max NaN handed the integrator a NaN time span and evolve never returned
+    cfg = lossy_config_text(tmp_path, "dynamics.t_max", "NaN")
+    proc = run_python("-m", "spopo.cli", "evolve", "--config", cfg, timeout=60)
+    assert proc.returncode == 3
+    assert "field `dynamics.t_max` must be finite" in proc.stderr
+
+
+def test_cli_import_defers_integrate_and_krylov():
+    deferred = {"scipy.integrate", "scipy.sparse.linalg"}
+    proc = run_python("-c", f"import sys, spopo.cli; print(sorted({deferred} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command, unused", [
+    ("trajectories", {"scipy.integrate", "scipy.sparse.linalg"}),
+    ("steady", {"scipy.integrate"}),
+], ids=["trajectories", "steady"])
+def test_op_never_imports_what_it_does_not_run(tmp_path, command, unused):
+    probe = ("import sys; from spopo import cli; code = cli.main(sys.argv[1:]); "
+             f"print(code, sorted({unused} & set(sys.modules)))")
+    proc = run_python("-c", probe, command, "--config", cw_config(tmp_path, command))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 def test_convergence_failure_exit_code(tmp_path, capsys):

@@ -247,7 +247,7 @@ def test_steady_state_krylov_nonconvergence_raises(monkeypatch, solver):
     else:
         mdl = build_spopo(single_mode_set(1.0), r=0.5, eta=1e-3, cutoffs=(12,))
         solve = partial(homodyne_spectrum, mdl, mdl.lindblads[0].op, [0.0, 1.0], steady_state(mdl))
-    monkeypatch.setattr(dynamics.spla, "lgmres", lambda op, b, **kw: (b, 7))
+    monkeypatch.setattr("scipy.sparse.linalg.lgmres", lambda op, b, **kw: (b, 7))
     with pytest.raises(ConvergenceError, match="iterations.*residual"):
         solve()
 
@@ -261,7 +261,7 @@ def test_steady_state_rejects_negative_eigenvalue(monkeypatch, method):
     mdl = OpenSystemModel(space, zero_op(space), dephasing, ModelParams("lossy"))
     bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     monkeypatch.setattr(dynamics, "_krylov_solve", lambda *args: (bad.copy(), 0, 1))
-    monkeypatch.setattr(dynamics, "solve_ivp",
+    monkeypatch.setattr("scipy.integrate.solve_ivp",
                         lambda *args, **kw: SimpleNamespace(success=True, y=bad.reshape(-1, 1)))
     with pytest.raises(ConvergenceError, match="negative eigenvalue"):
         steady_state(mdl, method=method)
