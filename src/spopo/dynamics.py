@@ -3,8 +3,8 @@
 Solvers:
 
 * ``evolve_master`` integrates d rho/dt = -i[H, rho] + sum_i L_i rho L_i^dag
-  - 1/2 {L_i^dag L_i, rho} with an adaptive Runge-Kutta on the dense state and
-  sparse operator action (no superoperator is materialized).
+  - 1/2 {L_i^dag L_i, rho} by ``_dopri5`` (SciPy's RK45, ported) on the dense
+  state and the generator's Hermitian action, checking each output as it comes.
 * ``steady_state`` finds rho_ss by LGMRES on the trace-stabilized generator,
   matrix-free and restricted to the photon-number-parity sector of the vacuum
   (which pins a unique state when parity is a strong symmetry), or by
@@ -28,9 +28,9 @@ operator real, and ``_MasterRHS`` refuses one that is not.  A state keeps the
 dtype of its input, so the vacuum evolves, relaxes and unravels in float64,
 while a resolvent seeded by a complex homodyne channel runs in complex128.
 
-``scipy.integrate`` (about 0.3 s and 16 MB to import) and
-``scipy.sparse.linalg`` (about 0.08 s and 8 MB) are imported inside the
-functions that call them, so a CLI process pays only for the solvers it runs.
+Only the long-time steady state and ``mean_field`` import ``scipy.integrate``
+(about 0.3 s and 16 MB), and only the Krylov solves ``scipy.sparse.linalg``
+(0.08 s, 8 MB), each inside the function, so a CLI process pays for what it runs.
 """
 
 from dataclasses import dataclass, field
@@ -104,13 +104,15 @@ class _MasterRHS:
     """The Lindblad generator every solver shares, as real sparse operator action.
 
     ``C = -iH - 1/2 sum L^T L`` and the jump operators ``Ls`` drive both the
-    master equation (``apply``) and the SSE drift.  Every model operator makes
-    -iH and each L real, so C and L are stored as real CSR and L^dag = L^T; a
-    real state stays real and a complex one goes through the same products.
-    A nonzero imaginary entry of -iH or of an L would be lost, so it raises
-    :class:`ValueError` naming the operator.  ``apply`` forms rho C^T and
-    L rho L^T as (C rho^T)^T and (L (L rho)^T)^T, so every product is a CSR
-    matrix times a dense one.
+    master equation and the SSE drift.  Every model operator makes -iH and
+    each L real, so C and L are stored as real CSR and L^dag = L^T; a real
+    state stays real and a complex one goes through the same products.  A
+    nonzero imaginary entry of -iH or of an L would be lost, so it raises
+    :class:`ValueError` naming the operator.  ``apply``, for any d x d matrix
+    as the Krylov solves need, forms rho C^T and L rho L^T as (C rho^T)^T and
+    (L (L rho)^T)^T.  ``apply_hermitian``, for a Hermitian rho and so for
+    ``flat``, is M + M^dag with M = C rho + sum L~ (L~ rho)^dag, L~ = L/sqrt(2):
+    one product fewer, no transposed sum, and an exactly Hermitian output.
     """
 
     def __init__(self, model: OpenSystemModel):
@@ -125,6 +127,7 @@ class _MasterRHS:
         for L in self.Ls:
             acc = acc - 0.5 * (L.T @ L)
         self.C = acc.tocsr()  # drho = C rho + rho C^T + sum L rho L^T
+        self.half_Ls = [np.sqrt(0.5) * L for L in self.Ls]
         self.dim = model.space.dim
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -134,8 +137,77 @@ class _MasterRHS:
             out += (L @ (L @ rho).T).T
         return out
 
+    def apply_hermitian(self, rho: np.ndarray) -> np.ndarray:
+        m = self.C @ rho
+        for L in self.half_Ls:
+            m += L @ (L @ rho).conj().T
+        return m + m.conj().T
+
     def flat(self, _t, y: np.ndarray) -> np.ndarray:
-        return self.apply(y.reshape(self.dim, self.dim)).ravel()
+        return self.apply_hermitian(y.reshape(self.dim, self.dim)).ravel()
+
+
+# SciPy's RK45 tableau (A's last row: the fifth-order solution) and quartic dense output P.
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1, 1])
+_DP_A = [np.array(row) for row in ([], [1/5], [3/40, 9/40], [44/45, -56/15, 32/9],
+                                   [19372/6561, -25360/2187, 64448/6561, -212/729],
+                                   [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+                                   [35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])]
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+
+
+def _dopri5(fun, y0: np.ndarray, t_eval: np.ndarray, rtol: float, atol: float):
+    """Yield y at each point of ``t_eval`` (the first is the start) as it is reached.
+
+    SciPy's RK45 as ``solve_ivp(t_eval=...)`` runs it (Dormand & Prince 1980): Hairer's
+    initial step, the RMS error norm with scale atol + max(|y|, |y_new|) rtol, step factors
+    0.9 err^(-1/5) in [0.2, 10] and at most 1 after a rejection, Shampine's (1986) quartic
+    dense output.  A step below 10 ulp(t), or a NaN error norm, raises ConvergenceError.
+    """
+    t, t_end, root_n = t_eval[0], t_eval[-1], y0.size ** 0.5
+    K = np.empty((7, y0.size), dtype=y0.dtype)
+    y = y0
+    f = K[0] = fun(t, y)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = np.linalg.norm(y / scale) / root_n, np.linalg.norm(f / scale) / root_n
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
+    d2 = np.linalg.norm((fun(t + h0, y + h0 * f) - f) / scale) / root_n / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, t_end - t)
+    done = 0  # outputs yielded
+    while t < t_end:
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if not h_abs >= min_step:  # a NaN error norm made h_abs NaN
+                raise ConvergenceError(f"RK45 step size underflow at t={t:.6g}")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            for s in range(1, 7):
+                y_new = y + np.dot(K[:s].T, _DP_A[s]) * h
+                K[s] = fun(t + _DP_C[s] * h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = np.linalg.norm(np.dot(K.T, _DP_E) * h / scale) / root_n
+            if err < 1:
+                break
+            h_abs, rejected = abs(h) * max(0.9 * err ** -0.2, 0.2), True  # NaN stays NaN
+        h_abs = abs(h) * min(1 if rejected else 10, 10 if err == 0 else 0.9 * err ** -0.2)
+        upto = np.searchsorted(t_eval, t_new, side="right")
+        if upto > done:
+            Q = K.T.dot(_DP_P)
+            for x in (t_eval[done:upto] - t) / h:
+                yield h * (Q @ np.cumprod(np.full(4, x))) + y
+            done = upto
+        t, y, K[0] = t_new, y_new, K[6]
 
 
 def _checked_state(rho: np.ndarray, where: str) -> np.ndarray:
@@ -172,29 +244,16 @@ def evolve_master(
         if op.space != model.space:
             raise ValueError(f"observable {name!r} lives on a different space")
     rhs = _MasterRHS(model)
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(
-        rhs.flat, (t[0], t[-1]), rho0.matrix.ravel(),
-        t_eval=t, method="RK45", rtol=MASTER_RTOL, atol=MASTER_ATOL,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"master-equation integrator failed: {sol.message}")
-
-    dim = model.space.dim
     series = {name: np.empty(t.size, dtype=complex) for name in observables}
     states = []
-    for idx in range(t.size):
-        rho_m = _checked_state(
-            sol.y[:, idx].reshape(dim, dim),
-            f"at t={t[idx]:.4g}; tighten MASTER_RTOL/MASTER_ATOL",
-        )
-        tr = np.trace(rho_m).real
-        if abs(tr - 1.0) > trace_tol:
-            raise ConvergenceError(
-                f"trace drift {abs(tr - 1.0):.3e} at t={t[idx]:.4g} exceeds {trace_tol:.1g}; "
-                "tighten MASTER_RTOL/MASTER_ATOL"
-            )
+    outputs = _dopri5(rhs.flat, rho0.matrix.ravel(), t, MASTER_RTOL, MASTER_ATOL)
+    for idx, y in enumerate(outputs):
+        rho_m = _checked_state(y.reshape(rho0.matrix.shape),
+                               f"at t={t[idx]:.4g}; tighten MASTER_RTOL/MASTER_ATOL")
+        drift = abs(np.trace(rho_m).real - 1.0)
+        if drift > trace_tol:
+            raise ConvergenceError(f"trace drift {drift:.3e} at t={t[idx]:.4g} exceeds "
+                                   f"{trace_tol:.1g}; tighten MASTER_RTOL/MASTER_ATOL")
         for name, op in observables.items():
             series[name][idx] = trace_product(op.matrix, rho_m)
         if keep_states:

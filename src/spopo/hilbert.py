@@ -78,8 +78,9 @@ class LinearOperator:
         return self.matrix.toarray()
 
     def norm(self) -> float:
-        """Frobenius norm."""
-        return float(sparse.linalg.norm(self.matrix))
+        """Frobenius norm; duplicate entries are summed first, as ``sparse.linalg.norm`` does."""
+        self.matrix.sum_duplicates()
+        return float(np.linalg.norm(self.matrix.data))
 
     def _require_same_space(self, other: "LinearOperator"):
         if self.space != other.space:

@@ -144,13 +144,24 @@ def test_cli_import_defers_integrate_and_krylov():
 @pytest.mark.parametrize("command, unused", [
     ("trajectories", {"scipy.integrate", "scipy.sparse.linalg"}),
     ("steady", {"scipy.integrate"}),
-], ids=["trajectories", "steady"])
+    ("evolve", {"scipy.integrate", "scipy.sparse.linalg"}),
+    ("wigner", {"scipy.integrate", "scipy.sparse.linalg"}),
+], ids=["trajectories", "steady", "evolve", "wigner"])
 def test_op_never_imports_what_it_does_not_run(tmp_path, command, unused):
     probe = ("import sys; from spopo import cli; code = cli.main(sys.argv[1:]); "
              f"print(code, sorted({unused} & set(sys.modules)))")
     proc = run_python("-c", probe, command, "--config", cw_config(tmp_path, command))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 []"
+
+
+def test_nan_generator_exits_4_promptly(tmp_path):
+    probe = ("import sys, numpy as np; from spopo import cli, dynamics; "
+             "dynamics._MasterRHS.apply_hermitian = lambda self, rho: np.full_like(rho, np.nan); "
+             "sys.exit(cli.main(sys.argv[1:]))")
+    proc = run_python("-c", probe, "evolve", "--config", cw_config(tmp_path, "nan"), timeout=60)
+    assert proc.returncode == 4
+    assert "RK45 step size underflow" in proc.stderr
 
 
 def test_convergence_failure_exit_code(tmp_path, capsys):

@@ -44,7 +44,7 @@ from spopo.model import (
 from spopo.phasematch import DispersionParams
 from spopo.supermode import build_supermodes, single_mode_set
 
-from oracles import linearized_spectrum
+from oracles import linearized_spectrum, rk45_master_states
 
 
 def zero_op(space):
@@ -160,6 +160,79 @@ def test_solvers_keep_the_vacuum_real():
         assert steady_state(mdl, method=method).matrix.dtype == np.float64
     recs = sse_ensemble(mdl, vac, np.linspace(0.0, 0.01, 2), 2, seed=4)
     assert all(r.final_state.amplitudes.dtype == np.float64 for r in recs)
+
+
+def stepper_case(case):
+    """A small lossy comb from the vacuum, or the cw cat model from a complex coherent state."""
+    if case == "lossy-comb":
+        mdl = sse_comb_model()
+        return mdl, vacuum_state(mdl.space).to_density(), np.linspace(0.0, 1.0, 11)
+    mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(12,))
+    return mdl, coherent_state(mdl.space, 0.8 + 0.6j).to_density(), np.linspace(0.0, 2.0, 9)
+
+
+def count_flat_calls(monkeypatch) -> list:
+    calls = []
+    flat = dynamics._MasterRHS.flat
+    monkeypatch.setattr(dynamics._MasterRHS, "flat",
+                        lambda self, t, y: calls.append(t) or flat(self, t, y))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["lossy-comb", "cw-complex"])
+def test_master_stepper_matches_solve_ivp(monkeypatch, case):
+    mdl, rho0, t = stepper_case(case)
+    calls = count_flat_calls(monkeypatch)
+    rec = evolve_master(mdl, rho0, t, keep_states=True)
+    ours = len(calls)
+    calls.clear()
+    want = rk45_master_states(dynamics._MasterRHS(mdl), rho0.matrix, t,
+                              dynamics.MASTER_RTOL, dynamics.MASTER_ATOL)
+    assert ours == len(calls) > 0
+    assert len(rec.extras["states"]) == t.size
+    for got, ref in zip(rec.extras["states"], want):
+        assert got.matrix.dtype == rho0.matrix.dtype
+        assert np.max(np.abs(got.matrix - ref)) <= 1e-13
+        assert np.array_equal(got.matrix, got.matrix.conj().T)
+
+
+@pytest.mark.parametrize("case", ["lossy-comb", "cw-complex"])
+def test_hermitian_action_matches_apply(case):
+    rhs = dynamics._MasterRHS(stepper_case(case)[0])
+    d = rhs.dim
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(d, d))
+    Z = X + 1j * rng.normal(size=(d, d))
+    for rho in (X + X.T, Z + Z.conj().T):
+        want = rhs.apply(rho)
+        got = rhs.apply_hermitian(rho)
+        assert got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(got, got.conj().T)
+
+
+@pytest.mark.parametrize("when", ["from-start", "mid-run"])
+def test_master_nan_generator_raises_promptly(monkeypatch, when):
+    # from the start, NaN makes the initial step NaN; mid-run, a NaN error norm: raise, not loop
+    calls = count_flat_calls(monkeypatch)
+    start = 0 if when == "from-start" else 40
+    apply_hermitian = dynamics._MasterRHS.apply_hermitian
+    monkeypatch.setattr(
+        dynamics._MasterRHS, "apply_hermitian",
+        lambda self, rho: apply_hermitian(self, rho) * (np.nan if len(calls) > start else 1.0),
+    )
+    mdl, rho0, t = stepper_case("lossy-comb")
+    with pytest.raises(ConvergenceError, match="RK45"):
+        evolve_master(mdl, rho0, t)
+    assert len(calls) < start + 10
+
+
+def test_master_step_size_underflow_raises(monkeypatch):
+    # y' = y^2 elementwise: the vacuum entry blows up at t = 1
+    monkeypatch.setattr(dynamics._MasterRHS, "flat", lambda self, t, y: y * y)
+    mdl = damped_cavity(cutoff=3)
+    with pytest.raises(ConvergenceError, match="RK45"):
+        evolve_master(mdl, vacuum_state(mdl.space).to_density(), [0.0, 2.0])
 
 
 def test_lossless_single_mode_reaches_pure_state():
