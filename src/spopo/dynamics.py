@@ -4,12 +4,12 @@ Solvers:
 
 * ``evolve_master`` integrates d rho/dt = -i[H, rho] + sum_i L_i rho L_i^dag
   - 1/2 {L_i^dag L_i, rho} by ``_dopri5`` (SciPy's RK45, ported) on the dense
-  state and the generator's Hermitian action, checking each output as it comes.
+  parity blocks of the state and the generator's Hermitian action, checking
+  each output as it comes.
 * ``steady_state`` finds rho_ss by LGMRES on the trace-stabilized generator,
-  matrix-free and restricted to the photon-number-parity sector of the vacuum
-  (which pins a unique state when parity is a strong symmetry), or by
-  long-time integration as an independent reference; either way the residual
-  is verified against the full generator.
+  matrix-free on the vacuum's parity blocks (which pin a unique state when
+  parity is a strong symmetry), or by long-time integration as an independent
+  reference; either way the residual is verified against the full generator.
 * ``homodyne_spectrum`` applies the quantum regression theorem in the
   frequency domain: one resolvent solve (G - i w) X = -A0' per frequency, G
   being the generator, by the steady state's Krylov solver; A0' is the seed
@@ -22,6 +22,16 @@ Solvers:
   count reshuffles existing streams.
 * ``mean_field`` integrates the deterministic part of the supermode
   Heisenberg equations of motion (the classical oracle).
+
+Photon-number parity is a symmetry of the comb and cw models: H and every
+pump channel keep it, and each linear loss flips it.  So a state with no
+even-odd coherence, such as the vacuum, stays block-diagonal, even plus odd,
+and ``_MasterRHS`` acts on those blocks alone, packed one after another.
+Under strong symmetry (no channel flips parity) a block that starts at zero
+stays zero and is left out.  Where H or a channel mixes parities, or the
+initial state has an even-odd coherence, the state is one block of every
+index: the d x d layout, with the same products as without blocks.  The
+spectrum's resolvents always run on that one block.
 
 The generator is real: every model operator makes -iH and each Lindblad
 operator real, and ``_MasterRHS`` refuses one that is not.  A state keeps the
@@ -108,14 +118,25 @@ class _MasterRHS:
     each L real, so C and L are stored as real CSR and L^dag = L^T; a real
     state stays real and a complex one goes through the same products.  A
     nonzero imaginary entry of -iH or of an L would be lost, so it raises
-    :class:`ValueError` naming the operator.  ``apply``, for any d x d matrix
-    as the Krylov solves need, forms rho C^T and L rho L^T as (C rho^T)^T and
+    :class:`ValueError` naming the operator.  ``apply``, for any state as the
+    Krylov solves need, forms rho C^T and L rho L^T as (C rho^T)^T and
     (L (L rho)^T)^T.  ``apply_hermitian``, for a Hermitian rho and so for
     ``flat``, is M + M^dag with M = C rho + sum L~ (L~ rho)^dag, L~ = L/sqrt(2):
     one product fewer, no transposed sum, and an exactly Hermitian output.
+
+    A state is held as diagonal blocks of rho: ``blocks`` lists disjoint index
+    sets, every entry of rho outside their diagonal blocks is zero, and
+    ``pack`` lays the blocks out one after another, each row-major.  C acts
+    through one sub-CSR per block and each L through one sub-CSR per (target
+    <- source) block pair it couples.  Off-block entries stay zero only if C
+    couples no two blocks and no L maps a block into two or out of the blocks;
+    otherwise :class:`ValueError`.  The default, one block of every index, is
+    the d x d state itself with C and L unsliced.  ``apply`` and
+    ``apply_hermitian`` take a state of the packed size in any shape and
+    return that shape.
     """
 
-    def __init__(self, model: OpenSystemModel):
+    def __init__(self, model: OpenSystemModel, blocks=None):
         named = [("-iH", -1j * model.H.matrix)] + [
             (f"Lindblad {k} ({l.kind}, index {l.index})", l.op.matrix)
             for k, l in enumerate(model.lindblads)
@@ -127,24 +148,91 @@ class _MasterRHS:
         for L in self.Ls:
             acc = acc - 0.5 * (L.T @ L)
         self.C = acc.tocsr()  # drho = C rho + rho C^T + sum L rho L^T
-        self.half_Ls = [np.sqrt(0.5) * L for L in self.Ls]
-        self.dim = model.space.dim
+        self.dim = d = model.space.dim
+        self.evaluations = 0  # calls of ``flat``
+
+        self.blocks = [np.arange(d)] if blocks is None else [np.asarray(b) for b in blocks]
+        self.sizes = [b.size for b in self.blocks]
+        ends = np.cumsum([n * n for n in self.sizes])
+        self.size = int(ends[-1])
+        self._spans = [slice(e - n * n, e) for e, n in zip(ends, self.sizes)]
+        # positions of rho's diagonal in the packed layout
+        self.diagonal = np.concatenate([s.start + np.arange(n) * (n + 1)
+                                        for s, n in zip(self._spans, self.sizes)])
+        self._whole = len(self.blocks) == 1 and np.array_equal(self.blocks[0], np.arange(d))
+        self._places = np.concatenate([(d * b[:, None] + b).ravel() for b in self.blocks])
+        label = np.full(d, -1)
+        for k, b in enumerate(self.blocks):
+            label[b] = k
+
+        def pairs(name: str, op) -> list:
+            """(target, source) block pairs ``op`` couples, checked to keep rho block-diagonal."""
+            coo = op.tocoo()
+            src, dst = label[coo.col], label[coo.row]
+            inside = (src >= 0) & (coo.data != 0)
+            found = sorted(set(zip(dst[inside].tolist(), src[inside].tolist())))
+            if (dst[inside] < 0).any() or len({b for _, b in found}) < len(found):
+                raise ValueError(f"{name} does not keep rho block-diagonal on the given blocks")
+            return found
+
+        def piece(op, a: int, b: int):
+            return op if self._whole else op[self.blocks[a]][:, self.blocks[b]]
+
+        if any(a != b for a, b in pairs("C", self.C)):
+            raise ValueError("C does not keep rho block-diagonal on the given blocks")
+        self._C = [piece(self.C, a, a) for a in range(len(self.blocks))]
+        self._Ls = [(a, b, piece(L, a, b))
+                    for (name, _), L in zip(named[1:], self.Ls) for a, b in pairs(name, L)]
+        self._half_Ls = [(a, b, np.sqrt(0.5) * L) for a, b, L in self._Ls]
+
+    def pack(self, rho: np.ndarray) -> np.ndarray:
+        """The blocks of the d x d ``rho`` as one packed vector; entries off them are dropped."""
+        return rho.ravel() if self._whole else rho.ravel()[self._places]
+
+    def unpack(self, y: np.ndarray) -> np.ndarray:
+        """The d x d matrix holding the blocks of the packed ``y``, zero elsewhere."""
+        if not self._whole:
+            y, packed = np.zeros(self.dim * self.dim, dtype=y.dtype), y
+            y[self._places] = packed
+        return y.reshape(self.dim, self.dim)
+
+    def rms(self, y: np.ndarray) -> float:
+        """RMS over all d x d entries of rho of the packed ``y``, summed as on the d x d layout.
+
+        The zeros off the blocks add nothing, but the order of np.linalg.norm's
+        (BLAS) sum depends on where the entries sit, so a packed sum would move
+        RK45's accept and reject decisions by round-off.
+        """
+        return float(np.linalg.norm(self.unpack(y))) / self.dim
+
+    def _split(self, y: np.ndarray) -> list:
+        y = y.reshape(-1)
+        return [y[s].reshape(n, n) for s, n in zip(self._spans, self.sizes)]
+
+    def _join(self, parts: list, shape) -> np.ndarray:
+        if len(parts) == 1:
+            return parts[0].reshape(shape)
+        return np.concatenate([p.ravel() for p in parts]).reshape(shape)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = self.C @ rho
-        out += (self.C @ rho.T).T
-        for L in self.Ls:
-            out += (L @ (L @ rho).T).T
-        return out
+        xs = self._split(rho)
+        outs = [C @ x for C, x in zip(self._C, xs)]
+        for out, C, x in zip(outs, self._C, xs):
+            out += (C @ x.T).T
+        for a, b, L in self._Ls:
+            outs[a] += (L @ (L @ xs[b]).T).T
+        return self._join(outs, rho.shape)
 
     def apply_hermitian(self, rho: np.ndarray) -> np.ndarray:
-        m = self.C @ rho
-        for L in self.half_Ls:
-            m += L @ (L @ rho).conj().T
-        return m + m.conj().T
+        xs = self._split(rho)
+        ms = [C @ x for C, x in zip(self._C, xs)]
+        for a, b, L in self._half_Ls:
+            ms[a] += L @ (L @ xs[b]).conj().T
+        return self._join([m + m.conj().T for m in ms], rho.shape)
 
     def flat(self, _t, y: np.ndarray) -> np.ndarray:
-        return self.apply_hermitian(y.reshape(self.dim, self.dim)).ravel()
+        self.evaluations += 1
+        return self.apply_hermitian(y)
 
 
 # SciPy's RK45 tableau (A's last row: the fifth-order solution) and quartic dense output P.
@@ -165,22 +253,23 @@ _DP_P = np.array([
 ])
 
 
-def _dopri5(fun, y0: np.ndarray, t_eval: np.ndarray, rtol: float, atol: float):
+def _dopri5(fun, y0: np.ndarray, t_eval: np.ndarray, rtol: float, atol: float, rms):
     """Yield y at each point of ``t_eval`` (the first is the start) as it is reached.
 
     SciPy's RK45 as ``solve_ivp(t_eval=...)`` runs it (Dormand & Prince 1980): Hairer's
     initial step, the RMS error norm with scale atol + max(|y|, |y_new|) rtol, step factors
     0.9 err^(-1/5) in [0.2, 10] and at most 1 after a rejection, Shampine's (1986) quartic
-    dense output.  A step below 10 ulp(t), or a NaN error norm, raises ConvergenceError.
+    dense output.  ``rms(v)`` is the RMS norm of a vector v shaped like y.  A step below
+    10 ulp(t), or a NaN error norm, raises ConvergenceError.
     """
-    t, t_end, root_n = t_eval[0], t_eval[-1], y0.size ** 0.5
+    t, t_end = t_eval[0], t_eval[-1]
     K = np.empty((7, y0.size), dtype=y0.dtype)
     y = y0
     f = K[0] = fun(t, y)
     scale = atol + np.abs(y) * rtol
-    d0, d1 = np.linalg.norm(y / scale) / root_n, np.linalg.norm(f / scale) / root_n
+    d0, d1 = rms(y / scale), rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
-    d2 = np.linalg.norm((fun(t + h0, y + h0 * f) - f) / scale) / root_n / h0
+    d2 = rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100 * h0, h1, t_end - t)
     done = 0  # outputs yielded
@@ -196,7 +285,7 @@ def _dopri5(fun, y0: np.ndarray, t_eval: np.ndarray, rtol: float, atol: float):
                 y_new = y + np.dot(K[:s].T, _DP_A[s]) * h
                 K[s] = fun(t + _DP_C[s] * h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = np.linalg.norm(np.dot(K.T, _DP_E) * h / scale) / root_n
+            err = rms(np.dot(K.T, _DP_E) * h / scale)
             if err < 1:
                 break
             h_abs, rejected = abs(h) * max(0.9 * err ** -0.2, 0.2), True  # NaN stays NaN
@@ -210,13 +299,19 @@ def _dopri5(fun, y0: np.ndarray, t_eval: np.ndarray, rtol: float, atol: float):
         t, y, K[0] = t_new, y_new, K[6]
 
 
-def _checked_state(rho: np.ndarray, where: str) -> np.ndarray:
-    """``rho`` symmetrized; :class:`ConvergenceError` if an eigenvalue is below -POSITIVITY_TOL."""
+def _checked_state(rho: np.ndarray, where: str, blocks: list) -> tuple[np.ndarray, float]:
+    """``rho`` symmetrized and its least eigenvalue, by one ``eigvalsh`` per diagonal block.
+
+    ``rho`` must be zero off ``blocks``, so an index outside them adds an eigenvalue 0.
+    :class:`ConvergenceError` if the least eigenvalue is below -POSITIVITY_TOL.
+    """
     rho = (rho + rho.conj().T) / 2.0
-    lam_min = float(np.linalg.eigvalsh(rho).min())
+    lam_min = min(float(np.linalg.eigvalsh(rho[np.ix_(b, b)]).min()) for b in blocks)
+    if sum(b.size for b in blocks) < rho.shape[0]:
+        lam_min = min(lam_min, 0.0)
     if lam_min < -POSITIVITY_TOL:
         raise ConvergenceError(f"negative eigenvalue {lam_min:.3e} {where}")
-    return rho
+    return rho, lam_min
 
 
 def evolve_master(
@@ -229,10 +324,15 @@ def evolve_master(
 ) -> SimulationRecord:
     """Integrate the master equation, recording observables on ``t_grid``.
 
-    Trace drift beyond ``trace_tol`` or an eigenvalue below ``-POSITIVITY_TOL``
-    at any output point raises :class:`ConvergenceError` with a suggestion to
-    tighten ``MASTER_RTOL``/``MASTER_ATOL``.  Output states are symmetrized
-    before recording.
+    The state evolves as the parity blocks of rho that :func:`_parity_blocks`
+    finds for ``rho0``, or as one block of every index.  Trace drift beyond
+    ``trace_tol`` or an eigenvalue below ``-POSITIVITY_TOL`` at any output
+    point raises :class:`ConvergenceError` with a suggestion to tighten
+    ``MASTER_RTOL``/``MASTER_ATOL``.  Output states are symmetrized before
+    recording.  ``extras`` holds the generator evaluations
+    (``rhs_evaluations``), the block sizes integrated (``block_sizes``), the
+    worst trace drift (``max_trace_drift``) and the least eigenvalue
+    (``min_eigenvalue``) over the outputs, and with ``keep_states`` the states.
     """
     if rho0.space != model.space:
         raise ValueError("initial state lives on a different space")
@@ -243,22 +343,27 @@ def evolve_master(
     for name, op in observables.items():
         if op.space != model.space:
             raise ValueError(f"observable {name!r} lives on a different space")
-    rhs = _MasterRHS(model)
+    rhs = _MasterRHS(model, _parity_blocks(model, rho0.matrix))
     series = {name: np.empty(t.size, dtype=complex) for name in observables}
     states = []
-    outputs = _dopri5(rhs.flat, rho0.matrix.ravel(), t, MASTER_RTOL, MASTER_ATOL)
+    worst_drift, least_eigenvalue = 0.0, np.inf
+    outputs = _dopri5(rhs.flat, rhs.pack(rho0.matrix), t, MASTER_RTOL, MASTER_ATOL, rhs.rms)
     for idx, y in enumerate(outputs):
-        rho_m = _checked_state(y.reshape(rho0.matrix.shape),
-                               f"at t={t[idx]:.4g}; tighten MASTER_RTOL/MASTER_ATOL")
+        rho_m, lam_min = _checked_state(rhs.unpack(y), f"at t={t[idx]:.4g}; tighten "
+                                        "MASTER_RTOL/MASTER_ATOL", rhs.blocks)
         drift = abs(np.trace(rho_m).real - 1.0)
         if drift > trace_tol:
             raise ConvergenceError(f"trace drift {drift:.3e} at t={t[idx]:.4g} exceeds "
                                    f"{trace_tol:.1g}; tighten MASTER_RTOL/MASTER_ATOL")
+        worst_drift, least_eigenvalue = max(worst_drift, drift), min(least_eigenvalue, lam_min)
         for name, op in observables.items():
             series[name][idx] = trace_product(op.matrix, rho_m)
         if keep_states:
             states.append(DensityOperator(model.space, rho_m))
-    extras = {"states": states} if keep_states else {}
+    extras = {"rhs_evaluations": rhs.evaluations, "block_sizes": rhs.sizes,
+              "max_trace_drift": worst_drift, "min_eigenvalue": least_eigenvalue}
+    if keep_states:
+        extras["states"] = states
     return SimulationRecord(t, series, DensityOperator(model.space, rho_m), extras=extras)
 
 
@@ -270,51 +375,50 @@ def _parity_action(op: sparse.spmatrix, even: np.ndarray) -> str:
     return "keep" if same.all() else "flip" if not same.any() else "mix"
 
 
-def _steady_sector(model: OpenSystemModel) -> np.ndarray:
-    """Boolean d x d mask of the entries of rho in the vacuum's parity sector.
+def _parity_blocks(model: OpenSystemModel, rho0: np.ndarray) -> list[np.ndarray]:
+    """Diagonal index blocks of rho outside which evolution from ``rho0`` stays exactly zero.
 
-    H and every Lindblad operator preserving photon-number parity (strong
-    symmetry): the even-even block.  H preserving it and each Lindblad operator
-    preserving or flipping it (weak symmetry): the block-diagonal even+odd set.
-    Otherwise every entry.
+    With H preserving total photon-number parity and each Lindblad operator
+    preserving or flipping it, a ``rho0`` with no even-odd coherence stays
+    block-diagonal (Albert & Jiang, PRA 89, 022118 (2014)).  If every Lindblad
+    operator preserves parity (strong symmetry), the blocks are the even and
+    the odd block where ``rho0`` has an entry; if one flips it (weak symmetry),
+    both.  Otherwise, or if ``rho0`` has an even-odd coherence: one block of
+    every index.
     """
     even = np.indices(model.space.cutoffs).sum(axis=0).ravel() % 2 == 0
     actions = {_parity_action(l.op.matrix, even) for l in model.lindblads}
-    if _parity_action(model.H.matrix, even) != "keep" or "mix" in actions:
-        return np.ones((even.size, even.size), dtype=bool)
-    if actions == {"keep"}:
-        return np.outer(even, even)
-    return even[:, None] == even[None, :]
+    if (_parity_action(model.H.matrix, even) != "keep" or "mix" in actions
+            or np.any(rho0[even[:, None] != even])):
+        return [np.arange(even.size)]
+    blocks = [np.flatnonzero(even), np.flatnonzero(~even)]
+    if actions <= {"keep"}:
+        return [b for b in blocks if np.any(rho0[np.ix_(b, b)])]
+    return blocks
 
 
-def _krylov_solve(rhs: _MasterRHS, mask: np.ndarray, s: complex, y: np.ndarray, x0: np.ndarray):
-    """Solve (G - s) x + tr(x) I_s/d_s = y, G = ``rhs``, by matrix-free LGMRES on ``mask``.
+def _krylov_solve(rhs: _MasterRHS, s: complex, y: np.ndarray, x0: np.ndarray):
+    """Solve (G - s) x + tr(x) I_s/d_s = y, G = ``rhs``, by matrix-free LGMRES on its blocks.
 
-    I_s and d_s are the identity on the mask's diagonal and its size; ``y``,
-    ``x0`` and x (zero off the mask) are d x d.  Returns x, info, iterations.
+    I_s and d_s are the identity on the blocks' diagonal and its size; ``y``,
+    ``x0`` and x (zero off the blocks) are d x d.  Returns x, info, iterations.
     """
-    dim = rhs.dim
     dtype = np.result_type(y, s)  # float64 for the steady state, complex for a resolvent
-    idx = np.flatnonzero(mask)
-    on_diag = idx // dim == idx % dim
-    pin = on_diag / on_diag.sum()  # I_s / d_s
-
-    def embed(x: np.ndarray) -> np.ndarray:
-        full = np.zeros(dim * dim, dtype=dtype)
-        full[idx] = x
-        return full.reshape(dim, dim)
+    diag = rhs.diagonal
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        return rhs.apply(embed(x)).ravel()[idx] + x[on_diag].sum() * pin - s * x
+        out = rhs.apply(x) - s * x
+        out[diag] += x[diag].sum() / diag.size
+        return out
 
     from scipy.sparse import linalg as spla
     outer = []  # one entry per outer LGMRES iteration
     x, info = spla.lgmres(
-        spla.LinearOperator((idx.size, idx.size), matvec=matvec, dtype=dtype),
-        y.ravel()[idx], x0=x0.ravel()[idx], rtol=KRYLOV_RTOL, atol=0.0,
+        spla.LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=dtype),
+        rhs.pack(y), x0=rhs.pack(x0), rtol=KRYLOV_RTOL, atol=0.0,
         inner_m=KRYLOV_INNER_M, maxiter=KRYLOV_MAXITER, callback=lambda _x: outer.append(1),
     )
-    return embed(x), info, len(outer)
+    return rhs.unpack(x), info, len(outer)
 
 
 def steady_state(
@@ -325,9 +429,9 @@ def steady_state(
     """Steady state of the model by a sectored Krylov solve or long-time integration.
 
     ``"null-space"`` (and ``"auto"``) solves L x + tr(x) I_s/d_s = I_s/d_s by
-    :func:`_krylov_solve` over the entries of rho in the vacuum's parity sector
-    (:func:`_steady_sector`), I_s and d_s being the sector's identity and
-    diagonal size.  The trace term makes the operator invertible when the
+    :func:`_krylov_solve` on the vacuum's parity blocks of rho
+    (:func:`_parity_blocks`), I_s and d_s being the identity on their diagonal
+    and its size.  The trace term makes the operator invertible when the
     sector holds one steady state, which fixing the sector ensures even where
     a strong parity symmetry makes the full kernel degenerate.
     ``"long-time"`` integrates from the vacuum instead.
@@ -343,9 +447,12 @@ def steady_state(
     rhs = _MasterRHS(model)
 
     if method == "null-space":
-        mask = _steady_sector(model)
-        b = np.diag(mask.diagonal() / mask.diagonal().sum())  # I_s / d_s
-        rho, info, iterations = _krylov_solve(rhs, mask, 0.0, b, b)
+        vacuum = vacuum_state(model.space).to_density().matrix
+        sector = _MasterRHS(model, _parity_blocks(model, vacuum))
+        b = np.zeros(sector.size)
+        b[sector.diagonal] = 1.0 / sector.diagonal.size
+        b = sector.unpack(b)  # I_s / d_s
+        rho, info, iterations = _krylov_solve(sector, 0.0, b, b)
         rho = (rho + rho.conj().T) / 2.0
         rho = rho / np.trace(rho).real
         residual = float(np.linalg.norm(rhs.apply(rho)))
@@ -378,7 +485,8 @@ def steady_state(
             )
     else:
         raise ValueError(f"unknown steady-state method {method!r}")
-    return DensityOperator(model.space, _checked_state(rho, f"in the {method} steady state"))
+    rho, _ = _checked_state(rho, f"in the {method} steady state", rhs.blocks)
+    return DensityOperator(model.space, rho)
 
 
 def homodyne_spectrum(
@@ -410,12 +518,11 @@ def homodyne_spectrum(
     scale = float(np.linalg.norm(A0))
 
     rhs = _MasterRHS(model)
-    every = np.ones(rho.shape, dtype=bool)
     X = np.zeros_like(A0)
     S = np.empty(w.size)
     worst, total = 0.0, 0
     for k, wk in enumerate(w):
-        X, info, iterations = _krylov_solve(rhs, every, 1j * wk, -A0, X)
+        X, info, iterations = _krylov_solve(rhs, 1j * wk, -A0, X)
         total += iterations
         residual = float(np.linalg.norm(rhs.apply(X) - 1j * wk * X + A0))
         if info != 0 or not residual <= SPECTRUM_RESIDUAL_TOL * scale:

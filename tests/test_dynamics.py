@@ -65,6 +65,21 @@ def free_model(cutoff=5):
     return OpenSystemModel(space, zero_op(space), (), ModelParams("lossy"))
 
 
+def driven_cavity(cutoff=12):
+    # a coherent drive mixes photon-number parities: no parity symmetry
+    space = FockSpace((cutoff,))
+    a = annihilation(space, 0)
+    drive = LinearOperator(space, 0.5j * (a.dag().matrix - a.matrix))
+    return OpenSystemModel(
+        space, drive, (Lindblad(math.sqrt(2.0) * a, "linear", 1),), ModelParams("lossy", kappa=1.0)
+    )
+
+
+def vacuum_blocks(mdl):
+    """The parity blocks of rho that evolution from the vacuum leaves nonzero."""
+    return dynamics._parity_blocks(mdl, vacuum_state(mdl.space).to_density().matrix)
+
+
 def trace_distance(rho_a, rho_b):
     diff = rho_a.matrix - rho_b.matrix
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
@@ -102,21 +117,33 @@ def test_master_trace_and_positivity_guarantees():
         assert rho.min_eigenvalue() > -1e-8
 
 
-@pytest.mark.parametrize("family", ["lossy-comb", "cw-lossless"])
-def test_generator_action_matches_liouvillian_matrix(family):
-    # the shared generator away from the steady state, against the superoperator
+@pytest.mark.parametrize("family, sizes", [
+    ("lossy-comb", [12, 12]), ("cw-lossless", [8]), ("coherent-drive", [12]),
+], ids=["lossy-comb", "cw-lossless", "coherent-drive"])
+def test_generator_action_matches_liouvillian_matrix(family, sizes):
+    # the shared generator away from the steady state, against the superoperator, on the
+    # d x d state and on the vacuum's parity blocks: weak symmetry (even and odd), strong
+    # symmetry (even only) and none (one block of every index)
     if family == "lossy-comb":
         desk = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
         sm = build_supermodes(desk, Np=4.0, n_signal=3, k_max=9)
         mdl = build_spopo(sm, r=1.2, eta=1.0, cutoffs=(4, 3, 2))
-    else:
+    elif family == "cw-lossless":
         mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(16,))
+    else:
+        mdl = driven_cavity()
     d = mdl.space.dim
     rng = np.random.default_rng(11)
     X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = (X + X.conj().T) / 2.0
     got = dynamics._MasterRHS(mdl).apply(rho).ravel()
     want = liouvillian_matrix(mdl) @ rho.ravel()
+    assert np.max(np.abs(got - want)) < 1e-12
+    blocked = dynamics._MasterRHS(mdl, vacuum_blocks(mdl))
+    assert blocked.sizes == sizes
+    y = blocked.pack(rho)
+    got = blocked.unpack(blocked.apply(y)).ravel()
+    want = liouvillian_matrix(mdl) @ blocked.unpack(y).ravel()
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -163,9 +190,10 @@ def test_solvers_keep_the_vacuum_real():
 
 
 def stepper_case(case):
-    """A small lossy comb from the vacuum, or the cw cat model from a complex coherent state."""
-    if case == "lossy-comb":
-        mdl = sse_comb_model()
+    """A small lossy comb or a driven cavity from the vacuum, or the cw cat model from a
+    complex coherent state."""
+    if case in ("lossy-comb", "coherent-drive"):
+        mdl = sse_comb_model() if case == "lossy-comb" else driven_cavity()
         return mdl, vacuum_state(mdl.space).to_density(), np.linspace(0.0, 1.0, 11)
     mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(12,))
     return mdl, coherent_state(mdl.space, 0.8 + 0.6j).to_density(), np.linspace(0.0, 2.0, 9)
@@ -196,9 +224,13 @@ def test_master_stepper_matches_solve_ivp(monkeypatch, case):
         assert np.array_equal(got.matrix, got.matrix.conj().T)
 
 
-@pytest.mark.parametrize("case", ["lossy-comb", "cw-complex"])
+@pytest.mark.parametrize("case", ["lossy-comb", "cw-complex", "coherent-drive"])
 def test_hermitian_action_matches_apply(case):
-    rhs = dynamics._MasterRHS(stepper_case(case)[0])
+    # and on a block-diagonal rho, the action on the vacuum's parity blocks (weak, strong
+    # and no symmetry) equals the d x d action on the joined state
+    mdl = stepper_case(case)[0]
+    rhs = dynamics._MasterRHS(mdl)
+    blocked = dynamics._MasterRHS(mdl, vacuum_blocks(mdl))
     d = rhs.dim
     rng = np.random.default_rng(5)
     X = rng.normal(size=(d, d))
@@ -209,6 +241,59 @@ def test_hermitian_action_matches_apply(case):
         assert got.dtype == want.dtype
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         assert np.array_equal(got, got.conj().T)
+        y = blocked.pack(rho)
+        joined = blocked.unpack(y)
+        for want in (rhs.apply(joined), rhs.apply_hermitian(joined)):
+            for action in (blocked.apply, blocked.apply_hermitian):
+                got = blocked.unpack(action(y))
+                assert got.dtype == want.dtype
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case, blocks", [
+    ("lossy-comb", "even"), ("coherent-drive", "even-odd"),
+], ids=["loss-leaves-the-even-block", "drive-couples-parities"])
+def test_generator_rejects_blocks_the_dynamics_leaves(case, blocks):
+    mdl = stepper_case(case)[0]
+    even = np.indices(mdl.space.cutoffs).sum(axis=0).ravel() % 2 == 0
+    parts = [np.flatnonzero(even)] + ([np.flatnonzero(~even)] if blocks == "even-odd" else [])
+    name = "Lindblad" if case == "lossy-comb" else "C"
+    with pytest.raises(ValueError, match=f"^{name}.* does not keep rho block-diagonal"):
+        dynamics._MasterRHS(mdl, parts)
+
+
+@pytest.mark.parametrize("case, sizes", [
+    ("lossy-comb", [12, 12]), ("cw-vacuum", [6]),
+], ids=["weak-parity", "strong-parity"])
+def test_master_runs_on_parity_blocks_and_reports_statistics(monkeypatch, case, sizes):
+    # the lossy comb's linear losses flip photon-number parity and everything else keeps it,
+    # so the vacuum evolves as an even and an odd block; the lossless cat keeps parity in
+    # every channel, so only the even block is nonzero.  A fallback to d x d shows here.
+    if case == "lossy-comb":
+        mdl, rho0, t = stepper_case(case)
+    else:
+        mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(12,))
+        rho0, t = vacuum_state(mdl.space).to_density(), np.linspace(0.0, 2.0, 9)
+    rec = evolve_master(mdl, rho0, t)
+    assert rec.extras["block_sizes"] == sizes
+    calls = count_flat_calls(monkeypatch)
+    evolve_master(mdl, rho0, t)
+    assert rec.extras["rhs_evaluations"] == len(calls) > 0
+    assert 0.0 <= rec.extras["max_trace_drift"] <= 1e-8
+    assert abs(rec.extras["min_eigenvalue"]) <= dynamics.POSITIVITY_TOL
+
+
+def test_master_coherences_fall_back_to_one_block():
+    # a coherent state has even-odd coherences: one block, the d x d layout bit for bit
+    mdl, rho0, t = stepper_case("cw-complex")
+    rec = evolve_master(mdl, rho0, t, keep_states=True)
+    assert rec.extras["block_sizes"] == [mdl.space.dim]
+    rhs = dynamics._MasterRHS(mdl)
+    want = dynamics._dopri5(rhs.flat, rho0.matrix.ravel(), t, dynamics.MASTER_RTOL,
+                            dynamics.MASTER_ATOL, rhs.rms)
+    for got, y in zip(rec.extras["states"], want, strict=True):
+        rho = y.reshape(rho0.matrix.shape)
+        assert np.array_equal(got.matrix, (rho + rho.conj().T) / 2.0)
 
 
 @pytest.mark.parametrize("when", ["from-start", "mid-run"])
@@ -302,12 +387,8 @@ def test_steady_state_matches_dense_kernel_on_lossy_comb():
 
 def test_steady_state_without_parity_symmetry():
     # a coherent drive mixes parities, so the solve runs over every entry of rho
-    space = FockSpace((12,))
-    a = annihilation(space, 0)
-    drive = LinearOperator(space, 0.5j * (a.dag().matrix - a.matrix))
-    mdl = OpenSystemModel(
-        space, drive, (Lindblad(math.sqrt(2.0) * a, "linear", 1),), ModelParams("lossy", kappa=1.0)
-    )
+    mdl = driven_cavity()
+    a = annihilation(mdl.space, 0)
     rho = steady_state(mdl)
     assert abs(expectation(a, rho) - 0.5) < 1e-9
     assert trace_distance(rho, steady_state(mdl, method="long-time")) < 1e-6
