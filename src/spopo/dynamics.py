@@ -160,7 +160,8 @@ class _MasterRHS:
         self.diagonal = np.concatenate([s.start + np.arange(n) * (n + 1)
                                         for s, n in zip(self._spans, self.sizes)])
         self._whole = len(self.blocks) == 1 and np.array_equal(self.blocks[0], np.arange(d))
-        self._places = np.concatenate([(d * b[:, None] + b).ravel() for b in self.blocks])
+        if not self._whole:  # where each packed entry sits in the flattened d x d rho
+            self._places = np.concatenate([(d * b[:, None] + b).ravel() for b in self.blocks])
         label = np.full(d, -1)
         for k, b in enumerate(self.blocks):
             label[b] = k
