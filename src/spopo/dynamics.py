@@ -156,34 +156,31 @@ class _MasterRHS:
         ends = np.cumsum([n * n for n in self.sizes])
         self.size = int(ends[-1])
         self._spans = [slice(e - n * n, e) for e, n in zip(ends, self.sizes)]
-        # positions of rho's diagonal in the packed layout
-        self.diagonal = np.concatenate([s.start + np.arange(n) * (n + 1)
-                                        for s, n in zip(self._spans, self.sizes)])
         self._whole = len(self.blocks) == 1 and np.array_equal(self.blocks[0], np.arange(d))
-        if not self._whole:  # where each packed entry sits in the flattened d x d rho
+        if self._whole:  # the d x d state itself, C and every L unsliced
+            self._C, self._Ls = [self.C], [(0, 0, L) for L in self.Ls]
+        else:
+            # where each packed entry sits in the flattened d x d rho
             self._places = np.concatenate([(d * b[:, None] + b).ravel() for b in self.blocks])
-        label = np.full(d, -1)
-        for k, b in enumerate(self.blocks):
-            label[b] = k
+            label = np.full(d, -1)
+            for k, b in enumerate(self.blocks):
+                label[b] = k
 
-        def pairs(name: str, op) -> list:
-            """(target, source) block pairs ``op`` couples, checked to keep rho block-diagonal."""
-            coo = op.tocoo()
-            src, dst = label[coo.col], label[coo.row]
-            inside = (src >= 0) & (coo.data != 0)
-            found = sorted(set(zip(dst[inside].tolist(), src[inside].tolist())))
-            if (dst[inside] < 0).any() or len({b for _, b in found}) < len(found):
-                raise ValueError(f"{name} does not keep rho block-diagonal on the given blocks")
-            return found
+            def pairs(name: str, op) -> list:
+                """(target, source) block pairs ``op`` couples; it must keep rho block-diagonal."""
+                coo = op.tocoo()
+                src, dst = label[coo.col], label[coo.row]
+                inside = (src >= 0) & (coo.data != 0)
+                found = sorted(set(zip(dst[inside].tolist(), src[inside].tolist())))
+                if (dst[inside] < 0).any() or len({b for _, b in found}) < len(found):
+                    raise ValueError(f"{name} does not keep rho block-diagonal on the given blocks")
+                return found
 
-        def piece(op, a: int, b: int):
-            return op if self._whole else op[self.blocks[a]][:, self.blocks[b]]
-
-        if any(a != b for a, b in pairs("C", self.C)):
-            raise ValueError("C does not keep rho block-diagonal on the given blocks")
-        self._C = [piece(self.C, a, a) for a in range(len(self.blocks))]
-        self._Ls = [(a, b, piece(L, a, b))
-                    for (name, _), L in zip(named[1:], self.Ls) for a, b in pairs(name, L)]
+            if any(a != b for a, b in pairs("C", self.C)):
+                raise ValueError("C does not keep rho block-diagonal on the given blocks")
+            self._C = [self.C[b][:, b] for b in self.blocks]
+            self._Ls = [(a, b, L[self.blocks[a]][:, self.blocks[b]])
+                        for (name, _), L in zip(named[1:], self.Ls) for a, b in pairs(name, L)]
         self._half_Ls = [(a, b, np.sqrt(0.5) * L) for a, b, L in self._Ls]
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
@@ -405,7 +402,7 @@ def _krylov_solve(rhs: _MasterRHS, s: complex, y: np.ndarray, x0: np.ndarray):
     ``x0`` and x (zero off the blocks) are d x d.  Returns x, info, iterations.
     """
     dtype = np.result_type(y, s)  # float64 for the steady state, complex for a resolvent
-    diag = rhs.diagonal
+    diag = np.flatnonzero(rhs.pack(np.eye(rhs.dim)))  # rho's diagonal in the packed layout
 
     def matvec(x: np.ndarray) -> np.ndarray:
         out = rhs.apply(x) - s * x
@@ -450,9 +447,8 @@ def steady_state(
     if method == "null-space":
         vacuum = vacuum_state(model.space).to_density().matrix
         sector = _MasterRHS(model, _parity_blocks(model, vacuum))
-        b = np.zeros(sector.size)
-        b[sector.diagonal] = 1.0 / sector.diagonal.size
-        b = sector.unpack(b)  # I_s / d_s
+        b = sector.unpack(sector.pack(np.eye(model.space.dim)))  # I_s
+        b /= np.trace(b)
         rho, info, iterations = _krylov_solve(sector, 0.0, b, b)
         rho = (rho + rho.conj().T) / 2.0
         rho = rho / np.trace(rho).real
