@@ -35,6 +35,17 @@ def cw_config(tmp_path, outdir, **dynamics):
     return write_config(tmp_path, payload, f"{outdir}.json")
 
 
+def lossy_config(tmp_path, outdir, **dynamics):
+    payload = {
+        "dispersion": BASE_DISPERSION,
+        "supermode": BASE_SUPERMODE,
+        "model": {"family": "lossy", "r": 0.5, "eta": 1.0, "cutoffs": [3, 2]},
+        "dynamics": {"omega_grid": [0.0, 1.0], **dynamics},
+        "outputs": {"directory": str(tmp_path / outdir)},
+    }
+    return write_config(tmp_path, payload, f"{outdir}.json")
+
+
 def run_python(*args, timeout=120):
     """``python <args>`` in a fresh interpreter that imports this checkout's spopo."""
     path = [str(Path(spopo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
@@ -141,16 +152,21 @@ def test_cli_import_defers_integrate_and_krylov():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command, unused", [
-    ("trajectories", {"scipy.integrate", "scipy.sparse.linalg"}),
-    ("steady", {"scipy.integrate"}),
-    ("evolve", {"scipy.integrate", "scipy.sparse.linalg"}),
-    ("wigner", {"scipy.integrate", "scipy.sparse.linalg"}),
-], ids=["trajectories", "steady", "evolve", "wigner"])
-def test_op_never_imports_what_it_does_not_run(tmp_path, command, unused):
+SOLVES = {"scipy.integrate", "scipy.sparse.linalg", "scipy.linalg"}
+
+
+@pytest.mark.parametrize("command, unused, config", [
+    ("trajectories", {"scipy.integrate", "scipy.sparse.linalg"}, cw_config),
+    ("steady", SOLVES, cw_config),
+    ("evolve", {"scipy.integrate", "scipy.sparse.linalg"}, cw_config),
+    ("wigner", {"scipy.integrate", "scipy.sparse.linalg"}, cw_config),
+    ("fluxes", SOLVES, lossy_config),
+    ("spectrum", SOLVES, lossy_config),
+], ids=["trajectories", "steady", "evolve", "wigner", "fluxes", "spectrum"])
+def test_op_never_imports_what_it_does_not_run(tmp_path, command, unused, config):
     probe = ("import sys; from spopo import cli; code = cli.main(sys.argv[1:]); "
              f"print(code, sorted({unused} & set(sys.modules)))")
-    proc = run_python("-c", probe, command, "--config", cw_config(tmp_path, command))
+    proc = run_python("-c", probe, command, "--config", config(tmp_path, command))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 []"
 
@@ -251,6 +267,14 @@ def test_spectrum_pipeline_matches_linearized(tmp_path):
     data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
     expected = linearized_spectrum(0.5, 1.0, data[:, 0])
     assert np.max(np.abs(data[:, 1] / expected - 1.0)) < 0.05
+
+
+@pytest.mark.parametrize("command", ["steady", "spectrum"])
+def test_impossible_steady_state_tolerance_exits_4(tmp_path, capsys, command):
+    # spectrum solves its steady state with the config's method and tolerance, as steady does
+    cfg = lossy_config(tmp_path, command, tolerance=1e-30)
+    assert main([command, "--config", cfg]) == 4
+    assert "tol 1e-30" in capsys.readouterr().err
 
 
 def test_spectrum_rejects_lossless(tmp_path, capsys):

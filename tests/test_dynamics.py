@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 from types import SimpleNamespace
 
@@ -401,7 +402,7 @@ def test_steady_state_krylov_nonconvergence_raises(monkeypatch, solver):
     else:
         mdl = build_spopo(single_mode_set(1.0), r=0.5, eta=1e-3, cutoffs=(12,))
         solve = partial(homodyne_spectrum, mdl, mdl.lindblads[0].op, [0.0, 1.0], steady_state(mdl))
-    monkeypatch.setattr("scipy.sparse.linalg.lgmres", lambda op, b, **kw: (b, 7))
+    monkeypatch.setattr(dynamics, "KRYLOV_MAX_DIM", 2)
     with pytest.raises(ConvergenceError, match="iterations.*residual"):
         solve()
 
@@ -433,6 +434,12 @@ def test_spectrum_vacuum_level():
     w = np.linspace(-4, 4, 17)
     res = homodyne_spectrum(mdl, mdl.lindblads[0].op, omega_grid=w)
     assert np.allclose(res.S, 1.0, atol=1e-9)
+    # on the exact vacuum A0' = 0: X = 0 with no basis, and no 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = homodyne_spectrum(mdl, mdl.lindblads[0].op, w, vacuum_state(mdl.space).to_density())
+    assert np.all(res.S == 1.0)
+    assert res.metadata == {"krylov_dimension": 0, "max_relative_residual": 0.0}
 
 
 def test_spectrum_matches_linearized_opo():
@@ -495,6 +502,23 @@ def test_spectrum_matches_sparse_resolvent_on_lossy_comb():
     # same dimension, other cutoffs: not a state of this model
     with pytest.raises(ValueError, match="different space"):
         homodyne_spectrum(mdl, chan, w, rho_ss=DensityOperator(FockSpace((2, 3, 4)), rho.matrix))
+
+
+def test_spectrum_one_basis_serves_every_omega():
+    desk = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
+    sm = build_supermodes(desk, Np=4.0, n_signal=3, k_max=9)
+    w = np.linspace(0.0, 6.0, 13)
+    order = np.random.default_rng(3).permutation(w.size)
+    for r in (0.6, 1.2):
+        mdl = build_spopo(sm, r=r, eta=1.0, cutoffs=(4, 3, 2))
+        rho = steady_state(mdl)
+        chan = rotated_channel(mdl.linear_lindblads()[0].op, -90.0)
+        res = homodyne_spectrum(mdl, chan, w, rho_ss=rho)
+        assert 0 < res.metadata["krylov_dimension"] < dynamics.KRYLOV_MAX_DIM
+        assert res.metadata["max_relative_residual"] <= dynamics.SPECTRUM_RESIDUAL_TOL
+        # no warm start: S at one w does not depend on the grid's order
+        shuffled = homodyne_spectrum(mdl, chan, w[order], rho_ss=rho)
+        assert np.max(np.abs(shuffled.S - res.S[order])) < 1e-12
 
 
 @pytest.mark.parametrize("phase", [0.0, 37.0])
