@@ -31,12 +31,12 @@ Under strong symmetry (no channel flips parity) a block that starts at zero
 stays zero and is left out.  Where H or a channel mixes parities, or the
 initial state has an even-odd coherence, the state is one block of every
 index: the d x d layout, with the same products as without blocks.  The
-spectrum's resolvents always run on that one block.
+spectrum's Krylov basis always runs on that one block.
 
 The generator is real: every model operator makes -iH and each Lindblad
 operator real, and ``_MasterRHS`` refuses one that is not.  A state keeps the
-dtype of its input, so the vacuum evolves, relaxes and unravels in float64,
-while a resolvent seeded by a complex homodyne channel runs in complex128.
+dtype of its input, so the vacuum evolves, relaxes and unravels in float64; the
+spectrum grows float64 Krylov bases from the real and imaginary parts of its seed.
 
 Only the long-time steady state and ``mean_field`` import ``scipy.integrate``
 (about 0.3 s and 16 MB), inside the function.  The Krylov solvers use numpy alone,
@@ -547,7 +547,8 @@ def homodyne_spectrum(
     Glaessner, SIAM J. Sci. Comput. 19, 15 (1998)) and grows to an estimated residual of
     ``KRYLOV_RTOL`` ||A0'||; a smaller part needs none.  No trace pin: A0' is traceless.
     A basis of ``KRYLOV_MAX_DIM`` vectors, or a residual against G (summed over the parts)
-    above ``SPECTRUM_RESIDUAL_TOL`` ||A0'||, raises :class:`ConvergenceError`.
+    above ``SPECTRUM_RESIDUAL_TOL`` ||A0'||, raises :class:`ConvergenceError`.  ``metadata``
+    holds the basis vectors built (``krylov_dimension``) and ``max_relative_residual``.
     """
     if channel.space != model.space:
         raise ValueError("channel lives on a different space")
@@ -574,7 +575,7 @@ def homodyne_spectrum(
                 break
         else:
             raise ConvergenceError(f"Krylov spectrum basis reached {KRYLOV_MAX_DIM} iterations "
-                                   f"(KRYLOV_MAX_DIM): residual estimate {estimate:.3e}")
+                                   f"(KRYLOV_MAX_DIM): residual estimate {estimate / scale:.3e}")
         V, dimension = V[:-1], dimension + V.shape[0] - 1
         for k, y in enumerate(lstsq.solve()):  # two real products, no complex copy of V
             X = -(y.real @ V + 1j * (y.imag @ V)).reshape(A0.shape)
