@@ -571,7 +571,7 @@ def homodyne_spectrum(
             continue
         lstsq = _HessenbergLstsq(beta, 1j * w)
         for V, h in _arnoldi(rhs.apply, part.ravel() / beta, KRYLOV_MAX_DIM):
-            if (estimate := lstsq.add(h).max()) <= KRYLOV_RTOL * scale:
+            if (estimate := lstsq.add(h).max(initial=0.0)) <= KRYLOV_RTOL * scale:
                 break
         else:
             raise ConvergenceError(f"Krylov spectrum basis reached {KRYLOV_MAX_DIM} iterations "
