@@ -11,7 +11,7 @@ import pytest
 import spopo
 from spopo import cli, supermode
 from spopo.cli import main
-from spopo.config import load_config
+from spopo.config import DynamicsConfig, WignerConfig, load_config
 
 from oracles import linearized_spectrum
 
@@ -101,6 +101,116 @@ def test_unknown_key_rejected(tmp_path, capsys):
     })
     assert main(["evolve", "--config", cfg]) == 3
     assert "unknown field `outputs.artifacts`" in capsys.readouterr().err
+
+
+DROP = object()  # a ``config_with`` edit that removes the key
+
+
+def config_with(tmp_path, edits):
+    """A valid config with every section, changed by ``edits``: dotted name -> value or DROP."""
+    payload = {
+        "dispersion": dict(BASE_DISPERSION),
+        "supermode": dict(BASE_SUPERMODE),
+        "model": {"family": "lossy", "r": 0.5, "eta": 1.0, "cutoffs": [3, 2]},
+        "dynamics": {"t_max": 1.0, "n_points": 3, "omega_grid": [0.0, 1.0]},
+        "wigner": {"x_max": 4.0, "points": 41},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }
+    for name, value in edits.items():
+        section, _, key = name.rpartition(".")
+        target = payload[section] if section else payload
+        if value is DROP:
+            del target[key]
+        else:
+            target[key] = value
+    return write_config(tmp_path, payload)
+
+
+def rule(name, value, *more, field=None):
+    """A case of ``test_each_config_rule_exits_3_naming_its_field``: the edit ``name`` =
+    ``value`` (plus ``more`` name, value pairs), rejected naming ``field`` (default ``name``)."""
+    edits = {name: value, **dict(zip(more[::2], more[1::2]))}
+    label = ",".join(f"{k}={'missing' if v is DROP else json.dumps(v)}" for k, v in edits.items())
+    return pytest.param(edits, field or name, id=label)
+
+
+@pytest.mark.parametrize("edits, field", [
+    # sections
+    rule("bogus", {}),
+    rule("outputs", DROP),
+    rule("model", [1]),
+    rule("dispersion", DROP),
+    rule("supermode", DROP),
+    # missing required fields
+    *(rule(f"dispersion.{key}", DROP) for key in BASE_DISPERSION),
+    rule("supermode.Np", DROP),
+    rule("supermode.n_signal", DROP),
+    rule("supermode.k_max", DROP),
+    rule("model.family", DROP),
+    rule("model.cutoffs", DROP),
+    rule("model.r", DROP),
+    rule("model.eta", DROP),
+    rule("model.family", "lossless", field="model.p"),
+    rule("model.family", "cw-single", "model.cutoffs", [16], field="model.p"),
+    rule("outputs.directory", DROP),
+    # wrong types
+    rule("dispersion.beta1", "0"),
+    rule("dispersion.M", 10.0),
+    rule("supermode.n_signal", True),
+    rule("supermode.odd_only", 1),
+    rule("supermode.parity_retention", 0),
+    rule("model.family", 1),
+    rule("model.cutoffs", 3),
+    rule("model.cutoffs", [3, 2.0]),
+    rule("model.cutoffs", [3, True]),
+    rule("model.r", None),
+    rule("dynamics.n_points", 3.5),
+    rule("dynamics.omega_grid", 1.0),
+    rule("dynamics.omega_grid", [0.0, "1"]),
+    rule("wigner.points", "41"),
+    rule("outputs.directory", 1),
+    # ranges and enums
+    rule("dispersion.M", -1),
+    rule("dispersion.g0", 0.0),
+    rule("supermode.Np", 0.0),
+    rule("supermode.n_signal", 0),
+    rule("supermode.k_max", 0),
+    rule("supermode.parity_retention", "odd"),
+    rule("model.family", "cw"),
+    rule("model.cutoffs", []),
+    rule("model.cutoffs", [3, 1]),
+    rule("model.eta", 0.0),
+    rule("model.r", -0.1),
+    rule("model.family", "lossless", "model.p", -1.0, field="model.p"),
+    rule("model.family", "cw-single", "model.p", 2.0, field="model.cutoffs"),
+    rule("dynamics.t_max", 0.0),
+    rule("dynamics.dt", -1e-3),
+    rule("dynamics.tolerance", 0.0),
+    rule("dynamics.n_points", 1),
+    rule("dynamics.n_trajectories", 0),
+    rule("wigner.x_max", 0.0),
+    rule("wigner.points", 10),
+    # unknown fields
+    *(rule(f"{section}.bogus", 1)
+      for section in ("dispersion", "supermode", "model", "dynamics", "wigner", "outputs")),
+    # across sections
+    rule("model.cutoffs", [3]),
+    rule("dispersion.beta1", 0.1, field="supermode.odd_only"),
+    rule("dispersion.beta1", 0.1, "supermode.odd_only", False,
+         "supermode.parity_retention", "even", field="supermode.parity_retention"),
+    rule("dispersion.M", 1, field="supermode.k_max"),
+    rule("dispersion.M", 1, "supermode.k_max", 5, "supermode.n_signal", 3,
+         "model.cutoffs", [3, 2, 2], field="supermode.n_signal"),
+])
+def test_each_config_rule_exits_3_naming_its_field(tmp_path, capsys, edits, field):
+    assert main(["build", "--config", config_with(tmp_path, edits)]) == 3
+    assert f"`{field}`" in capsys.readouterr().err
+
+
+def test_omitted_dynamics_and_wigner_load_their_defaults(tmp_path):
+    cfg = load_config(config_with(tmp_path, {"dynamics": DROP, "wigner": DROP}))
+    assert cfg.dynamics == DynamicsConfig()
+    assert cfg.wigner == WignerConfig()
 
 
 def test_deprecated_tau_max_loads_with_one_future_warning(tmp_path, capsys):
