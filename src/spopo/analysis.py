@@ -38,9 +38,6 @@ def _laguerre_diagonal_series(offset: int, x: np.ndarray, coeffs: np.ndarray) ->
     if len(coeffs) == 1:
         y0 = coeffs[0] * np.ones_like(x)
         y1 = np.zeros_like(x)
-    elif len(coeffs) == 2:
-        y0 = coeffs[0] * np.ones_like(x)
-        y1 = coeffs[1] * np.ones_like(x)
     else:
         k = len(coeffs)
         y0 = coeffs[-2] * np.ones_like(x)

@@ -24,7 +24,7 @@ from .config import (
     load_config,
 )
 from .dynamics import ConvergenceError
-from .phasematch import DispersionParams, coupling_matrix
+from .phasematch import coupling_matrix
 from .supermode import SupermodeDataError
 
 EXIT_CONFIG = 2
@@ -80,15 +80,10 @@ class ArtifactWriter:
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _dispersion_params(cfg: RunConfig) -> DispersionParams:
-    d = cfg.dispersion
-    return DispersionParams(beta1=d.beta1, beta2s=d.beta2s, beta2p=d.beta2p, g0=d.g0, M=d.M)
-
-
 def _build_supermodes(cfg: RunConfig) -> supermode.SupermodeSet:
     s = cfg.supermode
     return supermode.build_supermodes(
-        _dispersion_params(cfg),
+        cfg.dispersion,
         Np=s.Np,
         n_signal=s.n_signal,
         k_max=s.k_max,
@@ -123,7 +118,7 @@ def _photon_observables(space) -> dict[str, hilbert.LinearOperator]:
 def cmd_build(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
     if cfg.dispersion is None or cfg.supermode is None:
         raise ConfigValidationError("`build` requires sections `dispersion` and `supermode`")
-    params = _dispersion_params(cfg)
+    params = cfg.dispersion
     F = coupling_matrix(params)
     sm = _build_supermodes(cfg)
 
@@ -181,7 +176,7 @@ def cmd_evolve(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
 
 def cmd_steady(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
     _sm, mdl = _build_model(cfg)
-    rho = dynamics.steady_state(mdl, method=cfg.dynamics.method, tol=cfg.dynamics.tolerance)
+    rho = dynamics.steady_state(mdl, tol=cfg.dynamics.tolerance)
     obs = _photon_observables(mdl.space)
     summary = {
         "photon_numbers": {
@@ -216,7 +211,7 @@ def cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
     if not cfg.dynamics.omega_grid:
         raise ConfigValidationError("missing required field `dynamics.omega_grid` for spectrum")
     channel = _spectrum_channel(cfg, mdl)
-    rho = dynamics.steady_state(mdl, method=cfg.dynamics.method, tol=cfg.dynamics.tolerance)
+    rho = dynamics.steady_state(mdl, tol=cfg.dynamics.tolerance)
     result = dynamics.homodyne_spectrum(mdl, channel, cfg.dynamics.omega_grid, rho_ss=rho)
     writer.write_csv(
         "spectrum.csv", ["omega", "S"],
@@ -288,7 +283,7 @@ def cmd_fluxes(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
     sm, mdl = _build_model(cfg)
     if cfg.model.family == "cw-single":
         raise ConfigValidationError("fluxes requires a comb model (family lossy or lossless)")
-    rho = dynamics.steady_state(mdl, method=cfg.dynamics.method, tol=cfg.dynamics.tolerance)
+    rho = dynamics.steady_state(mdl, tol=cfg.dynamics.tolerance)
     sig = analysis.flux_spectrum_signal(rho, sm)
     writer.write_csv(
         "flux_signal.csv", ["m", "flux"],

@@ -1,18 +1,23 @@
 """Run configuration: JSON ingestion, strict validation, canonical hashing.
 
-The config file is a single JSON document of nested sections; the section
-dataclasses below (``DispersionConfig`` .. ``OutputConfig``) give each
-section's fields and defaults, and the ``_parse_*`` functions their checks.
-Unknown keys anywhere are rejected; error messages name the offending field
-by dotted path.
+The config file is a single JSON document of nested sections.  Each section is
+read by ``_read`` into its dataclass (``phasematch.DispersionParams`` for
+``dispersion``, then ``SupermodeConfig`` .. ``OutputConfig``), which declares
+every field's type and default; the ``_parse_*`` functions add the range and
+enum checks.  Unknown keys anywhere are rejected; error messages name the
+offending field by dotted path.
 """
 
 import hashlib
 import json
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
+
+from .phasematch import DispersionParams
 
 
 class ConfigParseError(Exception):
@@ -26,48 +31,43 @@ class ConfigValidationError(Exception):
 FAMILIES = ("lossy", "lossless", "cw-single")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_finite(number) -> bool:
     """False for what ``json`` reads as NaN or +-inf (``NaN``, ``Infinity``, ``1e999``) and
     for an integer too large for a float."""
     return abs(number) <= sys.float_info.max
 
 
-def _require(section: dict, path: str, key: str, kind, *, optional=False, default=None):
-    if key not in section:
-        if optional:
-            return default
-        raise ConfigValidationError(f"missing required field `{path}.{key}`")
-    value = section.pop(key)
-    if kind is float and _is_number(value):
+def _value(value, kind, name: str):
+    """The JSON ``value`` of field ``name`` as ``kind``: float (any finite number), int,
+    bool, str, ``X | None`` (read as X) or ``tuple[X, ...]`` (from a list)."""
+    if isinstance(kind, UnionType):
+        (kind,) = [k for k in get_args(kind) if k is not type(None)]
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ConfigValidationError(f"field `{name}` must be a list")
+        return tuple(_value(v, get_args(kind)[0], name) for v in value)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float and number:
         if not _is_finite(value):
-            raise ConfigValidationError(f"field `{path}.{key}` must be finite")
-        value = float(value)
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigValidationError(f"field `{path}.{key}` must be an integer")
-    if not isinstance(value, kind):
-        raise ConfigValidationError(
-            f"field `{path}.{key}` must be of type {kind.__name__}"
-        )
+            raise ConfigValidationError(f"field `{name}` must be finite")
+        return float(value)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigValidationError(f"field `{name}` must be of type {kind.__name__}")
     return value
 
 
-def _reject_unknown(section: dict, path: str):
+def _read(cls, section: dict, path: str) -> dict:
+    """The fields of dataclass ``cls`` read from ``section`` by their annotations, as keyword
+    arguments; a field with a default may be left out, and any other key is rejected."""
+    kinds, values = get_type_hints(cls), {}
+    for f in fields(cls):
+        if f.name in section:
+            values[f.name] = _value(section.pop(f.name), kinds[f.name], f"{path}.{f.name}")
+        elif f.default is MISSING:
+            raise ConfigValidationError(f"missing required field `{path}.{f.name}`")
     if section:
-        key = sorted(section)[0]
-        raise ConfigValidationError(f"unknown field `{path}.{key}`")
-
-
-@dataclass(frozen=True)
-class DispersionConfig:
-    beta1: float
-    beta2s: float
-    beta2p: float
-    g0: float
-    M: int
+        raise ConfigValidationError(f"unknown field `{path}.{sorted(section)[0]}`")
+    return values
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,6 @@ class DynamicsConfig:
     omega_grid: tuple[float, ...] = ()
     channel_index: int = 1
     channel_phase_deg: float = -90.0
-    method: str = "auto"
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    dispersion: DispersionConfig | None
+    dispersion: DispersionParams | None
     supermode: SupermodeConfig | None
     model: ModelConfig | None
     dynamics: DynamicsConfig
@@ -131,35 +130,17 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _parse_dispersion(section: dict) -> DispersionConfig:
-    path = "dispersion"
-    cfg = DispersionConfig(
-        beta1=_require(section, path, "beta1", float),
-        beta2s=_require(section, path, "beta2s", float),
-        beta2p=_require(section, path, "beta2p", float),
-        g0=_require(section, path, "g0", float),
-        M=_require(section, path, "M", int),
-    )
-    _reject_unknown(section, path)
-    if cfg.M < 0:
+def _parse_dispersion(section: dict) -> DispersionParams:
+    values = _read(DispersionParams, section, "dispersion")
+    if values["M"] < 0:
         raise ConfigValidationError("field `dispersion.M` must be >= 0")
-    if cfg.g0 <= 0:
+    if values["g0"] <= 0:
         raise ConfigValidationError("field `dispersion.g0` must be positive")
-    return cfg
+    return DispersionParams(**values)
 
 
 def _parse_supermode(section: dict) -> SupermodeConfig:
-    path = "supermode"
-    cfg = SupermodeConfig(
-        Np=_require(section, path, "Np", float),
-        n_signal=_require(section, path, "n_signal", int),
-        k_max=_require(section, path, "k_max", int),
-        odd_only=_require(section, path, "odd_only", bool, optional=True, default=True),
-        parity_retention=_require(
-            section, path, "parity_retention", str, optional=True, default="auto"
-        ),
-    )
-    _reject_unknown(section, path)
+    cfg = SupermodeConfig(**_read(SupermodeConfig, section, "supermode"))
     if cfg.Np <= 0:
         raise ConfigValidationError("field `supermode.Np` must be positive")
     if cfg.n_signal < 1:
@@ -174,25 +155,14 @@ def _parse_supermode(section: dict) -> SupermodeConfig:
 
 
 def _parse_model(section: dict) -> ModelConfig:
-    path = "model"
-    family = _require(section, path, "family", str)
+    cfg = ModelConfig(**_read(ModelConfig, section, "model"))
+    family = cfg.family
     if family not in FAMILIES:
-        raise ConfigValidationError(
-            f"field `model.family` must be one of {'|'.join(FAMILIES)}"
-        )
-    cutoffs = _require(section, path, "cutoffs", list)
-    if not cutoffs or not all(isinstance(c, int) and not isinstance(c, bool) for c in cutoffs):
-        raise ConfigValidationError("field `model.cutoffs` must be a nonempty list of integers")
-    if any(c < 2 for c in cutoffs):
+        raise ConfigValidationError(f"field `model.family` must be one of {'|'.join(FAMILIES)}")
+    if not cfg.cutoffs:
+        raise ConfigValidationError("field `model.cutoffs` must not be empty")
+    if any(c < 2 for c in cfg.cutoffs):
         raise ConfigValidationError("field `model.cutoffs` entries must be >= 2")
-    cfg = ModelConfig(
-        family=family,
-        cutoffs=tuple(cutoffs),
-        r=_require(section, path, "r", float, optional=True),
-        eta=_require(section, path, "eta", float, optional=True),
-        p=_require(section, path, "p", float, optional=True),
-    )
-    _reject_unknown(section, path)
     if family == "lossy":
         if cfg.r is None:
             raise ConfigValidationError("missing required field `model.r` for family lossy")
@@ -200,11 +170,8 @@ def _parse_model(section: dict) -> ModelConfig:
             raise ConfigValidationError("missing required field `model.eta` for family lossy")
         if cfg.eta <= 0:
             raise ConfigValidationError("field `model.eta` must be positive")
-    else:
-        if cfg.p is None:
-            raise ConfigValidationError(
-                f"missing required field `model.p` for family {family}"
-            )
+    elif cfg.p is None:
+        raise ConfigValidationError(f"missing required field `model.p` for family {family}")
     if family == "cw-single" and len(cfg.cutoffs) != 1:
         raise ConfigValidationError("field `model.cutoffs` must have one entry for cw-single")
     if cfg.r is not None and cfg.r < 0:
@@ -215,28 +182,12 @@ def _parse_model(section: dict) -> ModelConfig:
 
 
 def _parse_dynamics(section: dict) -> DynamicsConfig:
-    path = "dynamics"
-    omega = _require(section, path, "omega_grid", list, optional=True, default=[])
-    if not all(_is_number(w) and _is_finite(w) for w in omega):
-        raise ConfigValidationError("field `dynamics.omega_grid` must be a list of finite numbers")
-    cfg = DynamicsConfig(
-        t_max=_require(section, path, "t_max", float, optional=True, default=10.0),
-        n_points=_require(section, path, "n_points", int, optional=True, default=101),
-        dt=_require(section, path, "dt", float, optional=True, default=1e-3),
-        tolerance=_require(section, path, "tolerance", float, optional=True, default=1e-8),
-        n_trajectories=_require(section, path, "n_trajectories", int, optional=True, default=1),
-        seed=_require(section, path, "seed", int, optional=True, default=1),
-        omega_grid=tuple(float(w) for w in omega),
-        channel_index=_require(section, path, "channel_index", int, optional=True, default=1),
-        channel_phase_deg=_require(
-            section, path, "channel_phase_deg", float, optional=True, default=-90.0
-        ),
-        method=_require(section, path, "method", str, optional=True, default="auto"),
-    )
-    if "tau_max" in section:  # the spectrum no longer integrates over a tau grid
-        del section["tau_max"]
-        warnings.warn("field `dynamics.tau_max` is deprecated and ignored", FutureWarning)
-    _reject_unknown(section, path)
+    # the spectrum no longer integrates over a tau grid, and the steady state has one method
+    for key in ("tau_max", "method"):
+        if key in section:
+            del section[key]
+            warnings.warn(f"field `dynamics.{key}` is deprecated and ignored", FutureWarning)
+    cfg = DynamicsConfig(**_read(DynamicsConfig, section, "dynamics"))
     for name, value in (("t_max", cfg.t_max), ("dt", cfg.dt), ("tolerance", cfg.tolerance)):
         if value <= 0:
             raise ConfigValidationError(f"field `dynamics.{name}` must be positive")
@@ -244,14 +195,10 @@ def _parse_dynamics(section: dict) -> DynamicsConfig:
         raise ConfigValidationError("field `dynamics.n_points` must be >= 2")
     if cfg.n_trajectories < 1:
         raise ConfigValidationError("field `dynamics.n_trajectories` must be >= 1")
-    if cfg.method not in ("auto", "long-time", "null-space"):
-        raise ConfigValidationError(
-            "field `dynamics.method` must be one of auto|long-time|null-space"
-        )
     return cfg
 
 
-def _check_supermode_fits_dispersion(sm: SupermodeConfig, disp: DispersionConfig):
+def _check_supermode_fits_dispersion(sm: SupermodeConfig, disp: DispersionParams):
     """Reject supermode settings the dispersion cannot support."""
     symmetric = disp.beta1 == 0.0  # parity-symmetric phase matching
     if sm.odd_only and not symmetric:
@@ -273,24 +220,12 @@ def _check_supermode_fits_dispersion(sm: SupermodeConfig, disp: DispersionConfig
 
 
 def _parse_wigner(section: dict) -> WignerConfig:
-    path = "wigner"
-    cfg = WignerConfig(
-        x_max=_require(section, path, "x_max", float, optional=True, default=4.5),
-        points=_require(section, path, "points", int, optional=True, default=121),
-    )
-    _reject_unknown(section, path)
+    cfg = WignerConfig(**_read(WignerConfig, section, "wigner"))
     if cfg.x_max <= 0:
         raise ConfigValidationError("field `wigner.x_max` must be positive")
     if cfg.points < 11:
         raise ConfigValidationError("field `wigner.points` must be >= 11")
     return cfg
-
-
-def _parse_outputs(section: dict) -> OutputConfig:
-    path = "outputs"
-    directory = _require(section, path, "directory", str)
-    _reject_unknown(section, path)
-    return OutputConfig(directory=directory)
 
 
 def load_config(path) -> RunConfig:
@@ -311,14 +246,14 @@ def validate_config(raw) -> RunConfig:
         raise ConfigValidationError("top-level config must be a JSON object")
     data = {k: (dict(v) if isinstance(v, dict) else v) for k, v in raw.items()}
 
-    known = {"dispersion", "supermode", "model", "dynamics", "wigner", "outputs"}
+    sections = ("dispersion", "supermode", "model", "dynamics", "wigner", "outputs")
     for key in sorted(data):
-        if key not in known:
+        if key not in sections:
             raise ConfigValidationError(f"unknown section `{key}`")
 
     if "outputs" not in data:
         raise ConfigValidationError("missing required section `outputs`")
-    for name in ("dispersion", "supermode", "model", "dynamics", "wigner", "outputs"):
+    for name in sections:
         if name in data and not isinstance(data[name], dict):
             raise ConfigValidationError(f"section `{name}` must be an object")
 
@@ -327,7 +262,7 @@ def validate_config(raw) -> RunConfig:
     model = _parse_model(data["model"]) if "model" in data else None
     dynamics = _parse_dynamics(data.get("dynamics", {}))
     wigner = _parse_wigner(data.get("wigner", {}))
-    outputs = _parse_outputs(data["outputs"])
+    outputs = OutputConfig(**_read(OutputConfig, data["outputs"], "outputs"))
 
     if model is not None and model.family != "cw-single":
         if dispersion is None:

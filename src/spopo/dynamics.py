@@ -20,8 +20,6 @@ Solvers:
   ``sse_trajectory`` is its one-trajectory case.  Noise streams are keyed per
   (seed, trajectory, channel), so neither the channel nor the trajectory
   count reshuffles existing streams.
-* ``mean_field`` integrates the deterministic part of the supermode
-  Heisenberg equations of motion (the classical oracle).
 
 Photon-number parity is a symmetry of the comb and cw models: H and every
 pump channel keep it, and each linear loss flips it.  So a state with no
@@ -38,8 +36,8 @@ operator real, and ``_MasterRHS`` refuses one that is not.  A state keeps the
 dtype of its input, so the vacuum evolves, relaxes and unravels in float64; the
 spectrum grows float64 Krylov bases from the real and imaginary parts of its seed.
 
-Only the long-time steady state and ``mean_field`` import ``scipy.integrate``
-(about 0.3 s and 16 MB), inside the function.  The Krylov solvers use numpy alone,
+Only the long-time steady state imports ``scipy.integrate`` (about 0.3 s and
+16 MB), inside the function.  The Krylov solvers use numpy alone,
 so no CLI op loads ``scipy.sparse.linalg`` or ``scipy.linalg`` (0.1 s, 6.5 MB).
 """
 
@@ -50,7 +48,6 @@ from scipy import sparse
 
 from .hilbert import DensityOperator, LinearOperator, StateVector, trace_product, vacuum_state
 from .model import OpenSystemModel
-from .supermode import SupermodeSet
 
 
 # Krylov solves stop at a residual estimate near round-off, so the exit checks have ample
@@ -66,9 +63,8 @@ GRID_ALIGN_TOL = 1e-6
 LONG_TIME_CHUNK = 10.0
 LONG_TIME_MAX = 10000.0
 
-# RK45 tolerances of the master equation and of the mean field.
+# RK45 tolerances of the master equation.
 MASTER_RTOL, MASTER_ATOL = 1e-9, 1e-11
-MEAN_FIELD_RTOL, MEAN_FIELD_ATOL = 1e-10, 1e-12
 
 # Most negative eigenvalue tolerated in a returned density matrix.
 POSITIVITY_TOL = 1e-8
@@ -131,9 +127,8 @@ class _MasterRHS:
     <- source) block pair it couples.  Off-block entries stay zero only if C
     couples no two blocks and no L maps a block into two or out of the blocks;
     otherwise :class:`ValueError`.  The default, one block of every index, is
-    the d x d state itself with C and L unsliced.  ``apply`` and
-    ``apply_hermitian`` take a state of the packed size in any shape and
-    return that shape.
+    the d x d state itself.  ``apply`` and ``apply_hermitian`` take a state of
+    the packed size in any shape and return that shape.
     """
 
     def __init__(self, model: OpenSystemModel, blocks=None):
@@ -155,43 +150,38 @@ class _MasterRHS:
         self.sizes = [b.size for b in self.blocks]
         ends = np.cumsum([n * n for n in self.sizes])
         self._spans = [slice(e - n * n, e) for e, n in zip(ends, self.sizes)]
-        self._whole = len(self.blocks) == 1 and np.array_equal(self.blocks[0], np.arange(d))
-        if self._whole:  # the d x d state itself, C and every L unsliced
-            self._C, self._Ls = [self.C], [(0, 0, L) for L in self.Ls]
-        else:
-            # where each packed entry sits in the flattened d x d rho
-            self._places = np.concatenate([(d * b[:, None] + b).ravel() for b in self.blocks])
-            label = np.full(d, -1)
-            for k, b in enumerate(self.blocks):
-                label[b] = k
+        # where each packed entry sits in the flattened d x d rho
+        self._places = np.concatenate([(d * b[:, None] + b).ravel() for b in self.blocks])
+        label = np.full(d, -1)
+        for k, b in enumerate(self.blocks):
+            label[b] = k
 
-            def pairs(name: str, op) -> list:
-                """(target, source) block pairs ``op`` couples; it must keep rho block-diagonal."""
-                coo = op.tocoo()
-                src, dst = label[coo.col], label[coo.row]
-                inside = (src >= 0) & (coo.data != 0)
-                found = sorted(set(zip(dst[inside].tolist(), src[inside].tolist())))
-                if (dst[inside] < 0).any() or len({b for _, b in found}) < len(found):
-                    raise ValueError(f"{name} does not keep rho block-diagonal on the given blocks")
-                return found
+        def pairs(name: str, op) -> list:
+            """(target, source) block pairs ``op`` couples; it must keep rho block-diagonal."""
+            coo = op.tocoo()
+            src, dst = label[coo.col], label[coo.row]
+            inside = (src >= 0) & (coo.data != 0)
+            found = sorted(set(zip(dst[inside].tolist(), src[inside].tolist())))
+            if (dst[inside] < 0).any() or len({b for _, b in found}) < len(found):
+                raise ValueError(f"{name} does not keep rho block-diagonal on the given blocks")
+            return found
 
-            if any(a != b for a, b in pairs("C", self.C)):
-                raise ValueError("C does not keep rho block-diagonal on the given blocks")
-            self._C = [self.C[b][:, b] for b in self.blocks]
-            self._Ls = [(a, b, L[self.blocks[a]][:, self.blocks[b]])
-                        for (name, _), L in zip(named[1:], self.Ls) for a, b in pairs(name, L)]
+        if any(a != b for a, b in pairs("C", self.C)):
+            raise ValueError("C does not keep rho block-diagonal on the given blocks")
+        self._C = [self.C[b][:, b] for b in self.blocks]
+        self._Ls = [(a, b, L[self.blocks[a]][:, self.blocks[b]])
+                    for (name, _), L in zip(named[1:], self.Ls) for a, b in pairs(name, L)]
         self._half_Ls = [(a, b, np.sqrt(0.5) * L) for a, b, L in self._Ls]
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
         """The blocks of the d x d ``rho`` as one packed vector; entries off them are dropped."""
-        return rho.ravel() if self._whole else rho.ravel()[self._places]
+        return rho.ravel()[self._places]
 
     def unpack(self, y: np.ndarray) -> np.ndarray:
         """The d x d matrix holding the blocks of the packed ``y``, zero elsewhere."""
-        if not self._whole:
-            y, packed = np.zeros(self.dim * self.dim, dtype=y.dtype), y
-            y[self._places] = packed
-        return y.reshape(self.dim, self.dim)
+        rho = np.zeros(self.dim * self.dim, dtype=y.dtype)
+        rho[self._places] = y
+        return rho.reshape(self.dim, self.dim)
 
     def rms(self, y: np.ndarray) -> float:
         """RMS over all d x d entries of rho of the packed ``y``, summed as on the d x d layout.
@@ -468,18 +458,19 @@ def _krylov_solve(rhs: _MasterRHS, s: complex, y: np.ndarray, x0: np.ndarray):
 
 def steady_state(
     model: OpenSystemModel,
-    method: str = "auto",
+    method: str = "null-space",
     tol: float = 1e-8,
 ) -> DensityOperator:
     """Steady state of the model by a sectored Krylov solve or long-time integration.
 
-    ``"null-space"`` (and ``"auto"``) solves L x + tr(x) I_s/d_s = I_s/d_s by
+    ``"null-space"`` solves L x + tr(x) I_s/d_s = I_s/d_s by
     restarted GMRES (:func:`_krylov_solve`) on the vacuum's parity blocks of rho
     (:func:`_parity_blocks`), I_s and d_s being the identity on their diagonal
     and its size.  The trace term makes the operator invertible when the
     sector holds one steady state, which fixing the sector ensures even where
     a strong parity symmetry makes the full kernel degenerate.
-    ``"long-time"`` integrates from the vacuum instead.
+    ``"long-time"`` integrates from the vacuum instead: an independent
+    reference, which no CLI op runs.
 
     The returned state always satisfies ||d rho/dt||_F < tol (verified against
     the full generator for both methods) and has no eigenvalue below
@@ -487,8 +478,6 @@ def steady_state(
     """
     if not model.lindblads:
         raise ConvergenceError("model has no Lindblad operators; no relaxation to a steady state")
-    if method == "auto":
-        method = "null-space"
     rhs = _MasterRHS(model)
 
     if method == "null-space":
@@ -723,49 +712,3 @@ def ensemble_mean(records: list[SimulationRecord], name: str):
     stderr = stack.std(axis=0, ddof=1) / np.sqrt(stack.shape[0])
     return mean, stderr
 
-
-def mean_field(
-    sm: SupermodeSet,
-    drive: float,
-    kappa: float,
-    S0,
-    t_grid,
-) -> SimulationRecord:
-    """Classical supermode amplitudes under the deterministic equations of motion.
-
-    dS_i/dt = -kappa S_i - 2 A sum_j G^(1)_ij conj(S_j)
-              - sum_k sum_jmn G^(k)_ij G^(k)_mn conj(S_j) S_m S_n
-
-    with A the drive amplitude on the label-1 pump channel.  The loss term is
-    -kappa S_i because the loss is uniform over the comb lines and the signal
-    supermodes are orthonormal, so it stays uniform in the supermode basis.
-    """
-    S0 = np.asarray(S0, dtype=complex)
-    if S0.size != sm.n_signal:
-        raise ValueError(f"need {sm.n_signal} initial amplitudes, got {S0.size}")
-    t = np.asarray(t_grid, dtype=float)
-    G1 = sm.tensor_for_label(1)
-    tensors = list(sm.tensors)
-
-    def rhs(_t, S):
-        Sc = S.conj()
-        out = -kappa * S - 2.0 * drive * (G1 @ Sc)
-        for G in tensors:
-            out -= (S @ G @ S) * (G @ Sc)
-        return out
-
-    from scipy.integrate import solve_ivp
-    sol = solve_ivp(
-        rhs, (t[0], t[-1]), S0, t_eval=t, method="RK45",
-        rtol=MEAN_FIELD_RTOL, atol=MEAN_FIELD_ATOL,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"mean-field integrator failed: {sol.message}")
-    amplitudes = sol.y  # (n_signal, n_times)
-    observables = {f"S_{i+1}": amplitudes[i] for i in range(sm.n_signal)}
-    observables["total_intensity"] = np.sum(np.abs(amplitudes) ** 2, axis=0)
-    return SimulationRecord(
-        times=t,
-        observables=observables,
-        final_state=amplitudes[:, -1],
-    )

@@ -168,9 +168,6 @@ class SupermodeSet:
     def lambda1(self) -> float:
         return float(self.eigenvalues[0])
 
-    def tensor_for_label(self, label: int) -> np.ndarray:
-        return self.tensors[self.pump_labels.index(label)]
-
 
 def single_mode_set(lambda1: float = 1.0) -> SupermodeSet:
     """Degenerate one-supermode set used for cw-style single-mode models."""

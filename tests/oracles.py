@@ -2,6 +2,11 @@
 
 import numpy as np
 
+from spopo.dynamics import ConvergenceError, SimulationRecord
+
+# RK45 tolerances of the mean field.
+MEAN_FIELD_RTOL, MEAN_FIELD_ATOL = 1e-10, 1e-12
+
 
 def linearized_spectrum(r: float, kappa: float, omega_grid) -> np.ndarray:
     """Analytic antisqueezed homodyne spectrum of the linearized single-supermode model.
@@ -34,3 +39,45 @@ def rk45_master_states(rhs, rho0: np.ndarray, t, rtol: float, atol: float) -> li
     assert sol.success, sol.message
     states = [y.reshape(rho0.shape) for y in sol.y.T]
     return [(rho + rho.conj().T) / 2.0 for rho in states]
+
+
+def mean_field(sm, drive: float, kappa: float, S0, t_grid) -> SimulationRecord:
+    """Classical supermode amplitudes under the deterministic equations of motion.
+
+    dS_i/dt = -kappa S_i - 2 A sum_j G^(1)_ij conj(S_j)
+              - sum_k sum_jmn G^(k)_ij G^(k)_mn conj(S_j) S_m S_n
+
+    with A the drive amplitude on the label-1 pump channel of the supermode set
+    ``sm``.  The loss term is -kappa S_i because the loss is uniform over the
+    comb lines and the signal supermodes are orthonormal, so it stays uniform
+    in the supermode basis.
+    """
+    S0 = np.asarray(S0, dtype=complex)
+    if S0.size != sm.n_signal:
+        raise ValueError(f"need {sm.n_signal} initial amplitudes, got {S0.size}")
+    t = np.asarray(t_grid, dtype=float)
+    G1 = sm.tensors[sm.pump_labels.index(1)]
+    tensors = list(sm.tensors)
+
+    def rhs(_t, S):
+        Sc = S.conj()
+        out = -kappa * S - 2.0 * drive * (G1 @ Sc)
+        for G in tensors:
+            out -= (S @ G @ S) * (G @ Sc)
+        return out
+
+    from scipy.integrate import solve_ivp
+    sol = solve_ivp(
+        rhs, (t[0], t[-1]), S0, t_eval=t, method="RK45",
+        rtol=MEAN_FIELD_RTOL, atol=MEAN_FIELD_ATOL,
+    )
+    if not sol.success:
+        raise ConvergenceError(f"mean-field integrator failed: {sol.message}")
+    amplitudes = sol.y  # (n_signal, n_times)
+    observables = {f"S_{i+1}": amplitudes[i] for i in range(sm.n_signal)}
+    observables["total_intensity"] = np.sum(np.abs(amplitudes) ** 2, axis=0)
+    return SimulationRecord(
+        times=t,
+        observables=observables,
+        final_state=amplitudes[:, -1],
+    )

@@ -213,20 +213,22 @@ def test_omitted_dynamics_and_wigner_load_their_defaults(tmp_path):
     assert cfg.wigner == WignerConfig()
 
 
-def test_deprecated_tau_max_loads_with_one_future_warning(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("tau_max", 20.0), ("method", "bogus")])
+def test_deprecated_dynamics_field_loads_with_one_future_warning(tmp_path, capsys, key, value):
+    # "method": "bogus" once failed the enum check; the steady state now has one method
     payload = {
         "model": {"family": "cw-single", "p": 2.0, "cutoffs": [16]},
-        "dynamics": {"tau_max": 20.0, "omega_grid": [0.0]},
+        "dynamics": {key: value, "omega_grid": [0.0]},
         "outputs": {"directory": str(tmp_path / "out")},
     }
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cfg = load_config(write_config(tmp_path, payload))
     assert [type(w.message) for w in caught] == [FutureWarning]
-    assert "dynamics.tau_max" in str(caught[0].message)
-    assert not hasattr(cfg.dynamics, "tau_max")
+    assert f"dynamics.{key}" in str(caught[0].message)
+    assert not hasattr(cfg.dynamics, key)
     payload["dynamics"]["bogus"] = 1
-    with pytest.warns(FutureWarning, match="dynamics.tau_max"):
+    with pytest.warns(FutureWarning, match=f"dynamics.{key}"):
         assert main(["evolve", "--config", write_config(tmp_path, payload)]) == 3
     assert "unknown field `dynamics.bogus`" in capsys.readouterr().err
 
@@ -381,7 +383,7 @@ def test_spectrum_pipeline_matches_linearized(tmp_path):
 
 @pytest.mark.parametrize("command", ["steady", "spectrum"])
 def test_impossible_steady_state_tolerance_exits_4(tmp_path, capsys, command):
-    # spectrum solves its steady state with the config's method and tolerance, as steady does
+    # spectrum solves its steady state with the config's tolerance, as steady does
     cfg = lossy_config(tmp_path, command, tolerance=1e-30)
     assert main([command, "--config", cfg]) == 4
     assert "tol 1e-30" in capsys.readouterr().err

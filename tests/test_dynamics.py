@@ -15,7 +15,6 @@ from spopo.dynamics import (
     ensemble_mean,
     evolve_master,
     homodyne_spectrum,
-    mean_field,
     rotated_channel,
     sse_ensemble,
     sse_trajectory,
@@ -45,7 +44,7 @@ from spopo.model import (
 from spopo.phasematch import DispersionParams
 from spopo.supermode import build_supermodes, single_mode_set
 
-from oracles import linearized_spectrum, rk45_master_states
+from oracles import linearized_spectrum, mean_field, rk45_master_states
 
 
 def zero_op(space):

@@ -136,7 +136,7 @@ def test_diagonalize_rejects_negative_leading():
 
 def test_tensor_label1_diagonal():
     sm = desk_set()
-    G1 = sm.tensor_for_label(1)
+    G1 = sm.tensors[sm.pump_labels.index(1)]
     off = G1 - np.diag(np.diag(G1))
     assert np.max(np.abs(off)) < 1e-10
     assert np.allclose(np.diag(G1), sm.eigenvalues)
@@ -243,5 +243,5 @@ def test_builder_rejects_odd_only_without_symmetry():
 def test_single_mode_set_shape():
     sm = single_mode_set(2.0)
     assert sm.lambda1 == 2.0
-    assert sm.tensor_for_label(1)[0, 0] == 2.0
+    assert sm.tensors[sm.pump_labels.index(1)][0, 0] == 2.0
     assert sm.n_signal == 1
