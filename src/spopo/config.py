@@ -3,9 +3,9 @@
 The config file is a single JSON document of nested sections.  Each section is
 read by ``_read`` into its dataclass (``phasematch.DispersionParams`` for
 ``dispersion``, then ``SupermodeConfig`` .. ``OutputConfig``), which declares
-every field's type and default; the ``_parse_*`` functions add the range and
-enum checks.  Unknown keys anywhere are rejected; error messages name the
-offending field by dotted path.
+every field's type and default; the ``_parse_*`` functions, and ``DynamicsConfig``
+for its seed, add the range and enum checks.  Unknown keys anywhere are
+rejected; error messages name the offending field by dotted path.
 """
 
 import hashlib
@@ -38,8 +38,8 @@ def _is_finite(number) -> bool:
 
 
 def _value(value, kind, name: str):
-    """The JSON ``value`` of field ``name`` as ``kind``: float (any finite number), int,
-    bool, str, ``X | None`` (read as X) or ``tuple[X, ...]`` (from a list)."""
+    """The JSON ``value`` of field ``name`` as ``kind``: float (any finite number), int (up to
+    the largest numpy index), bool, str, ``X | None`` (read as X) or ``tuple[X, ...]``."""
     if isinstance(kind, UnionType):
         (kind,) = [k for k in get_args(kind) if k is not type(None)]
     if get_origin(kind) is tuple:
@@ -53,6 +53,8 @@ def _value(value, kind, name: str):
         return float(value)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigValidationError(f"field `{name}` must be of type {kind.__name__}")
+    if kind is int and value > sys.maxsize:  # np.iinfo(np.intp).max, numpy's largest index
+        raise ConfigValidationError(f"field `{name}` must be <= {sys.maxsize}")
     return value
 
 
@@ -99,6 +101,11 @@ class DynamicsConfig:
     omega_grid: tuple[float, ...] = ()
     channel_index: int = 1
     channel_phase_deg: float = -90.0
+
+    def __post_init__(self):
+        # here rather than in _parse_dynamics, so the CLI's --seed override meets it too
+        if self.seed < 0:
+            raise ConfigValidationError("field `dynamics.seed` must be >= 0")
 
 
 @dataclass(frozen=True)

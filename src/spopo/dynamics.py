@@ -4,8 +4,7 @@ Solvers:
 
 * ``evolve_master`` integrates d rho/dt = -i[H, rho] + sum_i L_i rho L_i^dag
   - 1/2 {L_i^dag L_i, rho} by ``_dopri5`` (SciPy's RK45, ported) on the dense
-  parity blocks of the state and the generator's Hermitian action, checking
-  each output as it comes.
+  parity blocks of the state, checking each output as it comes.
 * ``steady_state`` finds rho_ss by GMRES on the trace-stabilized generator,
   matrix-free on the vacuum's parity blocks (which pin a unique state when
   parity is a strong symmetry), or by long-time integration as an independent
@@ -31,10 +30,13 @@ initial state has an even-odd coherence, the state is one block of every
 index: the d x d layout, with the same products as without blocks.  The
 spectrum's Krylov basis always runs on that one block.
 
-The generator is real: every model operator makes -iH and each Lindblad
-operator real, and ``_MasterRHS`` refuses one that is not.  A state keeps the
-dtype of its input, so the vacuum evolves, relaxes and unravels in float64; the
-spectrum grows float64 Krylov bases from the real and imaginary parts of its seed.
+Every solver uses one generator action, ``_MasterRHS.apply(rho, sign)``, on a
+state with rho^dag = sign rho: the generator keeps Hermiticity (Breuer & Petruccione
+2002, ch. 3), so master-equation and steady states are Hermitian and the spectrum's
+Hermitian seed splits into a symmetric and an antisymmetric real part.  The generator
+is real: every model operator makes -iH and each Lindblad operator real, and
+``_MasterRHS`` refuses one that is not.  A state keeps the dtype of its input, so the
+vacuum evolves, relaxes and unravels in float64.
 
 Only the long-time steady state imports ``scipy.integrate`` (about 0.3 s and
 16 MB), inside the function.  The Krylov solvers use numpy alone,
@@ -42,6 +44,7 @@ so no CLI op loads ``scipy.sparse.linalg`` or ``scipy.linalg`` (0.1 s, 6.5 MB).
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -114,11 +117,11 @@ class _MasterRHS:
     each L real, so C and L are stored as real CSR and L^dag = L^T; a real
     state stays real and a complex one goes through the same products.  A
     nonzero imaginary entry of -iH or of an L would be lost, so it raises
-    :class:`ValueError` naming the operator.  ``apply``, for any state as the
-    Krylov solves need, forms rho C^T and L rho L^T as (C rho^T)^T and
-    (L (L rho)^T)^T.  ``apply_hermitian``, for a Hermitian rho and so for
-    ``flat``, is M + M^dag with M = C rho + sum L~ (L~ rho)^dag, L~ = L/sqrt(2):
-    one product fewer, no transposed sum, and an exactly Hermitian output.
+    :class:`ValueError` naming the operator.  ``apply(rho, sign)`` requires
+    rho^dag = sign rho, sign 1 or -1, and returns M + sign M^dag with
+    M = C rho + sign sum L~ (L~ rho)^dag, L~ = L/sqrt(2): the generator's action
+    with one sparse product per L and C, exactly sign-Hermitian.  On a state
+    without that symmetry it is wrong; ``flat`` is its Hermitian case.
 
     A state is held as diagonal blocks of rho: ``blocks`` lists disjoint index
     sets, every entry of rho outside their diagonal blocks is zero, and
@@ -127,8 +130,8 @@ class _MasterRHS:
     <- source) block pair it couples.  Off-block entries stay zero only if C
     couples no two blocks and no L maps a block into two or out of the blocks;
     otherwise :class:`ValueError`.  The default, one block of every index, is
-    the d x d state itself.  ``apply`` and ``apply_hermitian`` take a state of
-    the packed size in any shape and return that shape.
+    the d x d state itself.  ``apply`` takes a state of the packed size in any
+    shape and returns that shape.
     """
 
     def __init__(self, model: OpenSystemModel, blocks=None):
@@ -169,9 +172,8 @@ class _MasterRHS:
         if any(a != b for a, b in pairs("C", self.C)):
             raise ValueError("C does not keep rho block-diagonal on the given blocks")
         self._C = [self.C[b][:, b] for b in self.blocks]
-        self._Ls = [(a, b, L[self.blocks[a]][:, self.blocks[b]])
-                    for (name, _), L in zip(named[1:], self.Ls) for a, b in pairs(name, L)]
-        self._half_Ls = [(a, b, np.sqrt(0.5) * L) for a, b, L in self._Ls]
+        self._half_Ls = [(a, b, np.sqrt(0.5) * L[self.blocks[a]][:, self.blocks[b]])
+                         for (name, _), L in zip(named[1:], self.Ls) for a, b in pairs(name, L)]
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
         """The blocks of the d x d ``rho`` as one packed vector; entries off them are dropped."""
@@ -192,34 +194,19 @@ class _MasterRHS:
         """
         return float(np.linalg.norm(self.unpack(y))) / self.dim
 
-    def _split(self, y: np.ndarray) -> list:
-        y = y.reshape(-1)
-        return [y[s].reshape(n, n) for s, n in zip(self._spans, self.sizes)]
-
-    def _join(self, parts: list, shape) -> np.ndarray:
-        if len(parts) == 1:
-            return parts[0].reshape(shape)
-        return np.concatenate([p.ravel() for p in parts]).reshape(shape)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        xs = self._split(rho)
-        outs = [C @ x for C, x in zip(self._C, xs)]
-        for out, C, x in zip(outs, self._C, xs):
-            out += (C @ x.T).T
-        for a, b, L in self._Ls:
-            outs[a] += (L @ (L @ xs[b]).T).T
-        return self._join(outs, rho.shape)
-
-    def apply_hermitian(self, rho: np.ndarray) -> np.ndarray:
-        xs = self._split(rho)
+    def apply(self, rho: np.ndarray, sign: int = 1) -> np.ndarray:
+        add = np.add if sign > 0 else np.subtract
+        y = rho.reshape(-1)
+        xs = [y[s].reshape(n, n) for s, n in zip(self._spans, self.sizes)]
         ms = [C @ x for C, x in zip(self._C, xs)]
         for a, b, L in self._half_Ls:
-            ms[a] += L @ (L @ xs[b]).conj().T
-        return self._join([m + m.conj().T for m in ms], rho.shape)
+            add(ms[a], L @ (L @ xs[b]).conj().T, out=ms[a])
+        out = [add(m, m.conj().T).ravel() for m in ms]
+        return (out[0] if len(out) == 1 else np.concatenate(out)).reshape(rho.shape)
 
     def flat(self, _t, y: np.ndarray) -> np.ndarray:
         self.evaluations += 1
-        return self.apply_hermitian(y)
+        return self.apply(y)
 
 
 # SciPy's RK45 tableau (A's last row: the fifth-order solution) and quartic dense output P.
@@ -429,23 +416,23 @@ class _HessenbergLstsq:
         return np.linalg.solve(np.moveaxis(R, (0, 1), (-1, -2)), g)[..., 0]
 
 
-def _krylov_solve(rhs: _MasterRHS, s: complex, y: np.ndarray, x0: np.ndarray):
-    """Solve (G - s) x + tr(x) I_s/d_s = y, G = ``rhs``, by restarted GMRES on its blocks.
+def _krylov_solve(rhs: _MasterRHS):
+    """Solve G x + tr(x) b = b, G = ``rhs``, b = I_s/d_s, by restarted GMRES from x = b.
 
-    I_s and d_s are the identity on the blocks' diagonal and its size; ``y``, ``x0`` and x
-    (zero off the blocks) are d x d.  Returns x, info (0 at a true residual of
-    ``KRYLOV_RTOL`` ||y||, else the vectors built) and the vectors built.
+    I_s and d_s are the identity on the blocks' diagonal and its size, so b and every
+    vector are real symmetric.  Returns x (d x d, zero off the blocks), at a true residual
+    of ``KRYLOV_RTOL`` ||b|| or after ``KRYLOV_MAX_DIM`` vectors, and the vectors built.
     """
-    dtype = np.result_type(y, s)  # float64 for the steady state
-    diag = np.flatnonzero(rhs.pack(np.eye(rhs.dim)))  # rho's diagonal in the packed layout
+    b = rhs.pack(np.eye(rhs.dim))  # I_s in the packed layout
+    diag = np.flatnonzero(b)
+    b /= diag.size
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        out = rhs.apply(x) - s * x
+        out = rhs.apply(x)
         out[diag] += x[diag].sum() / diag.size
         return out
 
-    b, x = rhs.pack(y).astype(dtype), rhs.pack(x0).astype(dtype)
-    target, built = KRYLOV_RTOL * np.linalg.norm(b), 0
+    x, target, built = b.copy(), KRYLOV_RTOL * np.linalg.norm(b), 0
     while (beta := np.linalg.norm(r := b - matvec(x))) > target and built < KRYLOV_MAX_DIM:
         lstsq = _HessenbergLstsq(beta, 0.0)  # one restart cycle
         for V, h in _arnoldi(matvec, r / beta, min(KRYLOV_RESTART, KRYLOV_MAX_DIM - built)):
@@ -453,7 +440,7 @@ def _krylov_solve(rhs: _MasterRHS, s: complex, y: np.ndarray, x0: np.ndarray):
             if lstsq.add(h) <= target:
                 break
         x += lstsq.solve() @ V[:-1]
-    return rhs.unpack(x), 0 if beta <= target else built, built
+    return rhs.unpack(x), built
 
 
 def steady_state(
@@ -482,18 +469,13 @@ def steady_state(
 
     if method == "null-space":
         vacuum = vacuum_state(model.space).to_density().matrix
-        sector = _MasterRHS(model, _parity_blocks(model, vacuum))
-        b = sector.unpack(sector.pack(np.eye(model.space.dim)))  # I_s
-        b /= np.trace(b)
-        rho, info, iterations = _krylov_solve(sector, 0.0, b, b)
+        rho, built = _krylov_solve(_MasterRHS(model, _parity_blocks(model, vacuum)))
         rho = (rho + rho.conj().T) / 2.0
         rho = rho / np.trace(rho).real
         residual = float(np.linalg.norm(rhs.apply(rho)))
-        if info != 0 or not residual <= tol:
-            raise ConvergenceError(
-                f"Krylov steady state failed (GMRES info {info}) after {iterations} "
-                f"iterations: residual {residual:.3e}, tol {tol:.1g}"
-            )
+        if not residual <= tol:
+            raise ConvergenceError(f"Krylov steady state failed after {built} iterations: "
+                                   f"residual {residual:.3e}, tol {tol:.1g}")
     elif method == "long-time":
         from scipy.integrate import solve_ivp
         rho = vacuum_state(model.space).to_density().matrix
@@ -531,10 +513,12 @@ def homodyne_spectrum(
     """Steady-state homodyne (squeezing) spectrum of one output channel.
 
     S(w) = 1 + 2 Re tr[(L + L^dag) X] for channel L, (G - i w) X = -A0', G the generator,
-    A0' = A0 - tr(A0) rho_ss, A0 = L rho_ss + rho_ss L^dag; 1 is the vacuum level.  One
-    real Krylov basis per part of A0', real and imaginary, serves every w (Frommer &
-    Glaessner, SIAM J. Sci. Comput. 19, 15 (1998)) and grows to an estimated residual of
-    ``KRYLOV_RTOL`` ||A0'||; a smaller part needs none.  No trace pin: A0' is traceless.
+    A0' = A0 - tr(A0) rho_ss, A0 = L rho_ss + rho_ss L^dag; 1 is the vacuum level.  With
+    rho_ss symmetrized, A0' is exactly Hermitian, and one real Krylov basis per part of A0',
+    symmetric real and antisymmetric imaginary, serves every w (Frommer & Glaessner, SIAM J.
+    Sci. Comput. 19, 15 (1998)); it grows to an estimated residual of ``KRYLOV_RTOL`` ||A0'||.
+    A part at most ``KRYLOV_RTOL`` ||L||_F ||rho_ss||_F, the scale A0' is rounded at, needs
+    none.  No trace pin: A0' is traceless.
     A basis of ``KRYLOV_MAX_DIM`` vectors, or a residual against G (summed over the parts)
     above ``SPECTRUM_RESIDUAL_TOL`` ||A0'||, raises :class:`ConvergenceError`.  ``metadata``
     holds the basis vectors built (``krylov_dimension``) and ``max_relative_residual``.
@@ -546,20 +530,24 @@ def homodyne_spectrum(
     w = np.asarray(omega_grid, dtype=float)
 
     rho = (steady_state(model) if rho_ss is None else rho_ss).matrix
+    rho = (rho + rho.conj().T) / 2.0
     L = channel.matrix
-    A0 = L @ rho + rho @ L.conj().T
-    A0 = A0 - np.trace(A0) * rho
+    A0 = L @ rho
+    A0 = A0 + A0.conj().T  # L rho + rho L^dag
+    A0 = A0 - np.trace(A0).real * rho
     quad = (L + L.conj().T).tocsr()
     scale = float(np.linalg.norm(A0))
+    floor = KRYLOV_RTOL * float(np.linalg.norm(L.data) * np.linalg.norm(rho))
 
     rhs = _MasterRHS(model)
     S, residuals, dimension = np.ones(w.size), np.zeros(w.size), 0
-    for phase, part in ((1.0, A0.real), (1j, A0.imag)):
+    for phase, sign, part in ((1.0, 1, A0.real), (1j, -1, A0.imag)):
         beta = float(np.linalg.norm(part))
-        if beta <= KRYLOV_RTOL * scale:
+        if beta <= floor:
             continue
         lstsq = _HessenbergLstsq(beta, 1j * w)
-        for V, h in _arnoldi(rhs.apply, part.ravel() / beta, KRYLOV_MAX_DIM):
+        action = partial(rhs.apply, sign=sign)
+        for V, h in _arnoldi(action, part.ravel() / beta, KRYLOV_MAX_DIM):
             if (estimate := lstsq.add(h).max(initial=0.0)) <= KRYLOV_RTOL * scale:
                 break
         else:
@@ -568,7 +556,8 @@ def homodyne_spectrum(
         V, dimension = V[:-1], dimension + V.shape[0] - 1
         for k, y in enumerate(lstsq.solve()):  # two real products, no complex copy of V
             X = -(y.real @ V + 1j * (y.imag @ V)).reshape(A0.shape)
-            residuals[k] += float(np.linalg.norm(rhs.apply(X) - 1j * w[k] * X + part)) / scale
+            GX = action(X.real) + 1j * action(X.imag)  # G on each real piece
+            residuals[k] += float(np.linalg.norm(GX - 1j * w[k] * X + part)) / scale
             S[k] += 2.0 * (phase * trace_product(quad, X)).real
     worst = float(residuals.max(initial=0.0))
     if not worst <= SPECTRUM_RESIDUAL_TOL:

@@ -187,9 +187,13 @@ def rule(name, value, *more, field=None):
     rule("dynamics.dt", -1e-3),
     rule("dynamics.tolerance", 0.0),
     rule("dynamics.n_points", 1),
+    rule("dynamics.n_points", 10**30),
     rule("dynamics.n_trajectories", 0),
+    rule("dynamics.n_trajectories", 10**30),
+    rule("dynamics.seed", -1),
     rule("wigner.x_max", 0.0),
     rule("wigner.points", 10),
+    rule("wigner.points", 10**30),
     # unknown fields
     *(rule(f"{section}.bogus", 1)
       for section in ("dispersion", "supermode", "model", "dynamics", "wigner", "outputs")),
@@ -205,6 +209,12 @@ def rule(name, value, *more, field=None):
 def test_each_config_rule_exits_3_naming_its_field(tmp_path, capsys, edits, field):
     assert main(["build", "--config", config_with(tmp_path, edits)]) == 3
     assert f"`{field}`" in capsys.readouterr().err
+
+
+def test_negative_seed_override_exits_3(tmp_path, capsys):
+    assert main(["trajectories", "--config", cw_config(tmp_path, "seed"), "--seed", "-1"]) == 3
+    assert "field `dynamics.seed` must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "seed").exists()
 
 
 def test_omitted_dynamics_and_wigner_load_their_defaults(tmp_path):
@@ -285,7 +295,7 @@ def test_op_never_imports_what_it_does_not_run(tmp_path, command, unused, config
 
 def test_nan_generator_exits_4_promptly(tmp_path):
     probe = ("import sys, numpy as np; from spopo import cli, dynamics; "
-             "dynamics._MasterRHS.apply_hermitian = lambda self, rho: np.full_like(rho, np.nan); "
+             "dynamics._MasterRHS.apply = lambda self, rho, sign=1: np.full_like(rho, np.nan); "
              "sys.exit(cli.main(sys.argv[1:]))")
     proc = run_python("-c", probe, "evolve", "--config", cw_config(tmp_path, "nan"), timeout=60)
     assert proc.returncode == 4
