@@ -2,13 +2,16 @@
 
 Solvers:
 
-* ``evolve_master`` integrates d rho/dt = -i[H, rho] + sum_i L_i rho L_i^dag
-  - 1/2 {L_i^dag L_i, rho} by ``_dopri5`` (SciPy's RK45, ported) on the dense
-  parity blocks of the state, checking each output as it comes.
+* ``evolve_master`` propagates d rho/dt = G rho = -i[H, rho] + sum_i L_i rho L_i^dag
+  - 1/2 {L_i^dag L_i, rho} on the dense parity blocks of the state by Chebyshev
+  expansions of exp(tau G), which relies on G being linear and time-independent: one
+  expansion serves every output of its span tau at about sqrt(tau L ln(1/tol)) applies
+  of G, L its spectral scale, where stability holds an explicit step to about 1/L.
 * ``steady_state`` finds rho_ss by GMRES on the trace-stabilized generator,
-  matrix-free on the vacuum's parity blocks (which pin a unique state when
-  parity is a strong symmetry), or by long-time integration as an independent
-  reference; either way the residual is verified against the full generator.
+  right-preconditioned by its superoperator diagonal, matrix-free on the
+  vacuum's parity blocks (which pin a unique state when parity is a strong
+  symmetry), or by long-time integration as an independent reference; either
+  way the residual is verified against the full generator.
 * ``homodyne_spectrum`` applies the quantum regression theorem in the
   frequency domain: the resolvent (G - i w) X = -A0' at every frequency, G
   being the generator, from one Arnoldi basis grown from A0', the seed
@@ -39,15 +42,18 @@ is real: every model operator makes -iH and each Lindblad operator real, and
 vacuum evolves, relaxes and unravels in float64.
 
 Only the long-time steady state imports ``scipy.integrate`` (about 0.3 s and
-16 MB), inside the function.  The Krylov solvers use numpy alone,
-so no CLI op loads ``scipy.sparse.linalg`` or ``scipy.linalg`` (0.1 s, 6.5 MB).
+16 MB), inside the function.  The other solvers use numpy and ``scipy.special``
+alone, so no CLI op loads ``scipy.sparse.linalg`` or ``scipy.linalg`` (0.1 s, 6.5 MB).
+The propagator sums without BLAS, so its states do not depend on the thread count.
 """
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import count
 
 import numpy as np
 from scipy import sparse
+from scipy.special import ive
 
 from .hilbert import DensityOperator, LinearOperator, StateVector, trace_product, vacuum_state
 from .model import OpenSystemModel
@@ -66,8 +72,9 @@ GRID_ALIGN_TOL = 1e-6
 LONG_TIME_CHUNK = 10.0
 LONG_TIME_MAX = 10000.0
 
-# RK45 tolerances of the master equation.
-MASTER_RTOL, MASTER_ATOL = 1e-9, 1e-11
+# Chebyshev propagator: an expansion ends once its terms stay below TOL ||rho||, is discarded
+# when one exceeds GROWTH ||rho||, and its sums serve at most OUTPUTS output times.
+CHEBYSHEV_TOL, CHEBYSHEV_GROWTH, CHEBYSHEV_OUTPUTS = 1e-12, 1e3, 8
 
 # Most negative eigenvalue tolerated in a returned density matrix.
 POSITIVITY_TOL = 1e-8
@@ -185,14 +192,13 @@ class _MasterRHS:
         rho[self._places] = y
         return rho.reshape(self.dim, self.dim)
 
-    def rms(self, y: np.ndarray) -> float:
-        """RMS over all d x d entries of rho of the packed ``y``, summed as on the d x d layout.
-
-        The zeros off the blocks add nothing, but the order of np.linalg.norm's
-        (BLAS) sum depends on where the entries sit, so a packed sum would move
-        RK45's accept and reject decisions by round-off.
-        """
-        return float(np.linalg.norm(self.unpack(y))) / self.dim
+    def diagonal(self) -> np.ndarray:
+        """The generator's superoperator diagonal D_(ij) = C_ii + C_jj + sum_L L_ii L_jj, packed."""
+        c = self.C.diagonal()
+        D = np.add.outer(c, c)
+        for L in self.Ls:
+            D += np.multiply.outer(L.diagonal(), L.diagonal())
+        return self.pack(D)
 
     def apply(self, rho: np.ndarray, sign: int = 1) -> np.ndarray:
         add = np.add if sign > 0 else np.subtract
@@ -209,68 +215,58 @@ class _MasterRHS:
         return self.apply(y)
 
 
-# SciPy's RK45 tableau (A's last row: the fifth-order solution) and quartic dense output P.
-_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1, 1])
-_DP_A = [np.array(row) for row in ([], [1/5], [3/40, 9/40], [44/45, -56/15, 32/9],
-                                   [19372/6561, -25360/2187, 64448/6561, -212/729],
-                                   [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-                                   [35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])]
-_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_DP_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-])
+def _norm(v: np.ndarray) -> float:  # numpy's own sum, not BLAS: no thread count moves it
+    return float(np.sqrt(np.sum(np.square(np.abs(v)))))
 
 
-def _dopri5(fun, y0: np.ndarray, t_eval: np.ndarray, rtol: float, atol: float, rms):
-    """Yield y at each point of ``t_eval`` (the first is the start) as it is reached.
+def _chebyshev_sums(rhs: _MasterRHS, y: np.ndarray, z: np.ndarray, scale: float):
+    """exp(2 z_i G / scale) y = sum_k a_k(z_i) T_k(G') y, G' = 2G/scale + 1, a_k = (2 -
+    delta_k0) ive(k, z_i), for each z_i, by the three-term recurrence, all elementwise, until
+    the largest term has been at most ``CHEBYSHEV_TOL`` ||y|| for three consecutive k; None
+    once one exceeds ``CHEBYSHEV_GROWTH`` ||y|| or is not finite."""
+    y_norm, quiet = _norm(y), 0
+    sums = np.multiply.outer(ive(0, z), y)
+    older, v = y, rhs.flat(None, y) * (2.0 / scale) + y  # T_0 and T_1
+    for k in count(1):
+        a = 2.0 * ive(k, z)
+        term = float(a.max()) * _norm(v)
+        if not term <= CHEBYSHEV_GROWTH * y_norm:
+            return None
+        for s, c in zip(sums, a):
+            s += c * v
+        quiet = quiet + 1 if term <= CHEBYSHEV_TOL * y_norm else 0
+        if quiet == 3:
+            return sums
+        w = rhs.flat(None, v) * (4.0 / scale)  # T_{k+1} = 2 G' T_k - T_{k-1}
+        w += 2.0 * v
+        w -= older
+        older, v = v, w
 
-    SciPy's RK45 as ``solve_ivp(t_eval=...)`` runs it (Dormand & Prince 1980): Hairer's
-    initial step, the RMS error norm with scale atol + max(|y|, |y_new|) rtol, step factors
-    0.9 err^(-1/5) in [0.2, 10] and at most 1 after a rejection, Shampine's (1986) quartic
-    dense output.  ``rms(v)`` is the RMS norm of a vector v shaped like y.  A step below
-    10 ulp(t), or a NaN error norm, raises ConvergenceError.
-    """
-    t, t_end = t_eval[0], t_eval[-1]
-    K = np.empty((7, y0.size), dtype=y0.dtype)
-    y = y0
-    f = K[0] = fun(t, y)
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = rms(y / scale), rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
-    d2 = rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
-    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100 * h0, h1, t_end - t)
-    done = 0  # outputs yielded
-    while t < t_end:
-        min_step = 10 * (np.nextafter(t, np.inf) - t)
-        h_abs, rejected = max(h_abs, min_step), False
-        while True:
-            if not h_abs >= min_step:  # a NaN error norm made h_abs NaN
-                raise ConvergenceError(f"RK45 step size underflow at t={t:.6g}")
-            t_new = min(t + h_abs, t_end)
-            h = t_new - t
-            for s in range(1, 7):
-                y_new = y + np.dot(K[:s].T, _DP_A[s]) * h
-                K[s] = fun(t + _DP_C[s] * h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = rms(np.dot(K.T, _DP_E) * h / scale)
-            if err < 1:
-                break
-            h_abs, rejected = abs(h) * max(0.9 * err ** -0.2, 0.2), True  # NaN stays NaN
-        h_abs = abs(h) * min(1 if rejected else 10, 10 if err == 0 else 0.9 * err ** -0.2)
-        upto = np.searchsorted(t_eval, t_new, side="right")
-        if upto > done:
-            Q = K.T.dot(_DP_P)
-            for x in (t_eval[done:upto] - t) / h:
-                yield h * (Q @ np.cumprod(np.full(4, x))) + y
-            done = upto
-        t, y, K[0] = t_new, y_new, K[6]
+
+def _chebyshev(rhs: _MasterRHS, y0: np.ndarray, t: np.ndarray):
+    """Yield exp((t_i - t_0) G) y0, G = ``rhs``, at each t_i of ``t`` (the first is y0).
+
+    One expansion per span, from the state at its start to each output in it (Tal-Ezer &
+    Kosloff, J. Chem. Phys. 81, 3967 (1984)), fitted to [-L, 0], L = -min ``rhs.diagonal()``
+    or 1 for a zero diagonal; here L bounds G's spectral radius closely.  A diverging
+    expansion is discarded, and its span and every later one halved, to end at an output or
+    between two; a span below 1/L raises ConvergenceError."""
+    scale = -float(rhs.diagonal().min()) or 1.0
+    yield y0
+    y, start, done, span = y0, t[0], 1, np.inf
+    while done < t.size:
+        end = min(t[min(done + CHEBYSHEV_OUTPUTS, t.size) - 1], start + span)
+        upto = int(np.searchsorted(t, end, side="right"))
+        ends = t[done:upto] if t[upto - 1] == end else np.append(t[done:upto], end)
+        sums = _chebyshev_sums(rhs, y, (ends - start) * (scale / 2.0), scale)
+        if sums is not None:
+            yield from sums[:upto - done]
+            y, start, done = sums[-1], end, upto
+        elif (span := (end - start) / 2.0) * scale < 1.0:
+            raise ConvergenceError(
+                f"Chebyshev propagator diverged at t={start:.6g}: a term exceeded "
+                f"{CHEBYSHEV_GROWTH:.0e} ||rho|| or was not finite on every span down "
+                f"to {2.0 * span:.3g}, and the floor is 1/L = {1.0 / scale:.3g}")
 
 
 def _checked_state(rho: np.ndarray, where: str, blocks: list) -> tuple[np.ndarray, float]:
@@ -296,16 +292,15 @@ def evolve_master(
     trace_tol: float = 1e-8,
     keep_states: bool = False,
 ) -> SimulationRecord:
-    """Integrate the master equation, recording observables on ``t_grid``.
+    """rho(t) = exp((t - t_0) G) rho0 on ``t_grid`` by :func:`_chebyshev`, G the generator,
+    linear and time-independent, recording observables.
 
-    The state evolves as the parity blocks of rho that :func:`_parity_blocks`
-    finds for ``rho0``, or as one block of every index.  Trace drift beyond
-    ``trace_tol`` or an eigenvalue below ``-POSITIVITY_TOL`` at any output
-    point raises :class:`ConvergenceError` with a suggestion to tighten
-    ``MASTER_RTOL``/``MASTER_ATOL``.  Output states are symmetrized before
-    recording.  ``extras`` holds the generator evaluations
-    (``rhs_evaluations``), the block sizes integrated (``block_sizes``), the
-    worst trace drift (``max_trace_drift``) and the least eigenvalue
+    The state evolves as the parity blocks of rho that :func:`_parity_blocks` finds for
+    ``rho0``, or as one block of every index.  A propagator that diverges, trace drift
+    beyond ``trace_tol`` or an eigenvalue below ``-POSITIVITY_TOL`` at an output raises
+    :class:`ConvergenceError`.  Output states are symmetrized before recording.  ``extras``
+    holds the generator applies (``rhs_evaluations``), the block sizes (``block_sizes``),
+    the worst trace drift (``max_trace_drift``) and the least eigenvalue
     (``min_eigenvalue``) over the outputs, and with ``keep_states`` the states.
     """
     if rho0.space != model.space:
@@ -321,14 +316,12 @@ def evolve_master(
     series = {name: np.empty(t.size, dtype=complex) for name in observables}
     states = []
     worst_drift, least_eigenvalue = 0.0, np.inf
-    outputs = _dopri5(rhs.flat, rhs.pack(rho0.matrix), t, MASTER_RTOL, MASTER_ATOL, rhs.rms)
-    for idx, y in enumerate(outputs):
-        rho_m, lam_min = _checked_state(rhs.unpack(y), f"at t={t[idx]:.4g}; tighten "
-                                        "MASTER_RTOL/MASTER_ATOL", rhs.blocks)
+    for idx, y in enumerate(_chebyshev(rhs, rhs.pack(rho0.matrix), t)):
+        rho_m, lam_min = _checked_state(rhs.unpack(y), f"at t={t[idx]:.4g}", rhs.blocks)
         drift = abs(np.trace(rho_m).real - 1.0)
         if drift > trace_tol:
             raise ConvergenceError(f"trace drift {drift:.3e} at t={t[idx]:.4g} exceeds "
-                                   f"{trace_tol:.1g}; tighten MASTER_RTOL/MASTER_ATOL")
+                                   f"{trace_tol:.1g}")
         worst_drift, least_eigenvalue = max(worst_drift, drift), min(least_eigenvalue, lam_min)
         for name, op in observables.items():
             series[name][idx] = trace_product(op.matrix, rho_m)
@@ -417,7 +410,9 @@ class _HessenbergLstsq:
 
 
 def _krylov_solve(rhs: _MasterRHS):
-    """Solve G x + tr(x) b = b, G = ``rhs``, b = I_s/d_s, by restarted GMRES from x = b.
+    """Solve G x + tr(x) b = b, G = ``rhs``, b = I_s/d_s, by restarted GMRES from x = b,
+    right-preconditioned by the operator's diagonal (1 where 0), which holds the vector
+    count nearly flat in eta (Saad, Iterative Methods for Sparse Linear Systems, 9.3).
 
     I_s and d_s are the identity on the blocks' diagonal and its size, so b and every
     vector are real symmetric.  Returns x (d x d, zero off the blocks), at a true residual
@@ -426,6 +421,9 @@ def _krylov_solve(rhs: _MasterRHS):
     b = rhs.pack(np.eye(rhs.dim))  # I_s in the packed layout
     diag = np.flatnonzero(b)
     b /= diag.size
+    jacobi = rhs.diagonal()
+    jacobi[diag] += 1.0 / diag.size
+    jacobi[jacobi == 0] = 1.0
 
     def matvec(x: np.ndarray) -> np.ndarray:
         out = rhs.apply(x)
@@ -435,11 +433,12 @@ def _krylov_solve(rhs: _MasterRHS):
     x, target, built = b.copy(), KRYLOV_RTOL * np.linalg.norm(b), 0
     while (beta := np.linalg.norm(r := b - matvec(x))) > target and built < KRYLOV_MAX_DIM:
         lstsq = _HessenbergLstsq(beta, 0.0)  # one restart cycle
-        for V, h in _arnoldi(matvec, r / beta, min(KRYLOV_RESTART, KRYLOV_MAX_DIM - built)):
+        for V, h in _arnoldi(lambda u: matvec(u / jacobi), r / beta,
+                             min(KRYLOV_RESTART, KRYLOV_MAX_DIM - built)):
             built += 1
             if lstsq.add(h) <= target:
                 break
-        x += lstsq.solve() @ V[:-1]
+        x += (lstsq.solve() @ V[:-1]) / jacobi
     return rhs.unpack(x), built
 
 

@@ -26,21 +26,6 @@ def linearized_spectrum(r: float, kappa: float, omega_grid) -> np.ndarray:
     return out
 
 
-def rk45_master_states(rhs, rho0: np.ndarray, t, rtol: float, atol: float) -> list[np.ndarray]:
-    """The master equation by SciPy's ``solve_ivp(method="RK45")`` on ``rhs.flat``.
-
-    The reference for the in-module stepper: the states at ``t``, each
-    symmetrized as ``evolve_master`` records it.
-    """
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(rhs.flat, (t[0], t[-1]), rho0.ravel(), t_eval=t, method="RK45",
-                    rtol=rtol, atol=atol)
-    assert sol.success, sol.message
-    states = [y.reshape(rho0.shape) for y in sol.y.T]
-    return [(rho + rho.conj().T) / 2.0 for rho in states]
-
-
 def mean_field(sm, drive: float, kappa: float, S0, t_grid) -> SimulationRecord:
     """Classical supermode amplitudes under the deterministic equations of motion.
 

@@ -46,10 +46,11 @@ def lossy_config(tmp_path, outdir, **dynamics):
     return write_config(tmp_path, payload, f"{outdir}.json")
 
 
-def run_python(*args, timeout=120):
-    """``python <args>`` in a fresh interpreter that imports this checkout's spopo."""
+def run_python(*args, timeout=120, env=None):
+    """``python <args>`` in a fresh interpreter that imports this checkout's spopo, with the
+    variables ``env`` added to the environment."""
     path = [str(Path(spopo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=timeout)
 
@@ -280,8 +281,8 @@ SOLVES = {"scipy.integrate", "scipy.sparse.linalg", "scipy.linalg"}
 @pytest.mark.parametrize("command, unused, config", [
     ("trajectories", {"scipy.integrate", "scipy.sparse.linalg"}, cw_config),
     ("steady", SOLVES, cw_config),
-    ("evolve", {"scipy.integrate", "scipy.sparse.linalg"}, cw_config),
-    ("wigner", {"scipy.integrate", "scipy.sparse.linalg"}, cw_config),
+    ("evolve", SOLVES, cw_config),
+    ("wigner", SOLVES, cw_config),
     ("fluxes", SOLVES, lossy_config),
     ("spectrum", SOLVES, lossy_config),
 ], ids=["trajectories", "steady", "evolve", "wigner", "fluxes", "spectrum"])
@@ -299,7 +300,26 @@ def test_nan_generator_exits_4_promptly(tmp_path):
              "sys.exit(cli.main(sys.argv[1:]))")
     proc = run_python("-c", probe, "evolve", "--config", cw_config(tmp_path, "nan"), timeout=60)
     assert proc.returncode == 4
-    assert "RK45 step size underflow" in proc.stderr
+    assert "Chebyshev propagator diverged" in proc.stderr
+
+
+def test_evolve_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # d=150, where summing RK45 stages through BLAS once moved timeseries.csv by round-off
+    written = []
+    for threads in ("1", "2"):
+        payload = {
+            "dispersion": BASE_DISPERSION,
+            "supermode": {**BASE_SUPERMODE, "n_signal": 3},
+            "model": {"family": "lossy", "r": 1.19, "eta": 1.0, "cutoffs": [10, 5, 3]},
+            "dynamics": {"t_max": 5.0, "n_points": 51},
+            "outputs": {"directory": str(tmp_path / threads)},
+        }
+        cfg = write_config(tmp_path, payload, f"threads{threads}.json")
+        env = {name: threads for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        proc = run_python("-m", "spopo.cli", "evolve", "--config", cfg, env=env)
+        assert proc.returncode == 0, proc.stderr
+        written.append((tmp_path / threads / "timeseries.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_convergence_failure_exit_code(tmp_path, capsys):
