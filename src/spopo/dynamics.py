@@ -10,8 +10,8 @@ Solvers:
 * ``steady_state`` finds rho_ss by GMRES on the trace-stabilized generator,
   right-preconditioned by its superoperator diagonal, matrix-free on the
   vacuum's parity blocks (which pin a unique state when parity is a strong
-  symmetry), or by long-time integration as an independent reference; either
-  way the residual is verified against the full generator.
+  symmetry), or by propagating the d x d state from the vacuum as an independent
+  reference; either way the residual is verified against the full generator.
 * ``homodyne_spectrum`` applies the quantum regression theorem in the
   frequency domain: the resolvent (G - i w) X = -A0' at every frequency, G
   being the generator, from one Arnoldi basis grown from A0', the seed
@@ -41,10 +41,10 @@ is real: every model operator makes -iH and each Lindblad operator real, and
 ``_MasterRHS`` refuses one that is not.  A state keeps the dtype of its input, so the
 vacuum evolves, relaxes and unravels in float64.
 
-Only the long-time steady state imports ``scipy.integrate`` (about 0.3 s and
-16 MB), inside the function.  The other solvers use numpy and ``scipy.special``
-alone, so no CLI op loads ``scipy.sparse.linalg`` or ``scipy.linalg`` (0.1 s, 6.5 MB).
-The propagator sums without BLAS, so its states do not depend on the thread count.
+The solvers use numpy and ``scipy.special`` alone: none loads SciPy's ODE integrators
+(about 0.3 s and 16 MB), and no CLI op loads ``scipy.sparse.linalg`` or ``scipy.linalg``
+(0.1 s, 6.5 MB).  The propagator sums without BLAS, so its states do not depend on the
+thread count.
 """
 
 from dataclasses import dataclass, field
@@ -116,6 +116,14 @@ class SpectrumResult:
     metadata: dict = field(default_factory=dict)
 
 
+def _parity_action(op: sparse.spmatrix, even: np.ndarray) -> str:
+    """"keep" if ``op`` preserves total photon-number parity, "flip" if it flips it, else "mix"."""
+    coo = op.tocoo()
+    nonzero = coo.data != 0
+    same = even[coo.row[nonzero]] == even[coo.col[nonzero]]
+    return "keep" if same.all() else "flip" if not same.any() else "mix"
+
+
 class _MasterRHS:
     """The Lindblad generator every solver shares, as real sparse operator action.
 
@@ -128,20 +136,24 @@ class _MasterRHS:
     rho^dag = sign rho, sign 1 or -1, and returns M + sign M^dag with
     M = C rho + sign sum L~ (L~ rho)^dag, L~ = L/sqrt(2): the generator's action
     with one sparse product per L and C, exactly sign-Hermitian.  On a state
-    without that symmetry it is wrong; ``flat`` is its Hermitian case.
+    without that symmetry it is wrong.  ``evaluations`` counts its calls.
 
     A state is held as diagonal blocks of rho: ``blocks`` lists disjoint index
     sets, every entry of rho outside their diagonal blocks is zero, and
-    ``pack`` lays the blocks out one after another, each row-major.  C acts
-    through one sub-CSR per block and each L through one sub-CSR per (target
-    <- source) block pair it couples.  Off-block entries stay zero only if C
-    couples no two blocks and no L maps a block into two or out of the blocks;
-    otherwise :class:`ValueError`.  The default, one block of every index, is
+    ``pack`` lays the blocks out one after another, each row-major.  Given the
+    initial state ``rho0``, the blocks are those evolution from it leaves nonzero
+    (Albert & Jiang, PRA 89, 022118 (2014)): with C keeping total photon-number
+    parity and each L keeping or flipping it, and no even-odd coherence in
+    ``rho0``, the even and the odd block if some L flips parity (weak symmetry),
+    else those of them where ``rho0`` has an entry (strong symmetry).  C acts
+    through one sub-CSR per block, and each L through one per (target <- source)
+    pair: (a, a) where it keeps parity, (1 - a, a) where it flips it, leaving out
+    an empty one.  Otherwise, and without ``rho0``, the one block is every index:
     the d x d state itself.  ``apply`` takes a state of the packed size in any
     shape and returns that shape.
     """
 
-    def __init__(self, model: OpenSystemModel, blocks=None):
+    def __init__(self, model: OpenSystemModel, rho0: np.ndarray | None = None):
         named = [("-iH", -1j * model.H.matrix)] + [
             (f"Lindblad {k} ({l.kind}, index {l.index})", l.op.matrix)
             for k, l in enumerate(model.lindblads)
@@ -154,33 +166,30 @@ class _MasterRHS:
             acc = acc - 0.5 * (L.T @ L)
         self.C = acc.tocsr()  # drho = C rho + rho C^T + sum L rho L^T
         self.dim = d = model.space.dim
-        self.evaluations = 0  # calls of ``flat``
+        self.evaluations = 0  # calls of ``apply``
 
-        self.blocks = [np.arange(d)] if blocks is None else [np.asarray(b) for b in blocks]
+        # blocks, and the (target, source) block pairs of each L: keep maps a block to itself,
+        # flip to the other one
+        self.blocks, links = [np.arange(d)], [[(0, 0)]] * len(self.Ls)
+        if rho0 is not None:
+            even = np.indices(model.space.cutoffs).sum(axis=0).ravel() % 2 == 0
+            action, *actions = [_parity_action(op, even) for op in (self.C, *self.Ls)]
+            coherent = np.any(rho0[even[:, None] != even])
+            if action == "keep" and "mix" not in actions and not coherent:
+                self.blocks = [np.flatnonzero(even), np.flatnonzero(~even)]
+                if "flip" not in actions:  # strong symmetry: a block that starts at zero stays so
+                    self.blocks = [b for b in self.blocks if np.any(rho0[np.ix_(b, b)])]
+                links = [[(a, a ^ (act == "flip")) for a in range(len(self.blocks))]
+                         for act in actions]
         self.sizes = [b.size for b in self.blocks]
         ends = np.cumsum([n * n for n in self.sizes])
         self._spans = [slice(e - n * n, e) for e, n in zip(ends, self.sizes)]
         # where each packed entry sits in the flattened d x d rho
         self._places = np.concatenate([(d * b[:, None] + b).ravel() for b in self.blocks])
-        label = np.full(d, -1)
-        for k, b in enumerate(self.blocks):
-            label[b] = k
-
-        def pairs(name: str, op) -> list:
-            """(target, source) block pairs ``op`` couples; it must keep rho block-diagonal."""
-            coo = op.tocoo()
-            src, dst = label[coo.col], label[coo.row]
-            inside = (src >= 0) & (coo.data != 0)
-            found = sorted(set(zip(dst[inside].tolist(), src[inside].tolist())))
-            if (dst[inside] < 0).any() or len({b for _, b in found}) < len(found):
-                raise ValueError(f"{name} does not keep rho block-diagonal on the given blocks")
-            return found
-
-        if any(a != b for a, b in pairs("C", self.C)):
-            raise ValueError("C does not keep rho block-diagonal on the given blocks")
         self._C = [self.C[b][:, b] for b in self.blocks]
-        self._half_Ls = [(a, b, np.sqrt(0.5) * L[self.blocks[a]][:, self.blocks[b]])
-                         for (name, _), L in zip(named[1:], self.Ls) for a, b in pairs(name, L)]
+        subs = [(a, b, L[self.blocks[a]][:, self.blocks[b]])
+                for L, pairs in zip(self.Ls, links) for a, b in pairs]
+        self._half_Ls = [(a, b, np.sqrt(0.5) * L) for a, b, L in subs if L.count_nonzero()]
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
         """The blocks of the d x d ``rho`` as one packed vector; entries off them are dropped."""
@@ -201,6 +210,7 @@ class _MasterRHS:
         return self.pack(D)
 
     def apply(self, rho: np.ndarray, sign: int = 1) -> np.ndarray:
+        self.evaluations += 1
         add = np.add if sign > 0 else np.subtract
         y = rho.reshape(-1)
         xs = [y[s].reshape(n, n) for s, n in zip(self._spans, self.sizes)]
@@ -209,10 +219,6 @@ class _MasterRHS:
             add(ms[a], L @ (L @ xs[b]).conj().T, out=ms[a])
         out = [add(m, m.conj().T).ravel() for m in ms]
         return (out[0] if len(out) == 1 else np.concatenate(out)).reshape(rho.shape)
-
-    def flat(self, _t, y: np.ndarray) -> np.ndarray:
-        self.evaluations += 1
-        return self.apply(y)
 
 
 def _norm(v: np.ndarray) -> float:  # numpy's own sum, not BLAS: no thread count moves it
@@ -226,7 +232,7 @@ def _chebyshev_sums(rhs: _MasterRHS, y: np.ndarray, z: np.ndarray, scale: float)
     once one exceeds ``CHEBYSHEV_GROWTH`` ||y|| or is not finite."""
     y_norm, quiet = _norm(y), 0
     sums = np.multiply.outer(ive(0, z), y)
-    older, v = y, rhs.flat(None, y) * (2.0 / scale) + y  # T_0 and T_1
+    older, v = y, rhs.apply(y) * (2.0 / scale) + y  # T_0 and T_1
     for k in count(1):
         a = 2.0 * ive(k, z)
         term = float(a.max()) * _norm(v)
@@ -237,7 +243,7 @@ def _chebyshev_sums(rhs: _MasterRHS, y: np.ndarray, z: np.ndarray, scale: float)
         quiet = quiet + 1 if term <= CHEBYSHEV_TOL * y_norm else 0
         if quiet == 3:
             return sums
-        w = rhs.flat(None, v) * (4.0 / scale)  # T_{k+1} = 2 G' T_k - T_{k-1}
+        w = rhs.apply(v) * (4.0 / scale)  # T_{k+1} = 2 G' T_k - T_{k-1}
         w += 2.0 * v
         w -= older
         older, v = v, w
@@ -295,7 +301,7 @@ def evolve_master(
     """rho(t) = exp((t - t_0) G) rho0 on ``t_grid`` by :func:`_chebyshev`, G the generator,
     linear and time-independent, recording observables.
 
-    The state evolves as the parity blocks of rho that :func:`_parity_blocks` finds for
+    The state evolves as the parity blocks of rho that :class:`_MasterRHS` finds for
     ``rho0``, or as one block of every index.  A propagator that diverges, trace drift
     beyond ``trace_tol`` or an eigenvalue below ``-POSITIVITY_TOL`` at an output raises
     :class:`ConvergenceError`.  Output states are symmetrized before recording.  ``extras``
@@ -312,7 +318,7 @@ def evolve_master(
     for name, op in observables.items():
         if op.space != model.space:
             raise ValueError(f"observable {name!r} lives on a different space")
-    rhs = _MasterRHS(model, _parity_blocks(model, rho0.matrix))
+    rhs = _MasterRHS(model, rho0.matrix)
     series = {name: np.empty(t.size, dtype=complex) for name in observables}
     states = []
     worst_drift, least_eigenvalue = 0.0, np.inf
@@ -332,36 +338,6 @@ def evolve_master(
     if keep_states:
         extras["states"] = states
     return SimulationRecord(t, series, DensityOperator(model.space, rho_m), extras=extras)
-
-
-def _parity_action(op: sparse.spmatrix, even: np.ndarray) -> str:
-    """"keep" if ``op`` preserves total photon-number parity, "flip" if it flips it, else "mix"."""
-    coo = op.tocoo()
-    nonzero = coo.data != 0
-    same = even[coo.row[nonzero]] == even[coo.col[nonzero]]
-    return "keep" if same.all() else "flip" if not same.any() else "mix"
-
-
-def _parity_blocks(model: OpenSystemModel, rho0: np.ndarray) -> list[np.ndarray]:
-    """Diagonal index blocks of rho outside which evolution from ``rho0`` stays exactly zero.
-
-    With H preserving total photon-number parity and each Lindblad operator
-    preserving or flipping it, a ``rho0`` with no even-odd coherence stays
-    block-diagonal (Albert & Jiang, PRA 89, 022118 (2014)).  If every Lindblad
-    operator preserves parity (strong symmetry), the blocks are the even and
-    the odd block where ``rho0`` has an entry; if one flips it (weak symmetry),
-    both.  Otherwise, or if ``rho0`` has an even-odd coherence: one block of
-    every index.
-    """
-    even = np.indices(model.space.cutoffs).sum(axis=0).ravel() % 2 == 0
-    actions = {_parity_action(l.op.matrix, even) for l in model.lindblads}
-    if (_parity_action(model.H.matrix, even) != "keep" or "mix" in actions
-            or np.any(rho0[even[:, None] != even])):
-        return [np.arange(even.size)]
-    blocks = [np.flatnonzero(even), np.flatnonzero(~even)]
-    if actions <= {"keep"}:
-        return [b for b in blocks if np.any(rho0[np.ix_(b, b)])]
-    return blocks
 
 
 def _arnoldi(matvec, v0: np.ndarray, m: int):
@@ -447,16 +423,18 @@ def steady_state(
     method: str = "null-space",
     tol: float = 1e-8,
 ) -> DensityOperator:
-    """Steady state of the model by a sectored Krylov solve or long-time integration.
+    """Steady state of the model by a sectored Krylov solve or long-time propagation.
 
     ``"null-space"`` solves L x + tr(x) I_s/d_s = I_s/d_s by
     restarted GMRES (:func:`_krylov_solve`) on the vacuum's parity blocks of rho
-    (:func:`_parity_blocks`), I_s and d_s being the identity on their diagonal
+    (:class:`_MasterRHS`), I_s and d_s being the identity on their diagonal
     and its size.  The trace term makes the operator invertible when the
     sector holds one steady state, which fixing the sector ensures even where
     a strong parity symmetry makes the full kernel degenerate.
-    ``"long-time"`` integrates from the vacuum instead: an independent
-    reference, which no CLI op runs.
+    ``"long-time"`` propagates the d x d state from the vacuum instead, by
+    :func:`_chebyshev` over spans of ``LONG_TIME_CHUNK``, each state symmetrized
+    and renormalized: an independent reference, which no CLI op runs, kept off
+    the parity analysis it checks.
 
     The returned state always satisfies ||d rho/dt||_F < tol (verified against
     the full generator for both methods) and has no eigenvalue below
@@ -468,7 +446,7 @@ def steady_state(
 
     if method == "null-space":
         vacuum = vacuum_state(model.space).to_density().matrix
-        rho, built = _krylov_solve(_MasterRHS(model, _parity_blocks(model, vacuum)))
+        rho, built = _krylov_solve(_MasterRHS(model, vacuum))
         rho = (rho + rho.conj().T) / 2.0
         rho = rho / np.trace(rho).real
         residual = float(np.linalg.norm(rhs.apply(rho)))
@@ -476,17 +454,11 @@ def steady_state(
             raise ConvergenceError(f"Krylov steady state failed after {built} iterations: "
                                    f"residual {residual:.3e}, tol {tol:.1g}")
     elif method == "long-time":
-        from scipy.integrate import solve_ivp
         rho = vacuum_state(model.space).to_density().matrix
         elapsed = 0.0
         while elapsed < LONG_TIME_MAX:
-            sol = solve_ivp(
-                rhs.flat, (0.0, LONG_TIME_CHUNK), rho.ravel(),
-                method="RK45", rtol=1e-10, atol=1e-12,
-            )
-            if not sol.success:
-                raise ConvergenceError(f"long-time integrator failed: {sol.message}")
-            rho = sol.y[:, -1].reshape(rho.shape)
+            *_, y = _chebyshev(rhs, rho.ravel(), np.array([0.0, LONG_TIME_CHUNK]))
+            rho = y.reshape(rho.shape)
             rho = (rho + rho.conj().T) / 2.0
             rho = rho / np.trace(rho).real
             elapsed += LONG_TIME_CHUNK

@@ -96,17 +96,10 @@ class LinearOperator:
         self._require_same_space(other)
         return LinearOperator(self.space, self.matrix + other.matrix)
 
-    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        self._require_same_space(other)
-        return LinearOperator(self.space, self.matrix - other.matrix)
-
     def __mul__(self, scalar) -> "LinearOperator":
         return LinearOperator(self.space, self.matrix * complex(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "LinearOperator":
-        return LinearOperator(self.space, -self.matrix)
 
     def __repr__(self):
         return f"LinearOperator(dim={self.space.dim}, nnz={self.matrix.nnz})"

@@ -219,7 +219,7 @@ def build_supermodes(
     F = coupling_matrix(params)
     R_all = hermite_gaussian_basis(Np, params.pump_indices, k_max)
     Fp_all = transform_pump(F, R_all)
-    T_full, lam_full = diagonalize_signal(Fp_all[0])
+    T_full, _ = diagonalize_signal(Fp_all[0])
 
     if use_even:
         pars = [parity_signature(T_full[i]) for i in range(T_full.shape[0])]
@@ -236,8 +236,7 @@ def build_supermodes(
     parities = tuple(parity_signature(T[i]) for i in range(T.shape[0]))
 
     labels = tuple(k for k in range(1, k_max + 1) if not odd_only or k % 2 == 1)
-    G_all, _ = coupling_tensors([Fp_all[k - 1] for k in labels], T)
-    lam = np.real(np.diag(G_all[labels.index(1)])).copy()
+    G_all, lam = coupling_tensors([Fp_all[k - 1] for k in labels], T)  # labels[0] is 1
     if lam[0] <= 0:
         raise SupermodeDataError("retained leading eigenvalue is not positive")
 
