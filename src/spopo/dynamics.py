@@ -41,10 +41,10 @@ is real: every model operator makes -iH and each Lindblad operator real, and
 ``_MasterRHS`` refuses one that is not.  A state keeps the dtype of its input, so the
 vacuum evolves, relaxes and unravels in float64.
 
-The solvers use numpy and ``scipy.special`` alone: none loads SciPy's ODE integrators
-(about 0.3 s and 16 MB), and no CLI op loads ``scipy.sparse.linalg`` or ``scipy.linalg``
-(0.1 s, 6.5 MB).  The propagator sums without BLAS, so its states do not depend on the
-thread count.
+The solvers use numpy and ``scipy.sparse`` alone: none loads SciPy's ODE integrators
+(about 0.3 s and 16 MB), and no CLI op loads ``scipy.sparse.linalg``, ``scipy.linalg`` or
+``scipy.special`` (0.1 s, 6.5 MB; 0.05 s, 5.4 MB).  The propagator sums without BLAS, so
+its states do not depend on the thread count.
 """
 
 from dataclasses import dataclass, field
@@ -53,7 +53,6 @@ from itertools import count
 
 import numpy as np
 from scipy import sparse
-from scipy.special import ive
 
 from .hilbert import DensityOperator, LinearOperator, StateVector, trace_product, vacuum_state
 from .model import OpenSystemModel
@@ -72,9 +71,10 @@ GRID_ALIGN_TOL = 1e-6
 LONG_TIME_CHUNK = 10.0
 LONG_TIME_MAX = 10000.0
 
-# Chebyshev propagator: an expansion ends once its terms stay below TOL ||rho||, is discarded
-# when one exceeds GROWTH ||rho||, and its sums serve at most OUTPUTS output times.
-CHEBYSHEV_TOL, CHEBYSHEV_GROWTH, CHEBYSHEV_OUTPUTS = 1e-12, 1e3, 8
+# Chebyshev propagator: an output's sum closes once its terms stay below TOL ||rho||, an
+# expansion stops at a term above GROWTH ||rho||, and its sums serve at most OUTPUTS output
+# times, the one memory bound: OUTPUTS x the packed state, 21 MB at d=288.
+CHEBYSHEV_TOL, CHEBYSHEV_GROWTH, CHEBYSHEV_OUTPUTS = 1e-12, 1e3, 64
 
 # Most negative eigenvalue tolerated in a returned density matrix.
 POSITIVITY_TOL = 1e-8
@@ -225,23 +225,43 @@ def _norm(v: np.ndarray) -> float:  # numpy's own sum, not BLAS: no thread count
     return float(np.sqrt(np.sum(np.square(np.abs(v)))))
 
 
+def _bessel_weights(z: np.ndarray, n: int) -> np.ndarray:
+    """a_k(z_i) = (2 - delta_k0) e^-z_i I_k(z_i) for k = 0..m as rows, m the first of n, 2n,
+    4n, ... with every a_m(z_i) <= ``CHEBYSHEV_TOL``, z_i > 0: Miller's backward recurrence
+    I_{k-1} = I_{k+1} + (2k/z) I_k in ratio form, normalized by sum_k a_k = 1 (Gautschi, SIAM
+    Rev. 9, 24 (1967)).  It loses relative accuracy near its start, so it starts at 2m + 20."""
+    top, ratio = 2 * n + 20, np.zeros_like(z)
+    a = np.ones((top + 1, z.size))
+    for k in range(top, 0, -1):
+        a[k] = ratio = z / (2.0 * k + z * ratio)  # I_k / I_{k-1}
+    np.cumprod(a, axis=0, out=a)
+    a[1:] *= 2.0
+    a = a[:n + 1] / a.sum(axis=0)
+    return _bessel_weights(z, 2 * n) if a[n].max() > CHEBYSHEV_TOL else a  # NaN stops too
+
+
 def _chebyshev_sums(rhs: _MasterRHS, y: np.ndarray, z: np.ndarray, scale: float):
-    """exp(2 z_i G / scale) y = sum_k a_k(z_i) T_k(G') y, G' = 2G/scale + 1, a_k = (2 -
-    delta_k0) ive(k, z_i), for each z_i, by the three-term recurrence, all elementwise, until
-    the largest term has been at most ``CHEBYSHEV_TOL`` ||y|| for three consecutive k; None
-    once one exceeds ``CHEBYSHEV_GROWTH`` ||y|| or is not finite."""
-    y_norm, quiet = _norm(y), 0
-    sums = np.multiply.outer(ive(0, z), y)
+    """exp(2 z_i G / scale) y = sum_k a_k(z_i) T_k(G') y, G' = 2G/scale + 1, a_k from
+    :func:`_bessel_weights`, for each z_i of the increasing ``z``, by the three-term recurrence,
+    all elementwise.  Output i closes once its terms have been at most ``CHEBYSHEV_TOL`` ||y||
+    for three consecutive k and every earlier output has closed; closed outputs take no more
+    terms.  Returns the sums of the closed outputs: all of them, or those closed when a term
+    of an open one exceeds ``CHEBYSHEV_GROWTH`` ||y|| or is not finite."""
+    y_norm, quiet, closed = _norm(y), np.zeros(z.size, dtype=int), 0
+    a = _bessel_weights(z, 1)
+    sums = np.multiply.outer(a[0], y)
     older, v = y, rhs.apply(y) * (2.0 / scale) + y  # T_0 and T_1
     for k in count(1):
-        a = 2.0 * ive(k, z)
-        term = float(a.max()) * _norm(v)
-        if not term <= CHEBYSHEV_GROWTH * y_norm:
-            return None
-        for s, c in zip(sums, a):
+        if k == len(a):  # the stop rule weighs a_k by ||T_k y||, which can grow
+            a = _bessel_weights(z, 2 * k)
+        terms = a[k, closed:] * _norm(v)
+        if not terms.max() <= CHEBYSHEV_GROWTH * y_norm:
+            return sums[:closed]
+        for s, c in zip(sums[closed:], a[k, closed:]):  # no temporary of outputs x state
             s += c * v
-        quiet = quiet + 1 if term <= CHEBYSHEV_TOL * y_norm else 0
-        if quiet == 3:
+        quiet[closed:] = np.where(terms <= CHEBYSHEV_TOL * y_norm, quiet[closed:] + 1, 0)
+        closed += int(np.logical_and.accumulate(quiet[closed:] >= 3).sum())
+        if closed == z.size:
             return sums
         w = rhs.apply(v) * (4.0 / scale)  # T_{k+1} = 2 G' T_k - T_{k-1}
         w += 2.0 * v
@@ -252,11 +272,13 @@ def _chebyshev_sums(rhs: _MasterRHS, y: np.ndarray, z: np.ndarray, scale: float)
 def _chebyshev(rhs: _MasterRHS, y0: np.ndarray, t: np.ndarray):
     """Yield exp((t_i - t_0) G) y0, G = ``rhs``, at each t_i of ``t`` (the first is y0).
 
-    One expansion per span, from the state at its start to each output in it (Tal-Ezer &
-    Kosloff, J. Chem. Phys. 81, 3967 (1984)), fitted to [-L, 0], L = -min ``rhs.diagonal()``
-    or 1 for a zero diagonal; here L bounds G's spectral radius closely.  A diverging
-    expansion is discarded, and its span and every later one halved, to end at an output or
-    between two; a span below 1/L raises ConvergenceError."""
+    One expansion per span of up to ``CHEBYSHEV_OUTPUTS`` outputs, from the state at its start
+    to each output in it (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), fitted to
+    [-L, 0], L = -min ``rhs.diagonal()`` or 1 for a zero diagonal; here L bounds G's spectral
+    radius closely.  A diverging expansion keeps the outputs it has closed and the next one
+    starts from the last of them; if it closed none, its span and every later one are halved,
+    to end at an output or between two, and a span below 1/L raises ConvergenceError.  Each
+    state is yielded as a copy, so one expansion's sums are held at a time."""
     scale = -float(rhs.diagonal().min()) or 1.0
     yield y0
     y, start, done, span = y0, t[0], 1, np.inf
@@ -265,10 +287,11 @@ def _chebyshev(rhs: _MasterRHS, y0: np.ndarray, t: np.ndarray):
         upto = int(np.searchsorted(t, end, side="right"))
         ends = t[done:upto] if t[upto - 1] == end else np.append(t[done:upto], end)
         sums = _chebyshev_sums(rhs, y, (ends - start) * (scale / 2.0), scale)
-        if sums is not None:
-            yield from sums[:upto - done]
-            y, start, done = sums[-1], end, upto
-        elif (span := (end - start) / 2.0) * scale < 1.0:
+        yield from map(np.copy, sums[:upto - done])
+        if closed := len(sums):
+            y, start, done = sums[-1].copy(), ends[closed - 1], min(done + closed, upto)
+        del sums  # before the next expansion allocates its own
+        if not closed and (span := (end - start) / 2.0) * scale < 1.0:
             raise ConvergenceError(
                 f"Chebyshev propagator diverged at t={start:.6g}: a term exceeded "
                 f"{CHEBYSHEV_GROWTH:.0e} ||rho|| or was not finite on every span down "

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_hermite
 
 from .phasematch import CouplingMatrix, DispersionParams, coupling_matrix, is_parity_symmetric
 
@@ -34,6 +33,15 @@ PARITY_TOL = 1e-8
 
 class SupermodeDataError(ValueError):
     """Valid-looking parameters whose sampled basis or coupling admits no supermode set."""
+
+
+def _hermite(order: int, x: np.ndarray) -> np.ndarray:
+    """H_order(x) = 2^(order/2) He_order(sqrt(2) x), He by the backward recurrence of SciPy's
+    ``eval_hermite``, in the same operations: the same bits, without ``scipy.special``."""
+    s, y2, y3 = np.sqrt(2.0) * x, np.ones_like(x), np.zeros_like(x)
+    for k in range(order, 1, -1):
+        y2, y3 = s * y2 - k * y3, y2
+    return (s * y2 - y3) * 2.0 ** (order / 2.0) if order else y2
 
 
 def hermite_gaussian_basis(Np: float, pump_grid, count: int) -> np.ndarray:
@@ -60,7 +68,7 @@ def hermite_gaussian_basis(Np: float, pump_grid, count: int) -> np.ndarray:
     rows = np.empty((count, grid.size))
     for order in range(count):
         norm = (math.sqrt(math.pi) * Np * 2.0 ** order * math.factorial(order)) ** -0.5
-        rows[order] = norm * eval_hermite(order, x) * np.exp(-x * x / 2.0)
+        rows[order] = norm * _hermite(order, x) * np.exp(-x * x / 2.0)
     Q, Rtri = np.linalg.qr(rows.T)
     diag = np.diag(Rtri)
     if np.min(np.abs(diag)) < 1e-10 * np.max(np.abs(diag)):

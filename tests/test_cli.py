@@ -268,18 +268,21 @@ def test_nan_t_max_exits_3_promptly(tmp_path):
     assert "field `dynamics.t_max` must be finite" in proc.stderr
 
 
+# the propagator's Bessel coefficients and the pump rows' Hermite polynomials are numpy's own
+DEFERRED = {"scipy.integrate", "scipy.sparse.linalg", "scipy.special"}
+
+
 def test_cli_import_defers_integrate_and_krylov():
-    deferred = {"scipy.integrate", "scipy.sparse.linalg"}
-    proc = run_python("-c", f"import sys, spopo.cli; print(sorted({deferred} & set(sys.modules)))")
+    proc = run_python("-c", f"import sys, spopo.cli; print(sorted({DEFERRED} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
-SOLVES = {"scipy.integrate", "scipy.sparse.linalg", "scipy.linalg"}
+SOLVES = DEFERRED | {"scipy.linalg"}
 
 
 @pytest.mark.parametrize("command, unused, config", [
-    ("trajectories", {"scipy.integrate", "scipy.sparse.linalg"}, cw_config),
+    ("trajectories", DEFERRED, cw_config),
     ("steady", SOLVES, cw_config),
     ("evolve", SOLVES, cw_config),
     ("wigner", SOLVES, cw_config),

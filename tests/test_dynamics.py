@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.special import ive
 from scipy.sparse.linalg import spsolve
 
 from spopo import analysis, dynamics
@@ -263,17 +264,61 @@ def test_master_coherences_fall_back_to_one_block():
         assert np.array_equal(got.matrix, (rho + rho.conj().T) / 2.0)
 
 
+def test_bessel_weights_match_ive():
+    # (2 - delta_k0) ive(k, z) by Miller's recurrence, for one z at a time (each table sized
+    # from its own coefficients) and for a 64-output span, in the first table and in one
+    # extension; every entry above 1e-290, so every index the stop rule reaches, not only
+    # those down to CHEBYSHEV_TOL
+    zs = np.geomspace(1e-3, 3000.0, 25)
+    for z in [zs[i:i + 1] for i in range(zs.size)] + [np.geomspace(1e-3, 3000.0, 64)]:
+        first = dynamics._bessel_weights(z, 1)
+        assert np.all(first[-1] <= dynamics.CHEBYSHEV_TOL)
+        for a in (first, dynamics._bessel_weights(z, 2 * len(first))):
+            k = np.arange(len(a))[:, None]
+            ref = np.where(k == 0, 1.0, 2.0) * ive(k, z)
+            reach = ref >= 1e-290
+            assert np.all(np.abs(a - ref)[reach] <= 1e-12 * ref[reach])
+
+
+def test_master_long_span_keeps_closed_outputs(monkeypatch):
+    # one expansion over the lossless cat's 50 outputs outgrows the guard after its first
+    # outputs close: it keeps them and restarts from the last, where halving the span would
+    # redo them, and lands on the states of 8-output spans
+    mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(16,))
+    rho0, t = vacuum_state(mdl.space).to_density(), np.linspace(0.0, 5.0, 51)
+    closed, sums = [], dynamics._chebyshev_sums
+
+    def spy(rhs, y, z, scale):  # (outputs closed, outputs) of each expansion
+        out = sums(rhs, y, z, scale)
+        closed.append((len(out), z.size))
+        return out
+
+    monkeypatch.setattr(dynamics, "_chebyshev_sums", spy)
+    long = evolve_master(mdl, rho0, t, keep_states=True)
+    assert closed[0][1] == t.size - 1
+    assert any(0 < done < size for done, size in closed)
+    monkeypatch.setattr(dynamics, "CHEBYSHEV_OUTPUTS", 8)
+    short = evolve_master(mdl, rho0, t, keep_states=True)
+    for a, b in zip(long.extras["states"], short.extras["states"], strict=True):
+        assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-10
+    applies = long.extras["rhs_evaluations"], short.extras["rhs_evaluations"]
+    assert abs(applies[0] - applies[1]) <= 0.1 * applies[1]
+    assert long.extras["min_eigenvalue"] >= -dynamics.POSITIVITY_TOL
+
+
 @pytest.mark.parametrize("when", ["from-start", "mid-run"])
 def test_master_nan_generator_raises_promptly(monkeypatch, when):
-    # NaN fails the growth guard at once, and halving the span cannot mend it: raise, not loop
+    # NaN fails the growth guard at once, and halving the span cannot mend it: raise, not loop.
+    # Mid-run starts it halfway through a clean run's applies, so it always fires in the run.
+    mdl, rho0, t = stepper_case("lossy-comb")
+    clean = evolve_master(mdl, rho0, t).extras["rhs_evaluations"]
+    start = 0 if when == "from-start" else clean // 2
     calls = count_applies(monkeypatch)
-    start = 0 if when == "from-start" else 40
     apply = dynamics._MasterRHS.apply
     monkeypatch.setattr(
         dynamics._MasterRHS, "apply",
         lambda self, rho, sign=1: apply(self, rho, sign) * (np.nan if len(calls) > start else 1.0),
     )
-    mdl, rho0, t = stepper_case("lossy-comb")
     with pytest.raises(ConvergenceError, match="Chebyshev propagator diverged"):
         evolve_master(mdl, rho0, t)
     assert len(calls) < start + 10

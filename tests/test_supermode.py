@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_hermite
 
 from spopo.phasematch import DispersionParams, coupling_matrix
 from spopo.supermode import (
+    _hermite,
     build_supermodes,
     coupling_tensors,
     diagonalize_signal,
@@ -32,6 +34,13 @@ def test_hg_gaussian_row_value_before_orthonormalization():
     raw = (math.sqrt(math.pi) * 1.0) ** -0.5 * np.exp(-x * x / 2)
     assert raw[20] == pytest.approx(math.pi ** -0.25, rel=1e-12)
     assert math.pi ** -0.25 == pytest.approx(0.75113, abs=5e-6)
+
+
+def test_hermite_recurrence_matches_scipy_bit_for_bit():
+    # SciPy's own recurrence in numpy: every pump row keeps its bits without scipy.special
+    x = DESK.pump_indices / 4.0
+    for order in range(25):
+        assert np.array_equal(_hermite(order, x), eval_hermite(order, x))
 
 
 def test_hg_rows_parity():
