@@ -214,6 +214,12 @@ def _check_supermode_fits_dispersion(sm: SupermodeConfig, disp: DispersionParams
         raise ConfigValidationError(
             "field `supermode.parity_retention` = even requires `dispersion.beta1` = 0"
         )
+    if sm.odd_only and sm.parity_retention == "magnitude":
+        raise ConfigValidationError(
+            "field `supermode.odd_only` requires `supermode.parity_retention` = auto or even: "
+            "magnitude retention keeps odd-parity signal supermodes, whose even-label pump "
+            "channels are not zero"
+        )
     if sm.k_max > 4 * disp.M + 1:
         raise ConfigValidationError(
             f"field `supermode.k_max` exceeds the {4 * disp.M + 1} pump lines of `dispersion.M`"

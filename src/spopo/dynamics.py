@@ -21,7 +21,8 @@ Solvers:
   one block and every channel through one stacked sparse product per step;
   ``sse_trajectory`` is its one-trajectory case.  Noise streams are keyed per
   (seed, trajectory, channel), so neither the channel nor the trajectory
-  count reshuffles existing streams.
+  count reshuffles existing streams, and drawn one chunk of at most
+  ``SSE_CHUNK_STEPS`` steps at a time, so memory does not grow with run length.
 
 Photon-number parity is a symmetry of the comb and cw models: H and every
 pump channel keep it, and each linear loss flips it.  So a state with no
@@ -82,8 +83,10 @@ POSITIVITY_TOL = 1e-8
 # Homodyne spectrum: largest accepted ||(G - i w) X + A0'||_F / ||A0'||_F, G the generator.
 SPECTRUM_RESIDUAL_TOL = 1e-8
 
-# SSE: largest per-step norm drift before the step counts as unstable.
+# SSE: largest per-step norm drift before the step counts as unstable, and the most steps of
+# noise drawn at once: a chunk ends at an output time or after this many steps.
 SSE_NORM_DRIFT_MAX = 0.5
+SSE_CHUNK_STEPS = 1024
 
 
 class ConvergenceError(RuntimeError):
@@ -366,14 +369,19 @@ def evolve_master(
 def _arnoldi(matvec, v0: np.ndarray, m: int):
     """Yield (V, h) after each of at most ``m`` Arnoldi steps j from the unit ``v0``: V's rows
     are the j + 2 orthonormal basis vectors, h column j of the Hessenberg matrix,
-    matvec(V[j]) = h @ V.  One classical Gram-Schmidt pass: a second changed no result on
-    the desk ladder and cost up to 40% more time.  A zero new vector ends V."""
+    matvec(V[j]) = h @ V.  Two classical Gram-Schmidt passes, "twice is enough" (Giraud,
+    Langou & Rozloznik, Comput. Math. Appl. 50, 1069 (2005)): with one, orthogonality is
+    lost as the two-photon loss grows, and at eta=30 the spectrum basis stalled short of its
+    residual.  A zero new vector ends V."""
     V = np.empty((m + 1, v0.size), dtype=v0.dtype)
     V[0] = v0
     for j in range(m):
         w = matvec(V[j])
-        h = (V[:j + 1] @ w.conj()).conj()
-        w -= h @ V[:j + 1]
+        h = np.zeros(j + 1, dtype=w.dtype)
+        for _ in range(2):
+            dh = (V[:j + 1] @ w.conj()).conj()
+            w -= dh @ V[:j + 1]
+            h += dh
         norm = np.linalg.norm(w)
         V[j + 1] = w / norm if norm else w
         yield V[:j + 2], np.append(h, norm)
@@ -566,15 +574,61 @@ def rotated_channel(op: LinearOperator, phase_deg: float) -> LinearOperator:
     return np.exp(1j * np.deg2rad(phase_deg)) * op
 
 
-def _noise_streams(seed: int, n_trajectories: int, n_channels: int, n_steps: int, dt: float):
-    """Increments dW[channel, step, trajectory]; each stream keyed (seed, trajectory, channel)."""
-    dW = np.empty((n_channels, n_steps, n_trajectories))
+def _noise_streams(seed: int, n_trajectories: int, n_channels: int, dt: float, lengths):
+    """Yield increments dW[channel, step, trajectory] for runs of ``lengths`` steps in turn,
+    each a view of one buffer that the next run overwrites.
+
+    Each stream is keyed (seed, trajectory, channel) and drawn on from run to run, so the
+    runs join into the one draw of all their steps, bit for bit."""
     root_dt = np.sqrt(dt)
-    for k in range(n_trajectories):
-        for ch in range(n_channels):
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(k, ch))
-            dW[ch, :, k] = np.random.default_rng(ss).normal(0.0, root_dt, n_steps)
-    return dW
+    rngs = [[np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k, ch)))
+             for k in range(n_trajectories)] for ch in range(n_channels)]
+    buffer = np.empty((n_channels, max(lengths), n_trajectories))
+    for n in lengths:
+        dW = buffer[:, :n]
+        for ch, streams in enumerate(rngs):
+            for k, rng in enumerate(streams):
+                dW[ch, :, k] = rng.normal(0.0, root_dt, n)
+        yield dW
+
+
+def _chunk_bounds(out_steps: np.ndarray, size: int) -> list[int]:
+    """Steps where the noise chunks of :func:`sse_ensemble` begin and end: each chunk ends at
+    the last output step within ``size`` steps of its start, or after ``size`` steps if no
+    output step lies there."""
+    bounds = [0]
+    for s, after in zip(out_steps[1:], [*out_steps[2:], None]):
+        while s - bounds[-1] > size:
+            bounds.append(bounds[-1] + size)
+        if after is None or after - bounds[-1] > size:
+            bounds.append(int(s))
+    return bounds
+
+
+def _sse_steps(stacked: sparse.csr_matrix, psi: np.ndarray, dW: np.ndarray, dt: float,
+               first_step: int) -> np.ndarray:
+    """Advance the d x n_trajectories block ``psi`` by one Euler-Maruyama step per step of the
+    increments dW[channel, step, trajectory], normalizing after each, and return the block.
+
+    ``stacked`` is the CSR [dt C; L_1; ...; L_n], so one product gives the drift and every
+    channel's L psi.  Each dW[:, s] becomes that step's homodyne increment
+    <L + L^dag> dt + dW in place.  A norm drift above ``SSE_NORM_DRIFT_MAX`` raises
+    :class:`ConvergenceError` naming the trajectory and the step, counted from ``first_step``.
+    """
+    n_channels, n_trajectories = dW.shape[0], psi.shape[1]
+    for s in range(dW.shape[1]):
+        Y = (stacked @ psi).reshape(n_channels + 1, -1, n_trajectories)  # dt C psi, L_c psi
+        increment = dW[:, s]
+        increment += 2.0 * dt * np.einsum("ij,cij->cj", psi.conj(), Y[1:]).real
+        psi = psi + Y[0] + np.einsum("cj,cij->ij", increment, Y[1:])
+        nrm = np.sqrt(np.einsum("ij,ij->j", psi.conj(), psi).real)
+        unstable = ~(np.abs(nrm - 1.0) <= SSE_NORM_DRIFT_MAX)
+        if unstable.any():
+            k = int(np.argmax(unstable))
+            raise ConvergenceError(f"norm drift {abs(nrm[k] - 1.0):.3g} in trajectory {k} at "
+                                   f"step {first_step + s}; reduce dt")
+        psi /= nrm
+    return psi
 
 
 def step_grid(t_grid, dt: float) -> np.ndarray:
@@ -604,13 +658,20 @@ def sse_ensemble(
     All trajectories evolve as one d x n_trajectories block on one generator
     build, and each step is one product of that block with the stacked CSR
     [dt C; L_1; ...; L_n], which gives the drift and every channel's L psi at
-    once.  Each records observables at ``t_grid`` (which :func:`step_grid`
-    must leave unchanged) and, per channel, the mean homodyne current over each
-    output interval: (sum of dW + <L + L^dag> dt) / interval.  Trajectory k's
-    noise is keyed (seed, k, channel), whatever ``n_trajectories``; a run is
-    bit-reproducible for fixed (seed, n_trajectories, dt, Lindblad order).  A
-    norm drift above ``SSE_NORM_DRIFT_MAX`` raises :class:`ConvergenceError`
+    once (:func:`_sse_steps`).  Each records observables at ``t_grid`` (which
+    :func:`step_grid` must leave unchanged) and, per channel, the mean homodyne
+    current over each output interval: (sum of dW + <L + L^dag> dt) / interval.
+    Trajectory k's noise is keyed (seed, k, channel), whatever ``n_trajectories``;
+    a run is bit-reproducible for fixed (seed, n_trajectories, dt, Lindblad order).
+    A norm drift above ``SSE_NORM_DRIFT_MAX`` raises :class:`ConvergenceError`
     naming the trajectory and the step.
+
+    The noise is drawn and reduced into the currents one chunk at a time: a chunk
+    ends at the last output time within ``SSE_CHUNK_STEPS`` steps of its start, or
+    splits a longer interval, whose current then sums in another order (round-off).
+    Beyond the returned records, the working set is the block, the stacked products,
+    (n_channels + 1) x d x n_trajectories, and one chunk, n_channels x
+    ``SSE_CHUNK_STEPS`` x n_trajectories x 8 B at most, whatever the run length.
     """
     if psi0.space != model.space:
         raise ValueError("initial state lives on a different space")
@@ -630,35 +691,28 @@ def sse_ensemble(
     gen = _MasterRHS(model)
     n_channels = len(gen.Ls)
     stacked = sparse.vstack([dt * gen.C, *gen.Ls], format="csr")
-    # dW[:, step] becomes that step's homodyne increment <L + L^dag> dt + dW in place
-    dW = _noise_streams(seed, n_trajectories, n_channels, out_steps[-1], dt)
     psi = np.repeat(psi0.normalized().amplitudes[:, None], n_trajectories, axis=1)
     series = {name: np.empty((t.size, n_trajectories), dtype=complex) for name in observables}
+    homodyne = np.zeros((n_channels, t.size - 1, n_trajectories))
 
     def record(out_idx: int):
         for name, op in observables.items():
             series[name][out_idx] = np.einsum("ij,ij->j", psi.conj(), op.matrix @ psi)
 
     record(0)
-    out_idx = 1
-    for step in range(out_steps[-1]):
-        Y = (stacked @ psi).reshape(n_channels + 1, -1, n_trajectories)  # dt C psi, L_c psi
-        increment = dW[:, step]
-        increment += 2.0 * dt * np.einsum("ij,cij->cj", psi.conj(), Y[1:]).real
-        psi = psi + Y[0] + np.einsum("cj,cij->ij", increment, Y[1:])
-        nrm = np.sqrt(np.einsum("ij,ij->j", psi.conj(), psi).real)
-        unstable = ~(np.abs(nrm - 1.0) <= SSE_NORM_DRIFT_MAX)
-        if unstable.any():
-            k = int(np.argmax(unstable))
-            raise ConvergenceError(
-                f"norm drift {abs(nrm[k] - 1.0):.3g} in trajectory {k} at step {step}; reduce dt"
-            )
-        psi /= nrm
-        if step + 1 == out_steps[out_idx]:
-            record(out_idx)
-            out_idx += 1
-
-    homodyne = np.add.reduceat(dW, out_steps[:-1], axis=1) / np.diff(t)[:, None]
+    bounds = _chunk_bounds(out_steps, SSE_CHUNK_STEPS)
+    noise = _noise_streams(seed, n_trajectories, n_channels, dt, np.diff(bounds))
+    for start, stop, dW in zip(bounds[:-1], bounds[1:], noise):
+        # the chunk's pieces of output intervals: the first is interval `first`
+        first = int(np.searchsorted(out_steps, start, side="right")) - 1
+        edges = [start, *out_steps[(out_steps > start) & (out_steps < stop)], stop]
+        for idx, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]), first + 1):
+            psi = _sse_steps(stacked, psi, dW[:, lo - start:hi - start], dt, lo)
+            if hi == out_steps[idx]:
+                record(idx)
+        offsets = np.subtract(edges[:-1], start)
+        homodyne[:, first:first + offsets.size] += np.add.reduceat(dW, offsets, axis=1)
+    homodyne /= np.diff(t)[:, None]
     return [
         SimulationRecord(
             times=t,

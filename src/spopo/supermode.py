@@ -208,7 +208,8 @@ def build_supermodes(
         |eigenvalue| order, only even-parity signal supermodes (see module
         docstring); otherwise fall back to plain descending-|eigenvalue|.
       - "even": force even-parity retention (requires parity symmetry).
-      - "magnitude": plain descending-|eigenvalue| retention.
+      - "magnitude": plain descending-|eigenvalue| retention; it keeps odd-parity
+        supermodes, so it cannot be combined with ``odd_only``.
     """
     if n_signal < 1:
         raise ValueError("n_signal must be >= 1")
@@ -223,6 +224,9 @@ def build_supermodes(
     use_even = parity_retention == "even" or (parity_retention == "auto" and symmetric)
     if odd_only and not symmetric:
         raise ValueError("odd_only labels are only exact under parity-symmetric dispersion")
+    if odd_only and parity_retention == "magnitude":
+        raise ValueError("odd_only labels are only exact with even-parity retention; "
+                         "magnitude retention keeps odd-parity signal supermodes")
 
     F = coupling_matrix(params)
     R_all = hermite_gaussian_basis(Np, params.pump_indices, k_max)

@@ -1,8 +1,11 @@
-"""Analytic reference results the tests check the solvers against."""
+"""Analytic results and reference integrators the tests check the solvers against."""
 
 import numpy as np
+from scipy import sparse
 
+from spopo import dynamics
 from spopo.dynamics import ConvergenceError, SimulationRecord
+from spopo.hilbert import StateVector
 
 # RK45 tolerances of the mean field.
 MEAN_FIELD_RTOL, MEAN_FIELD_ATOL = 1e-10, 1e-12
@@ -66,3 +69,68 @@ def mean_field(sm, drive: float, kappa: float, S0, t_grid) -> SimulationRecord:
         observables=observables,
         final_state=amplitudes[:, -1],
     )
+
+
+def noise_streams(seed: int, n_trajectories: int, n_channels: int, n_steps: int, dt: float):
+    """Increments dW[channel, step, trajectory] of the whole run in one draw per stream, each
+    keyed (seed, trajectory, channel) as in ``dynamics.sse_ensemble``."""
+    dW = np.empty((n_channels, n_steps, n_trajectories))
+    root_dt = np.sqrt(dt)
+    for k in range(n_trajectories):
+        for ch in range(n_channels):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(k, ch))
+            dW[ch, :, k] = np.random.default_rng(ss).normal(0.0, root_dt, n_steps)
+    return dW
+
+
+def sse_ensemble_at_once(model, psi0, t, n_trajectories: int, seed: int, dt: float = 1e-3,
+                         observables=None) -> list[SimulationRecord]:
+    """``dynamics.sse_ensemble`` with the noise of the whole run drawn before the first step
+    and the homodyne currents reduced after the last: the streamed integrator's reference.
+
+    ``t`` must be on the dt lattice and start at 0; inputs are not checked."""
+    t = np.asarray(t, dtype=float)
+    observables = observables or {}
+    out_steps = np.rint(t / dt).astype(int)
+    gen = dynamics._MasterRHS(model)
+    n_channels = len(gen.Ls)
+    stacked = sparse.vstack([dt * gen.C, *gen.Ls], format="csr")
+    # dW[:, step] becomes that step's homodyne increment <L + L^dag> dt + dW in place
+    dW = noise_streams(seed, n_trajectories, n_channels, out_steps[-1], dt)
+    psi = np.repeat(psi0.normalized().amplitudes[:, None], n_trajectories, axis=1)
+    series = {name: np.empty((t.size, n_trajectories), dtype=complex) for name in observables}
+
+    def record(out_idx: int):
+        for name, op in observables.items():
+            series[name][out_idx] = np.einsum("ij,ij->j", psi.conj(), op.matrix @ psi)
+
+    record(0)
+    out_idx = 1
+    for step in range(out_steps[-1]):
+        Y = (stacked @ psi).reshape(n_channels + 1, -1, n_trajectories)  # dt C psi, L_c psi
+        increment = dW[:, step]
+        increment += 2.0 * dt * np.einsum("ij,cij->cj", psi.conj(), Y[1:]).real
+        psi = psi + Y[0] + np.einsum("cj,cij->ij", increment, Y[1:])
+        nrm = np.sqrt(np.einsum("ij,ij->j", psi.conj(), psi).real)
+        unstable = ~(np.abs(nrm - 1.0) <= dynamics.SSE_NORM_DRIFT_MAX)
+        if unstable.any():
+            k = int(np.argmax(unstable))
+            raise ConvergenceError(
+                f"norm drift {abs(nrm[k] - 1.0):.3g} in trajectory {k} at step {step}; reduce dt"
+            )
+        psi /= nrm
+        if step + 1 == out_steps[out_idx]:
+            record(out_idx)
+            out_idx += 1
+
+    homodyne = np.add.reduceat(dW, out_steps[:-1], axis=1) / np.diff(t)[:, None]
+    return [
+        SimulationRecord(
+            times=t,
+            observables={name: s[:, k] for name, s in series.items()},
+            final_state=StateVector(model.space, psi[:, k]),
+            seed=seed,
+            extras={"homodyne_currents": homodyne[:, :, k], "dt": dt},
+        )
+        for k in range(n_trajectories)
+    ]

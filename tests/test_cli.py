@@ -203,6 +203,7 @@ def rule(name, value, *more, field=None):
     rule("dispersion.beta1", 0.1, field="supermode.odd_only"),
     rule("dispersion.beta1", 0.1, "supermode.odd_only", False,
          "supermode.parity_retention", "even", field="supermode.parity_retention"),
+    rule("supermode.parity_retention", "magnitude", field="supermode.odd_only"),
     rule("dispersion.M", 1, field="supermode.k_max"),
     rule("dispersion.M", 1, "supermode.k_max", 5, "supermode.n_signal", 3,
          "model.cutoffs", [3, 2, 2], field="supermode.n_signal"),
@@ -306,23 +307,39 @@ def test_nan_generator_exits_4_promptly(tmp_path):
     assert "Chebyshev propagator diverged" in proc.stderr
 
 
-def test_evolve_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # d=150, where summing RK45 stages through BLAS once moved timeseries.csv by round-off
+def artifacts_by_blas_threads(tmp_path, command, dynamics, names):
+    """The bytes of artifacts ``names`` that ``command`` writes on the d=150 desk comb, run
+    with one and with two OpenBLAS/OMP threads."""
     written = []
     for threads in ("1", "2"):
         payload = {
             "dispersion": BASE_DISPERSION,
             "supermode": {**BASE_SUPERMODE, "n_signal": 3},
             "model": {"family": "lossy", "r": 1.19, "eta": 1.0, "cutoffs": [10, 5, 3]},
-            "dynamics": {"t_max": 5.0, "n_points": 51},
+            "dynamics": dynamics,
             "outputs": {"directory": str(tmp_path / threads)},
         }
         cfg = write_config(tmp_path, payload, f"threads{threads}.json")
         env = {name: threads for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        proc = run_python("-m", "spopo.cli", "evolve", "--config", cfg, env=env)
+        proc = run_python("-m", "spopo.cli", command, "--config", cfg, env=env)
         assert proc.returncode == 0, proc.stderr
-        written.append((tmp_path / threads / "timeseries.csv").read_bytes())
-    assert written[0] == written[1]
+        written.append([(tmp_path / threads / name).read_bytes() for name in names])
+    return written
+
+
+def test_evolve_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # d=150, where summing RK45 stages through BLAS once moved timeseries.csv by round-off
+    one, two = artifacts_by_blas_threads(tmp_path, "evolve", {"t_max": 5.0, "n_points": 51},
+                                         ["timeseries.csv"])
+    assert one == two
+
+
+def test_trajectories_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    names = ["trajectories_photon.csv", "homodyne_pumped_channel.csv", "ensemble.csv"]
+    one, two = artifacts_by_blas_threads(
+        tmp_path, "trajectories",
+        {"t_max": 0.5, "n_points": 6, "dt": 1e-3, "n_trajectories": 4, "seed": 5}, names)
+    assert one == two
 
 
 def test_convergence_failure_exit_code(tmp_path, capsys):

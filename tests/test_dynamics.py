@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -7,7 +8,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 from scipy.special import ive
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator as ScipyOperator, gmres, spsolve
 
 from spopo import analysis, dynamics
 from spopo.dynamics import (
@@ -45,7 +46,7 @@ from spopo.model import (
 from spopo.phasematch import DispersionParams
 from spopo.supermode import build_supermodes, single_mode_set
 
-from oracles import linearized_spectrum, mean_field
+from oracles import linearized_spectrum, mean_field, noise_streams, sse_ensemble_at_once
 
 
 def zero_op(space):
@@ -533,8 +534,8 @@ def test_spectrum_matches_sparse_resolvent_on_lossy_comb():
     desk = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
     sm = build_supermodes(desk, Np=4.0, n_signal=3, k_max=9)
     w = np.linspace(0.0, 6.0, 13)
-    for r in (0.6, 1.2):
-        mdl = build_spopo(sm, r=r, eta=1.0, cutoffs=(4, 3, 2))
+    for r, eta in ((0.6, 1.0), (1.2, 1.0), (1.2, 30.0)):
+        mdl = build_spopo(sm, r=r, eta=eta, cutoffs=(4, 3, 2))
         rho = steady_state(mdl)
         chan = rotated_channel(mdl.linear_lindblads()[0].op, -90.0)
         res = homodyne_spectrum(mdl, chan, w, rho_ss=rho)
@@ -560,6 +561,41 @@ def test_spectrum_one_basis_serves_every_omega():
         # no warm start: S at one w does not depend on the grid's order
         shuffled = homodyne_spectrum(mdl, chan, w[order], rho_ss=rho)
         assert np.max(np.abs(shuffled.S - res.S[order])) < 1e-12
+
+
+def spectrum_by_gmres(mdl, chan, rho, w):
+    """S(w) as in :func:`spectrum_by_spsolve`, by SciPy's Jacobi-preconditioned GMRES per w to
+    a relative residual of 1e-12: sparse LU of the superoperator is out of reach at d=150."""
+    L = chan.matrix
+    A0 = L @ rho + rho @ L.conj().T
+    A0 = (A0 - np.trace(A0) * rho).ravel()
+    gen = liouvillian_matrix(mdl).tocsr()
+    eye = sparse.identity(gen.shape[0], dtype=complex, format="csr")
+    quad = (L + L.conj().T).toarray().T.ravel()
+    out = []
+    for wk in w:
+        jacobi = 1j * wk - gen.diagonal()
+        precond = ScipyOperator(gen.shape, matvec=lambda v: v / jacobi, dtype=complex)
+        x, info = gmres(1j * wk * eye - gen, A0, M=precond, rtol=1e-12, atol=0.0, restart=200)
+        assert info == 0
+        out.append(1.0 + 2.0 * np.real(np.sum(quad * x)))
+    return np.array(out)
+
+
+def test_spectrum_converges_at_strong_two_photon_loss():
+    # eta=30 on d=150: with one Gram-Schmidt pass the basis lost orthogonality and reached
+    # KRYLOV_MAX_DIM with its residual estimate stuck near 1e-11
+    desk = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
+    sm = build_supermodes(desk, Np=4.0, n_signal=3, k_max=9)
+    mdl = build_spopo(sm, r=1.19, eta=30.0, cutoffs=(10, 5, 3))
+    rho = steady_state(mdl)
+    chan = rotated_channel(mdl.linear_lindblads()[0].op, -90.0)
+    w = np.array([0.5, 2.0, 5.0])
+    res = homodyne_spectrum(mdl, chan, w, rho_ss=rho)
+    assert res.metadata["krylov_dimension"] < dynamics.KRYLOV_MAX_DIM
+    assert res.metadata["max_relative_residual"] <= dynamics.SPECTRUM_RESIDUAL_TOL
+    expected = spectrum_by_gmres(mdl, chan, rho.matrix, w)
+    assert np.max(np.abs(res.S / expected - 1.0)) < 1e-9
 
 
 @pytest.mark.parametrize("phase", [0.0, 37.0])
@@ -731,7 +767,7 @@ def sse_per_channel(mdl, psi0, t, n_traj, seed, dt, observables):
     gen = dynamics._MasterRHS(mdl)
     out_steps = np.rint(t / dt).astype(int)
     out_index = {int(s): k for k, s in enumerate(out_steps)}
-    dW = dynamics._noise_streams(seed, n_traj, len(gen.Ls), out_steps[-1], dt)
+    dW = noise_streams(seed, n_traj, len(gen.Ls), out_steps[-1], dt)
     psi = np.repeat(psi0.normalized().amplitudes[:, None], n_traj, axis=1)
     series = {name: np.empty((t.size, n_traj), dtype=complex) for name in observables}
 
@@ -774,6 +810,54 @@ def test_sse_stacked_step_matches_per_channel_loop(start):
             assert np.max(np.abs(rec.observables[name] - series[name][:, k])) <= 1e-12
         assert np.max(np.abs(rec.extras["homodyne_currents"] - currents[:, :, k])) <= 1e-12
         assert np.max(np.abs(rec.final_state.amplitudes - psi[:, k])) <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [None, 30, 7])
+def test_sse_streamed_noise_matches_the_all_at_once_reference(monkeypatch, chunk):
+    # step_grid rounds the grid to intervals of 14, 15 and 1 steps; a 30-step chunk holds two
+    # whole intervals, a 7-step one splits each, and its currents then sum in another order
+    if chunk is not None:
+        monkeypatch.setattr(dynamics, "SSE_CHUNK_STEPS", chunk)
+    mdl = sse_comb_model()
+    t = dynamics.step_grid(np.append(np.linspace(0.0, 0.1, 8), 0.101), 1e-3)
+    assert set(np.diff(np.rint(t / 1e-3))) == {14, 15, 1}
+    obs = {"n": total_number_operator(mdl.space), "a1": annihilation(mdl.space, 0)}
+    for n_traj in (1, 3):
+        got = sse_ensemble(mdl, vacuum_state(mdl.space), t, n_traj, 17, observables=obs)
+        want = sse_ensemble_at_once(mdl, vacuum_state(mdl.space), t, n_traj, 17, observables=obs)
+        for a, b in zip(got, want, strict=True):
+            for name in obs:
+                assert np.array_equal(a.observables[name], b.observables[name])
+            assert np.array_equal(a.final_state.amplitudes, b.final_state.amplitudes)
+            currents, ref = a.extras["homodyne_currents"], b.extras["homodyne_currents"]
+            if chunk == 7:
+                assert np.max(np.abs(currents - ref)) <= 1e-15 * np.max(np.abs(ref))
+            else:
+                assert np.array_equal(currents, ref)
+
+
+def test_sse_memory_does_not_grow_with_run_length():
+    # output spacing 600 steps, so every noise chunk is one interval; 10x t_max adds 5400
+    # steps, 346 kB of noise when drawn at once, and 0.7 kB of outputs.  Beyond the outputs
+    # the peak moved by -9 to +2 kB in three measured pairs
+    mdl = sse_comb_model()
+    obs = {"n": total_number_operator(mdl.space)}
+
+    def peak_and_outputs(n_intervals):
+        t = np.linspace(0.0, 0.6 * n_intervals, n_intervals + 1)
+        tracemalloc.start()
+        try:
+            recs = sse_ensemble(mdl, vacuum_state(mdl.space), t, 1, 3, observables=obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = [a for r in recs for a in (*r.observables.values(), r.final_state.amplitudes,
+                                             r.extras["homodyne_currents"])]
+        return peak, sum(a.nbytes for a in arrays)
+
+    peak_and_outputs(1)  # first-call allocations
+    (short, short_out), (long, long_out) = peak_and_outputs(1), peak_and_outputs(10)
+    assert long - short <= long_out - short_out + 16_000
 
 
 def test_sse_comb_ensemble_matches_master_in_transient():

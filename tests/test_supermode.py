@@ -249,6 +249,16 @@ def test_builder_rejects_odd_only_without_symmetry():
     assert sm.pump_labels == tuple(range(1, 10))
 
 
+def test_builder_rejects_odd_only_with_magnitude_retention():
+    # magnitude retention keeps an odd-parity supermode, so even-label tensors are not zero
+    full = desk_set(n_signal=3, odd_only=False, parity_retention="magnitude")
+    assert full.parities == (1, -1, 1)
+    even_label = [G for k, G in zip(full.pump_labels, full.tensors) if k % 2 == 0]
+    assert min(np.max(np.abs(G)) for G in even_label) > 0.5
+    with pytest.raises(ValueError, match="odd_only"):
+        desk_set(n_signal=3, parity_retention="magnitude")
+
+
 def test_single_mode_set_shape():
     sm = single_mode_set(2.0)
     assert sm.lambda1 == 2.0
