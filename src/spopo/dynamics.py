@@ -37,19 +37,24 @@ spectrum's Krylov basis always runs on that one block.
 Every solver uses one generator action, ``_MasterRHS.apply(rho, sign)``, on a
 state with rho^dag = sign rho: the generator keeps Hermiticity (Breuer & Petruccione
 2002, ch. 3), so master-equation and steady states are Hermitian and the spectrum's
-Hermitian seed splits into a symmetric and an antisymmetric real part.  The generator
-is real: every model operator makes -iH and each Lindblad operator real, and
-``_MasterRHS`` refuses one that is not.  A state keeps the dtype of its input, so the
-vacuum evolves, relaxes and unravels in float64.
+Hermitian seed splits into a symmetric and an antisymmetric real part.  Half of each
+such state repeats the other half, so the states a solver stores (the propagator's
+output sums, the GMRES and Arnoldi bases) are held in the half layout,
+``_MasterRHS.half``: each block's upper triangle, diagonal included, n(n + 1)/2 of its
+n^2 entries.  ``apply`` runs on the whole blocks that ``_MasterRHS.whole`` rebuilds.
+The generator is real: every model operator makes -iH and each Lindblad operator real,
+and ``_MasterRHS`` refuses one that is not.  A state keeps the dtype of its input, so
+the vacuum evolves, relaxes and unravels in float64.
 
 The solvers use numpy and ``scipy.sparse`` alone: none loads SciPy's ODE integrators
 (about 0.3 s and 16 MB), and no CLI op loads ``scipy.sparse.linalg``, ``scipy.linalg`` or
-``scipy.special`` (0.1 s, 6.5 MB; 0.05 s, 5.4 MB).  The propagator sums without BLAS, so
-its states do not depend on the thread count.
+``scipy.special`` (0.1 s, 6.5 MB; 0.05 s, 5.4 MB).  The propagator sums, and the Krylov
+solvers orthogonalize, combine and solve their least-squares problems, without BLAS or
+LAPACK, so no solver's state depends on the thread count.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import count
 
 import numpy as np
@@ -61,6 +66,9 @@ from .model import OpenSystemModel
 
 # Krylov solves stop at a residual estimate near round-off, so the exit checks have ample
 # margin; GMRES restarts every KRYLOV_RESTART vectors, and no solve builds more than the cap.
+# Every basis vector is a half-layout state (``_MasterRHS.half``): GMRES holds at most
+# KRYLOV_RESTART + 1 of them, 10.2 MB at d=288, and a spectrum part m + 1, 43.6 MB at d=288
+# with m=130.
 KRYLOV_RTOL = 1e-12
 KRYLOV_RESTART = 60
 KRYLOV_MAX_DIM = 400
@@ -74,7 +82,7 @@ LONG_TIME_MAX = 10000.0
 
 # Chebyshev propagator: an output's sum closes once its terms stay below TOL ||rho||, an
 # expansion stops at a term above GROWTH ||rho||, and its sums serve at most OUTPUTS output
-# times, the one memory bound: OUTPUTS x the packed state, 21 MB at d=288.
+# times, the one memory bound: OUTPUTS x the half-layout state, 10.7 MB at d=288.
 CHEBYSHEV_TOL, CHEBYSHEV_GROWTH, CHEBYSHEV_OUTPUTS = 1e-12, 1e3, 64
 
 # Most negative eigenvalue tolerated in a returned density matrix.
@@ -154,6 +162,10 @@ class _MasterRHS:
     an empty one.  Otherwise, and without ``rho0``, the one block is every index:
     the d x d state itself.  ``apply`` takes a state of the packed size in any
     shape and returns that shape.
+
+    ``half`` stores a packed state with y^dag = sign y as each block's upper triangle, and
+    ``whole(h, sign)`` rebuilds it, bit for bit; their index arrays are built on first use,
+    so the SSE and the residual checks, which never store such states, do not pay for them.
     """
 
     def __init__(self, model: OpenSystemModel, rho0: np.ndarray | None = None):
@@ -164,10 +176,17 @@ class _MasterRHS:
         for name, op in named:
             if op.imag.count_nonzero():
                 raise ValueError(f"{name} has a nonzero imaginary entry; the generator is real")
-        acc, *self.Ls = [op.real.tocsr() for _, op in named]  # -iH, then every L
-        for L in self.Ls:
-            acc = acc - 0.5 * (L.T @ L)
-        self.C = acc.tocsr()  # drho = C rho + rho C^T + sum L rho L^T
+        drift, *self.Ls = [op.real.tocsr() for _, op in named]  # -iH, then every L
+        # every L stacked, so sum L^T L = jumps^T jumps; the empty first rows serve no L
+        jumps = sparse.vstack([drift[:0], *self.Ls], format="csr")
+        C = (drift - 0.5 * (jumps.T @ jumps)).tocoo()
+        # an entry within round-off of its terms' magnitude is a cancellation, such as the
+        # coherent drive's Hamiltonian half against its Lindblad half: exactly 0
+        size = (abs(drift) + 0.5 * (abs(jumps).T @ abs(jumps))).tocsr()
+        terms = np.asarray(size[C.row, C.col]).ravel()
+        C.data[np.abs(C.data) <= np.finfo(float).eps * terms] = 0.0
+        self.C = C.tocsr()  # drho = C rho + rho C^T + sum L rho L^T
+        self.C.eliminate_zeros()
         self.dim = d = model.space.dim
         self.evaluations = 0  # calls of ``apply``
 
@@ -212,6 +231,37 @@ class _MasterRHS:
             D += np.multiply.outer(L.diagonal(), L.diagonal())
         return self.pack(D)
 
+    @cached_property
+    def _triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The half layout's index arrays, built on first use: where each half entry sits in
+        the packed layout, which half entry each packed entry reads, and the packed entries
+        below a block's diagonal."""
+        upper, source, lower, start, half_start = [], [], [], 0, 0
+        for n in self.sizes:
+            i, j = np.indices((n, n))
+            low, high = np.minimum(i, j), np.maximum(i, j)
+            upper.append(start + np.flatnonzero(i <= j))
+            source.append((half_start + low * n - low * (low + 1) // 2 + high).ravel())
+            lower.append((i > j).ravel())
+            start, half_start = start + n * n, half_start + n * (n + 1) // 2
+        return tuple(map(np.concatenate, (upper, source, lower)))
+
+    def half(self, y: np.ndarray) -> np.ndarray:
+        """The half layout of the packed ``y``: each block's upper triangle, diagonal included,
+        row by row, one block after another.  It holds all of a state with y^dag = sign y."""
+        return np.ravel(y)[self._triangle[0]]
+
+    def whole(self, h: np.ndarray, sign: int = 1) -> np.ndarray:
+        """The packed state y with y^dag = sign y whose :meth:`half` is ``h``: each entry below
+        a block's diagonal is sign times the conjugate of its mirror."""
+        _, source, lower = self._triangle
+        y = h[source]
+        if sign < 0:
+            np.negative(y, out=y, where=lower)
+        if np.iscomplexobj(y):
+            np.conjugate(y, out=y, where=lower)
+        return y
+
     def apply(self, rho: np.ndarray, sign: int = 1) -> np.ndarray:
         self.evaluations += 1
         add = np.add if sign > 0 else np.subtract
@@ -248,11 +298,14 @@ def _chebyshev_sums(rhs: _MasterRHS, y: np.ndarray, z: np.ndarray, scale: float)
     :func:`_bessel_weights`, for each z_i of the increasing ``z``, by the three-term recurrence,
     all elementwise.  Output i closes once its terms have been at most ``CHEBYSHEV_TOL`` ||y||
     for three consecutive k and every earlier output has closed; closed outputs take no more
-    terms.  Returns the sums of the closed outputs: all of them, or those closed when a term
-    of an open one exceeds ``CHEBYSHEV_GROWTH`` ||y|| or is not finite."""
+    terms.  Returns the sums of the closed outputs, each in the half layout
+    (:meth:`_MasterRHS.half`): all of them, or those closed when a term of an open one exceeds
+    ``CHEBYSHEV_GROWTH`` ||y|| or is not finite.  ``y`` must be Hermitian: then so is every
+    term T_k(G') y, exactly, since ``apply`` returns M + M^dag and the recurrence is
+    elementwise, and the half sums hold the whole sums bit for bit."""
     y_norm, quiet, closed = _norm(y), np.zeros(z.size, dtype=int), 0
     a = _bessel_weights(z, 1)
-    sums = np.multiply.outer(a[0], y)
+    sums = np.multiply.outer(a[0], rhs.half(y))
     older, v = y, rhs.apply(y) * (2.0 / scale) + y  # T_0 and T_1
     for k in count(1):
         if k == len(a):  # the stop rule weighs a_k by ||T_k y||, which can grow
@@ -260,8 +313,9 @@ def _chebyshev_sums(rhs: _MasterRHS, y: np.ndarray, z: np.ndarray, scale: float)
         terms = a[k, closed:] * _norm(v)
         if not terms.max() <= CHEBYSHEV_GROWTH * y_norm:
             return sums[:closed]
+        term = rhs.half(v)
         for s, c in zip(sums[closed:], a[k, closed:]):  # no temporary of outputs x state
-            s += c * v
+            s += c * term
         quiet[closed:] = np.where(terms <= CHEBYSHEV_TOL * y_norm, quiet[closed:] + 1, 0)
         closed += int(np.logical_and.accumulate(quiet[closed:] >= 3).sum())
         if closed == z.size:
@@ -273,15 +327,17 @@ def _chebyshev_sums(rhs: _MasterRHS, y: np.ndarray, z: np.ndarray, scale: float)
 
 
 def _chebyshev(rhs: _MasterRHS, y0: np.ndarray, t: np.ndarray):
-    """Yield exp((t_i - t_0) G) y0, G = ``rhs``, at each t_i of ``t`` (the first is y0).
+    """Yield exp((t_i - t_0) G) y0, G = ``rhs``, at each t_i of ``t`` (the first is y0), y0
+    Hermitian in ``rhs``'s packed layout.
 
     One expansion per span of up to ``CHEBYSHEV_OUTPUTS`` outputs, from the state at its start
     to each output in it (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), fitted to
     [-L, 0], L = -min ``rhs.diagonal()`` or 1 for a zero diagonal; here L bounds G's spectral
     radius closely.  A diverging expansion keeps the outputs it has closed and the next one
     starts from the last of them; if it closed none, its span and every later one are halved,
-    to end at an output or between two, and a span below 1/L raises ConvergenceError.  Each
-    state is yielded as a copy, so one expansion's sums are held at a time."""
+    to end at an output or between two, and a span below 1/L raises ConvergenceError.  One
+    expansion's sums are held at a time, in the half layout, and each state is yielded as a
+    new whole array."""
     scale = -float(rhs.diagonal().min()) or 1.0
     yield y0
     y, start, done, span = y0, t[0], 1, np.inf
@@ -290,9 +346,9 @@ def _chebyshev(rhs: _MasterRHS, y0: np.ndarray, t: np.ndarray):
         upto = int(np.searchsorted(t, end, side="right"))
         ends = t[done:upto] if t[upto - 1] == end else np.append(t[done:upto], end)
         sums = _chebyshev_sums(rhs, y, (ends - start) * (scale / 2.0), scale)
-        yield from map(np.copy, sums[:upto - done])
+        yield from map(rhs.whole, sums[:upto - done])
         if closed := len(sums):
-            y, start, done = sums[-1].copy(), ends[closed - 1], min(done + closed, upto)
+            y, start, done = rhs.whole(sums[-1]), ends[closed - 1], min(done + closed, upto)
         del sums  # before the next expansion allocates its own
         if not closed and (span := (end - start) / 2.0) * scale < 1.0:
             raise ConvergenceError(
@@ -325,7 +381,8 @@ def evolve_master(
     keep_states: bool = False,
 ) -> SimulationRecord:
     """rho(t) = exp((t - t_0) G) rho0 on ``t_grid`` by :func:`_chebyshev`, G the generator,
-    linear and time-independent, recording observables.
+    linear and time-independent, recording observables.  ``rho0`` must be Hermitian: the
+    generator action assumes it, and the propagator stores each state's upper triangle.
 
     The state evolves as the parity blocks of rho that :class:`_MasterRHS` finds for
     ``rho0``, or as one block of every index.  A propagator that diverges, trace drift
@@ -378,11 +435,11 @@ def _arnoldi(matvec, v0: np.ndarray, m: int):
     for j in range(m):
         w = matvec(V[j])
         h = np.zeros(j + 1, dtype=w.dtype)
-        for _ in range(2):
-            dh = (V[:j + 1] @ w.conj()).conj()
-            w -= dh @ V[:j + 1]
+        for _ in range(2):  # einsum and _norm, not BLAS: no thread count moves the basis
+            dh = np.einsum("ij,j->i", V[:j + 1], w.conj()).conj()
+            w -= np.einsum("i,ij->j", dh, V[:j + 1])
             h += dh
-        norm = np.linalg.norm(w)
+        norm = _norm(w)
         V[j + 1] = w / norm if norm else w
         yield V[:j + 2], np.append(h, norm)
         if not norm:
@@ -410,10 +467,15 @@ class _HessenbergLstsq:
         self.g[j:] = [c.conjugate() * self.g[j], -z * self.g[j]]
         return abs(self.g[j + 1])
 
-    def solve(self) -> np.ndarray:  # y, shaped (shifts..., columns)
-        R = np.array([col + [0 * self.s] * (len(self.R) - len(col)) for col in self.R])
-        g = np.moveaxis(np.array(self.g[:-1]), 0, -1)[..., None]
-        return np.linalg.solve(np.moveaxis(R, (0, 1), (-1, -2)), g)[..., 0]
+    def solve(self) -> np.ndarray:
+        """y, shaped (shifts..., columns), by back substitution: no LAPACK, so no thread
+        count moves it."""
+        n = len(self.R)
+        R = np.array([col + [0 * self.s] * (n - len(col)) for col in self.R])  # [column, row]
+        y = np.array(self.g[:-1])
+        for i in range(n - 1, -1, -1):
+            y[i] = (y[i] - (R[i + 1:, i] * y[i + 1:]).sum(axis=0)) / R[i, i]
+        return np.moveaxis(y, 0, -1)
 
 
 def _krylov_solve(rhs: _MasterRHS):
@@ -422,31 +484,33 @@ def _krylov_solve(rhs: _MasterRHS):
     count nearly flat in eta (Saad, Iterative Methods for Sparse Linear Systems, 9.3).
 
     I_s and d_s are the identity on the blocks' diagonal and its size, so b and every
-    vector are real symmetric.  Returns x (d x d, zero off the blocks), at a true residual
-    of ``KRYLOV_RTOL`` ||b|| or after ``KRYLOV_MAX_DIM`` vectors, and the vectors built.
+    vector are real symmetric, and each is stored in the half layout
+    (:meth:`_MasterRHS.half`), whose Euclidean norm GMRES minimizes; G acts on the whole
+    state.  Returns x (d x d, zero off the blocks), at a true residual of ``KRYLOV_RTOL`` ||b||
+    in that norm or after ``KRYLOV_MAX_DIM`` vectors, and the vectors built.
     """
-    b = rhs.pack(np.eye(rhs.dim))  # I_s in the packed layout
+    b = rhs.half(rhs.pack(np.eye(rhs.dim)))  # I_s in the half layout
     diag = np.flatnonzero(b)
     b /= diag.size
-    jacobi = rhs.diagonal()
+    jacobi = rhs.half(rhs.diagonal())
     jacobi[diag] += 1.0 / diag.size
     jacobi[jacobi == 0] = 1.0
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        out = rhs.apply(x)
+        out = rhs.half(rhs.apply(rhs.whole(x)))
         out[diag] += x[diag].sum() / diag.size
         return out
 
-    x, target, built = b.copy(), KRYLOV_RTOL * np.linalg.norm(b), 0
-    while (beta := np.linalg.norm(r := b - matvec(x))) > target and built < KRYLOV_MAX_DIM:
+    x, target, built = b.copy(), KRYLOV_RTOL * _norm(b), 0
+    while (beta := _norm(r := b - matvec(x))) > target and built < KRYLOV_MAX_DIM:
         lstsq = _HessenbergLstsq(beta, 0.0)  # one restart cycle
         for V, h in _arnoldi(lambda u: matvec(u / jacobi), r / beta,
                              min(KRYLOV_RESTART, KRYLOV_MAX_DIM - built)):
             built += 1
             if lstsq.add(h) <= target:
                 break
-        x += (lstsq.solve() @ V[:-1]) / jacobi
-    return rhs.unpack(x), built
+        x += np.einsum("i,ij->j", lstsq.solve(), V[:-1]) / jacobi
+    return rhs.unpack(rhs.whole(x)), built
 
 
 def steady_state(
@@ -518,7 +582,9 @@ def homodyne_spectrum(
     A0' = A0 - tr(A0) rho_ss, A0 = L rho_ss + rho_ss L^dag; 1 is the vacuum level.  With
     rho_ss symmetrized, A0' is exactly Hermitian, and one real Krylov basis per part of A0',
     symmetric real and antisymmetric imaginary, serves every w (Frommer & Glaessner, SIAM J.
-    Sci. Comput. 19, 15 (1998)); it grows to an estimated residual of ``KRYLOV_RTOL`` ||A0'||.
+    Sci. Comput. 19, 15 (1998)).  Each basis is held in the half layout of the d x d block,
+    whose Euclidean norm counts each mirrored pair once, and grows to an estimated residual
+    of ``KRYLOV_RTOL`` ||A0'|| in that norm.
     A part at most ``KRYLOV_RTOL`` ||L||_F ||rho_ss||_F, the scale A0' is rounded at, needs
     none.  No trace pin: A0' is traceless.
     A basis of ``KRYLOV_MAX_DIM`` vectors, or a residual against G (summed over the parts)
@@ -538,28 +604,34 @@ def homodyne_spectrum(
     A0 = A0 + A0.conj().T  # L rho + rho L^dag
     A0 = A0 - np.trace(A0).real * rho
     quad = (L + L.conj().T).tocsr()
-    scale = float(np.linalg.norm(A0))
-    floor = KRYLOV_RTOL * float(np.linalg.norm(L.data) * np.linalg.norm(rho))
+    scale = _norm(A0)
+    floor = KRYLOV_RTOL * _norm(L.data) * _norm(rho)
 
     rhs = _MasterRHS(model)
     S, residuals, dimension = np.ones(w.size), np.zeros(w.size), 0
-    for phase, sign, part in ((1.0, 1, A0.real), (1j, -1, A0.imag)):
-        beta = float(np.linalg.norm(part))
+    parts = (A0.real, A0.imag)
+    seeds = [rhs.half(part) for part in parts]  # A0' in the half layout, part by part
+    half_scale = float(np.hypot(*map(_norm, seeds)))  # ||A0'|| in the half layout
+    for phase, sign, part, seed in zip((1.0, 1j), (1, -1), parts, seeds):
+        beta = _norm(seed)
         if beta <= floor:
             continue
         lstsq = _HessenbergLstsq(beta, 1j * w)
         action = partial(rhs.apply, sign=sign)
-        for V, h in _arnoldi(action, part.ravel() / beta, KRYLOV_MAX_DIM):
-            if (estimate := lstsq.add(h).max(initial=0.0)) <= KRYLOV_RTOL * scale:
+        for V, h in _arnoldi(lambda u: rhs.half(action(rhs.whole(u, sign))), seed / beta,
+                             KRYLOV_MAX_DIM):
+            if (estimate := lstsq.add(h).max(initial=0.0) / half_scale) <= KRYLOV_RTOL:
                 break
         else:
             raise ConvergenceError(f"Krylov spectrum basis reached {KRYLOV_MAX_DIM} iterations "
-                                   f"(KRYLOV_MAX_DIM): residual estimate {estimate / scale:.3e}")
+                                   f"(KRYLOV_MAX_DIM): residual estimate {estimate:.3e}")
         V, dimension = V[:-1], dimension + V.shape[0] - 1
         for k, y in enumerate(lstsq.solve()):  # two real products, no complex copy of V
-            X = -(y.real @ V + 1j * (y.imag @ V)).reshape(A0.shape)
-            GX = action(X.real) + 1j * action(X.imag)  # G on each real piece
-            residuals[k] += float(np.linalg.norm(GX - 1j * w[k] * X + part)) / scale
+            Xr, Xi = (-rhs.whole(np.einsum("i,ij->j", c, V), sign).reshape(A0.shape)
+                      for c in (y.real, y.imag))
+            X = Xr + 1j * Xi
+            GX = action(Xr) + 1j * action(Xi)  # G on each real piece
+            residuals[k] += _norm(GX - 1j * w[k] * X + part) / scale
             S[k] += 2.0 * (phase * trace_product(quad, X)).real
     worst = float(residuals.max(initial=0.0))
     if not worst <= SPECTRUM_RESIDUAL_TOL:

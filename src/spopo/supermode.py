@@ -122,7 +122,10 @@ def diagonalize_signal(Fp1: np.ndarray):
 
 
 def coupling_tensors(Fp: list[np.ndarray], T: np.ndarray):
-    """Transformed tensors G^(k) = conj(T) F'^(k) conj(T)^T and their label-1 diagonal."""
+    """Transformed tensors G^(k) = conj(T) F'^(k) conj(T)^T and their label-1 diagonal.
+
+    The rows of T diagonalize F'^(1) (:func:`diagonalize_signal`), so G^(1) keeps its
+    diagonal as computed and its off-diagonal round-off is set to exactly 0."""
     T = np.asarray(T)
     Tc = T.conj()
     G = []
@@ -133,6 +136,7 @@ def coupling_tensors(Fp: list[np.ndarray], T: np.ndarray):
                 f"tensor {k} has shape {mat.shape}, expected {(T.shape[1], T.shape[1])}"
             )
         G.append(Tc @ mat @ Tc.T)
+    G[0] = np.diag(np.diag(G[0]))
     lam = np.real(np.diag(G[0])).copy()
     return G, lam
 
@@ -253,6 +257,9 @@ def build_supermodes(
         raise SupermodeDataError("retained leading eigenvalue is not positive")
 
     tensors = tuple(np.real_if_close(g, tol=1000).astype(float) for g in G_all)
+    p = np.array(parities)
+    for k, g in zip(labels, tensors):  # the selection rule's zeros, exactly (module docstring)
+        g[(-1) ** (k - 1) * np.outer(p, p) == -1] = 0.0
     return SupermodeSet(
         pump_basis=R_all[[k - 1 for k in labels]],
         pump_labels=labels,

@@ -1,10 +1,13 @@
-"""Analytic results and reference integrators the tests check the solvers against."""
+"""Analytic results and reference solvers the tests check the solvers against."""
+
+from functools import partial
+from itertools import count
 
 import numpy as np
 from scipy import sparse
 
 from spopo import dynamics
-from spopo.dynamics import ConvergenceError, SimulationRecord
+from spopo.dynamics import ConvergenceError, SimulationRecord, SpectrumResult
 from spopo.hilbert import StateVector
 
 # RK45 tolerances of the mean field.
@@ -134,3 +137,132 @@ def sse_ensemble_at_once(model, psi0, t, n_trajectories: int, seed: int, dt: flo
         )
         for k in range(n_trajectories)
     ]
+
+
+def trace_product(op, rho) -> complex:
+    """tr(op rho) through scipy's elementwise product: ``hilbert.trace_product``'s reference."""
+    return complex(op.multiply(rho.T).sum())
+
+
+def chebyshev_sums_full(rhs, y, z, scale):
+    """``dynamics._chebyshev_sums`` with each sum held as a whole packed state."""
+    y_norm, quiet, closed = dynamics._norm(y), np.zeros(z.size, dtype=int), 0
+    a = dynamics._bessel_weights(z, 1)
+    sums = np.multiply.outer(a[0], y)
+    older, v = y, rhs.apply(y) * (2.0 / scale) + y
+    for k in count(1):
+        if k == len(a):
+            a = dynamics._bessel_weights(z, 2 * k)
+        terms = a[k, closed:] * dynamics._norm(v)
+        if not terms.max() <= dynamics.CHEBYSHEV_GROWTH * y_norm:
+            return sums[:closed]
+        for s, c in zip(sums[closed:], a[k, closed:]):
+            s += c * v
+        quiet[closed:] = np.where(terms <= dynamics.CHEBYSHEV_TOL * y_norm, quiet[closed:] + 1, 0)
+        closed += int(np.logical_and.accumulate(quiet[closed:] >= 3).sum())
+        if closed == z.size:
+            return sums
+        w = rhs.apply(v) * (4.0 / scale)
+        w += 2.0 * v
+        w -= older
+        older, v = v, w
+
+
+def chebyshev_full(rhs, y0, t):
+    """``dynamics._chebyshev`` on :func:`chebyshev_sums_full`: the half-layout sums'
+    reference, equal bit for bit."""
+    scale = -float(rhs.diagonal().min()) or 1.0
+    yield y0
+    y, start, done, span = y0, t[0], 1, np.inf
+    while done < t.size:
+        end = min(t[min(done + dynamics.CHEBYSHEV_OUTPUTS, t.size) - 1], start + span)
+        upto = int(np.searchsorted(t, end, side="right"))
+        ends = t[done:upto] if t[upto - 1] == end else np.append(t[done:upto], end)
+        sums = chebyshev_sums_full(rhs, y, (ends - start) * (scale / 2.0), scale)
+        yield from map(np.copy, sums[:upto - done])
+        if closed := len(sums):
+            y, start, done = sums[-1].copy(), ends[closed - 1], min(done + closed, upto)
+        del sums
+        if not closed and (span := (end - start) / 2.0) * scale < 1.0:
+            raise ConvergenceError("Chebyshev propagator diverged")
+
+
+def arnoldi_full(matvec, v0, m):
+    """``dynamics._arnoldi`` with BLAS products and norms."""
+    V = np.empty((m + 1, v0.size), dtype=v0.dtype)
+    V[0] = v0
+    for j in range(m):
+        w = matvec(V[j])
+        h = np.zeros(j + 1, dtype=w.dtype)
+        for _ in range(2):
+            dh = (V[:j + 1] @ w.conj()).conj()
+            w -= dh @ V[:j + 1]
+            h += dh
+        norm = np.linalg.norm(w)
+        V[j + 1] = w / norm if norm else w
+        yield V[:j + 2], np.append(h, norm)
+        if not norm:
+            return
+
+
+def krylov_solve_full(rhs):
+    """``dynamics._krylov_solve`` on whole packed vectors, minimizing their Euclidean norm."""
+    b = rhs.pack(np.eye(rhs.dim))
+    diag = np.flatnonzero(b)
+    b /= diag.size
+    jacobi = rhs.diagonal()
+    jacobi[diag] += 1.0 / diag.size
+    jacobi[jacobi == 0] = 1.0
+
+    def matvec(x):
+        out = rhs.apply(x)
+        out[diag] += x[diag].sum() / diag.size
+        return out
+
+    x, target, built = b.copy(), dynamics.KRYLOV_RTOL * np.linalg.norm(b), 0
+    while ((beta := np.linalg.norm(r := b - matvec(x))) > target
+           and built < dynamics.KRYLOV_MAX_DIM):
+        lstsq = dynamics._HessenbergLstsq(beta, 0.0)
+        for V, h in arnoldi_full(lambda u: matvec(u / jacobi), r / beta,
+                                 min(dynamics.KRYLOV_RESTART, dynamics.KRYLOV_MAX_DIM - built)):
+            built += 1
+            if lstsq.add(h) <= target:
+                break
+        x += (lstsq.solve() @ V[:-1]) / jacobi
+    return rhs.unpack(x), built
+
+
+def homodyne_spectrum_full(model, channel, omega_grid, rho_ss) -> SpectrumResult:
+    """``dynamics.homodyne_spectrum`` with each Arnoldi basis on the whole d x d layout; no
+    input checks."""
+    w = np.asarray(omega_grid, dtype=float)
+    rho = rho_ss.matrix
+    rho = (rho + rho.conj().T) / 2.0
+    L = channel.matrix
+    A0 = L @ rho
+    A0 = A0 + A0.conj().T
+    A0 = A0 - np.trace(A0).real * rho
+    quad = (L + L.conj().T).tocsr()
+    scale = float(np.linalg.norm(A0))
+    floor = dynamics.KRYLOV_RTOL * float(np.linalg.norm(L.data) * np.linalg.norm(rho))
+    rhs = dynamics._MasterRHS(model)
+    S, residuals, dimension = np.ones(w.size), np.zeros(w.size), 0
+    for phase, sign, part in ((1.0, 1, A0.real), (1j, -1, A0.imag)):
+        beta = float(np.linalg.norm(part))
+        if beta <= floor:
+            continue
+        lstsq = dynamics._HessenbergLstsq(beta, 1j * w)
+        action = partial(rhs.apply, sign=sign)
+        for V, h in arnoldi_full(action, part.ravel() / beta, dynamics.KRYLOV_MAX_DIM):
+            if lstsq.add(h).max(initial=0.0) <= dynamics.KRYLOV_RTOL * scale:
+                break
+        else:
+            raise ConvergenceError("Krylov spectrum basis reached KRYLOV_MAX_DIM")
+        V, dimension = V[:-1], dimension + V.shape[0] - 1
+        for k, y in enumerate(lstsq.solve()):
+            X = -(y.real @ V + 1j * (y.imag @ V)).reshape(A0.shape)
+            GX = action(X.real) + 1j * action(X.imag)
+            residuals[k] += float(np.linalg.norm(GX - 1j * w[k] * X + part)) / scale
+            S[k] += 2.0 * (phase * trace_product(quad, X)).real
+    return SpectrumResult(w, S, metadata={"krylov_dimension": dimension,
+                                          "max_relative_residual": float(residuals.max())})

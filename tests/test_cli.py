@@ -342,6 +342,17 @@ def test_trajectories_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert one == two
 
 
+def test_steady_and_spectrum_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # d=150, where BLAS Gram-Schmidt products and norms once moved both by round-off
+    spectrum = {"omega_grid": np.linspace(0.0, 6.0, 31).tolist(), "channel_index": 1,
+                "channel_phase_deg": -30.0}
+    for command, dynamics, name in (("steady", {}, "steady_diag.csv"),
+                                    ("spectrum", spectrum, "spectrum.csv")):
+        (tmp_path / command).mkdir()
+        one, two = artifacts_by_blas_threads(tmp_path / command, command, dynamics, [name])
+        assert one == two, name
+
+
 def test_convergence_failure_exit_code(tmp_path, capsys):
     cfg = cw_config(tmp_path, "unstable", dt=0.5, t_max=5.0)
     assert main(["trajectories", "--config", cfg]) == 4

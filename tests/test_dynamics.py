@@ -46,6 +46,7 @@ from spopo.model import (
 from spopo.phasematch import DispersionParams
 from spopo.supermode import build_supermodes, single_mode_set
 
+import oracles
 from oracles import linearized_spectrum, mean_field, noise_streams, sse_ensemble_at_once
 
 
@@ -152,6 +153,111 @@ def test_generator_action_matches_liouvillian_matrix(family, sizes, sign, dtype)
         err = np.max(np.abs(got - want))
         assert err < 1e-12 and err <= 1e-14 * np.max(np.abs(want))
         assert np.array_equal(got, sign * got.conj().T)
+
+
+def desk_comb(cutoffs):
+    """A rung of the desk ladder: DESK dispersion, three supermodes, r=1.19, eta=1."""
+    desk = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
+    return build_spopo(build_supermodes(desk, Np=4.0, n_signal=3, k_max=9), r=1.19, eta=1.0,
+                       cutoffs=cutoffs)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("sign", [1, -1], ids=["hermitian", "anti-hermitian"])
+@pytest.mark.parametrize("layout", ["parity-blocks", "d-by-d"])
+def test_half_layout_round_trips(layout, sign, dtype):
+    # a state with rho^dag = sign rho is its blocks' upper triangles, bit for bit
+    mdl = sse_comb_model()
+    rhs = vacuum_generator(mdl) if layout == "parity-blocks" else dynamics._MasterRHS(mdl)
+    assert len(rhs.sizes) == (2 if layout == "parity-blocks" else 1)
+    d = mdl.space.dim
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(d, d)).astype(dtype)
+    if dtype is complex:
+        X += 1j * rng.normal(size=(d, d))
+    y = rhs.pack(X + sign * X.conj().T)
+    h = rhs.half(y)
+    assert h.size == sum(n * (n + 1) // 2 for n in rhs.sizes)
+    assert np.array_equal(rhs.whole(h, sign), y)
+
+
+def test_half_layout_indices_are_built_on_first_use():
+    # the residual checks and the SSE use the d x d generator and never the half layout,
+    # whose index arrays there take about 1.5 d^2 integers
+    mdl = sse_comb_model()
+    rhs = dynamics._MasterRHS(mdl)
+    y = rhs.pack(np.eye(mdl.space.dim))
+    rhs.apply(y)
+    assert "_triangle" not in vars(rhs)
+    assert np.array_equal(rhs.whole(rhs.half(y)), y)
+    assert "_triangle" in vars(rhs)
+
+
+@pytest.mark.parametrize("case", ["desk-d150", "desk-d72-complex", "cw-complex"])
+def test_master_half_sums_match_full_sums_oracle(monkeypatch, case):
+    # every Chebyshev term is exactly Hermitian, so the sums held as halves give the whole
+    # sums' states bit for bit: from the vacuum on the d=150 rung's parity blocks, from a
+    # complex Hermitian state on them, and from a coherent state on the d x d layout, made
+    # exactly Hermitian: its outer product leaves round-off in the imaginary diagonal
+    if case == "cw-complex":
+        mdl, rho0, t = stepper_case(case)
+        rho0 = DensityOperator(mdl.space, (rho0.matrix + rho0.matrix.conj().T) / 2.0)
+    else:
+        mdl = desk_comb((10, 5, 3) if case == "desk-d150" else (6, 4, 3))
+        psi = vacuum_state(mdl.space).amplitudes.astype(complex)
+        if case == "desk-d72-complex":
+            psi = (psi + 1j * fock_state(mdl.space, (2, 0, 0)).amplitudes) / math.sqrt(2.0)
+        rho0, t = StateVector(mdl.space, psi).to_density(), np.linspace(0.0, 5.0, 51)
+    obs = {f"n_{i}": number_operator(mdl.space, i) for i in range(mdl.space.mode_count)}
+    got = evolve_master(mdl, rho0, t, obs, keep_states=True)
+    monkeypatch.setattr(dynamics, "_chebyshev", oracles.chebyshev_full)
+    want = evolve_master(mdl, rho0, t, obs, keep_states=True)
+    assert got.extras["rhs_evaluations"] == want.extras["rhs_evaluations"]
+    for a, b in zip(got.extras["states"], want.extras["states"], strict=True):
+        assert np.array_equal(a.matrix, b.matrix)
+    for name in obs:
+        assert np.array_equal(got.observables[name], want.observables[name])
+
+
+def test_master_half_sums_cut_the_propagator_peak(monkeypatch):
+    # d=150 with 51 outputs: one expansion's sums, 50 packed states when whole, set the peak
+    mdl = desk_comb((10, 5, 3))
+    rho0, t = vacuum_state(mdl.space).to_density(), np.linspace(0.0, 5.0, 51)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            evolve_master(mdl, rho0, t)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak()  # first-call allocations
+    half = peak()
+    monkeypatch.setattr(dynamics, "_chebyshev", oracles.chebyshev_full)
+    assert half <= 0.7 * peak()
+
+
+def test_steady_state_half_layout_matches_full_layout_oracle():
+    # GMRES minimizes the half vector's norm, which counts each off-diagonal pair once
+    rhs = vacuum_generator(desk_comb((10, 5, 3)))
+    got, built = dynamics._krylov_solve(rhs)
+    want, built_full = oracles.krylov_solve_full(rhs)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert abs(built - built_full) <= 2
+
+
+@pytest.mark.parametrize("phase", [-90.0, -30.0])
+def test_spectrum_half_layout_matches_full_layout_oracle(phase):
+    # at -90 degrees A0' is one antisymmetric part, at -30 degrees both parts
+    mdl = desk_comb((6, 4, 3))
+    rho = steady_state(mdl)
+    chan = rotated_channel(mdl.linear_lindblads()[0].op, phase)
+    w = np.linspace(0.0, 6.0, 31)
+    got = homodyne_spectrum(mdl, chan, w, rho)
+    want = oracles.homodyne_spectrum_full(mdl, chan, w, rho)
+    assert np.max(np.abs(got.S / want.S - 1.0)) <= 1e-12
+    assert abs(got.metadata["krylov_dimension"] - want.metadata["krylov_dimension"]) <= 2
 
 
 def detuned_cavity(cutoff=8, detuning=0.7):

@@ -22,6 +22,11 @@ from spopo.hilbert import (
     partial_trace,
     vacuum_state,
 )
+from spopo.model import build_spopo
+from spopo.phasematch import DispersionParams
+from spopo.supermode import build_supermodes
+
+import oracles
 
 
 def test_space_validation():
@@ -110,6 +115,23 @@ def test_expectation_trivial_cases():
     assert expectation(identity(s), rho) == pytest.approx(1.0)
     assert expectation(n, rho) == pytest.approx(2.0)
     assert expectation(n, fock_state(s, (2,))) == pytest.approx(2.0)
+
+
+def test_trace_product_matches_sparse_product_bit_for_bit():
+    # on a desk comb's number operators, Lindblads and H (CSR), an adjoint (CSC) and a
+    # product with unsorted indices, against a real and a complex dense rho
+    desk = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
+    mdl = build_spopo(build_supermodes(desk, Np=4.0, n_signal=3, k_max=9), r=1.19, eta=1.0,
+                      cutoffs=(6, 4, 3))
+    ops = [number_operator(mdl.space, i).matrix for i in range(3)]
+    ops += [l.op.matrix for l in mdl.lindblads] + [mdl.H.matrix]
+    ops += [ops[-2].conj().T, ops[-2].conj().T @ ops[3]]
+    rng = np.random.default_rng(2)
+    d = mdl.space.dim
+    real = rng.normal(size=(d, d))
+    for rho in (real, real + 1j * rng.normal(size=(d, d))):
+        for op in ops:
+            assert hilbert.trace_product(op, rho) == oracles.trace_product(op, rho)
 
 
 def test_expectation_dimension_mismatch():

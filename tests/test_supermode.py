@@ -146,9 +146,7 @@ def test_diagonalize_rejects_negative_leading():
 def test_tensor_label1_diagonal():
     sm = desk_set()
     G1 = sm.tensors[sm.pump_labels.index(1)]
-    off = G1 - np.diag(np.diag(G1))
-    assert np.max(np.abs(off)) < 1e-10
-    assert np.allclose(np.diag(G1), sm.eigenvalues)
+    assert np.array_equal(G1, np.diag(sm.eigenvalues))  # no off-diagonal round-off
 
 
 def test_even_label_tensors_vanish_on_retained_block():
@@ -157,6 +155,18 @@ def test_even_label_tensors_vanish_on_retained_block():
     for label, G in zip(sm.pump_labels, sm.tensors):
         if label % 2 == 0:
             assert np.max(np.abs(G)) < 1e-10 * lam1, f"label {label} tensor nonzero"
+
+
+def test_selection_rule_entries_are_exactly_zero_under_magnitude_retention():
+    # magnitude retention keeps an odd-parity supermode, so every label's tensor has entries
+    # the rule forbids; they held round-off up to 1.2e-15 before the builder zeroed them
+    sm = build_supermodes(DESK, Np=4.0, n_signal=3, k_max=9, odd_only=False,
+                          parity_retention="magnitude")
+    p = np.array(sm.parities)
+    assert sorted(set(p)) == [-1, 1]
+    for label, G in zip(sm.pump_labels, sm.tensors):
+        forbidden = (-1) ** (label - 1) * np.outer(p, p) == -1
+        assert forbidden.any() and np.all(G[forbidden] == 0.0)
 
 
 def test_parity_selection_rule_full_basis():
