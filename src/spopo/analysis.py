@@ -51,17 +51,13 @@ def _laguerre_diagonal_series(offset: int, x: np.ndarray, coeffs: np.ndarray) ->
     return y0 - y1 * ((offset + 1) - x) / math.sqrt(offset + 1)
 
 
-def wigner(rho, x_grid, p_grid) -> WignerGrid:
+def wigner(rho: DensityOperator, x_grid, p_grid) -> WignerGrid:
     """Wigner function of a single-mode state via the Laguerre diagonal expansion.
 
-    Accepts a single-mode DensityOperator or StateVector; multimode states
-    must be reduced with a partial trace first.  Emits a warning when the grid
-    is too small for the normalization integral to be trusted.
+    Takes a single-mode DensityOperator; multimode states must be reduced with a
+    partial trace first.  Emits a warning when the grid is too small for the
+    normalization integral to be trusted.
     """
-    if isinstance(rho, StateVector):
-        rho = rho.to_density()
-    if not isinstance(rho, DensityOperator):
-        raise TypeError("wigner expects a DensityOperator or StateVector")
     if rho.space.mode_count != 1:
         raise ValueError("wigner takes a single-mode state; partial-trace first")
     x = np.asarray(x_grid, dtype=float)
@@ -106,14 +102,12 @@ def cat_state(space, p: float) -> StateVector:
     return StateVector(space, amps).normalized()
 
 
-def cat_fidelity(rho, p: float) -> float:
-    """Overlap of a single-mode state with the normalized two-branch cat.
+def cat_fidelity(rho: DensityOperator, p: float) -> float:
+    """Overlap <cat|rho|cat> of a single-mode state with the normalized two-branch cat.
 
     The cat normalization includes the coherent-branch overlap term; at p = 0
     the cat degenerates to vacuum.
     """
-    if isinstance(rho, StateVector):
-        rho = rho.to_density()
     if rho.space.mode_count != 1:
         raise ValueError("cat_fidelity takes a single-mode state")
     cat = cat_state(rho.space, p)

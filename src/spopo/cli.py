@@ -16,13 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, dynamics, hilbert, model as model_mod, supermode
-from .config import (
-    ConfigParseError,
-    ConfigValidationError,
-    RunConfig,
-    canonical_json,
-    load_config,
-)
+from .config import ConfigParseError, ConfigValidationError, RunConfig, load_config
 from .dynamics import ConvergenceError
 from .phasematch import coupling_matrix
 from .supermode import SupermodeDataError
@@ -125,7 +119,7 @@ def cmd_build(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
     idx = params.indices
     writer.write_csv(
         "coupling_matrix.csv", ["m", "n", "value"],
-        ((int(m), int(n), F.matrix[i, j])
+        ((int(m), int(n), F[i, j])
          for i, m in enumerate(idx) for j, n in enumerate(idx)),
     )
     writer.write_csv(
@@ -186,6 +180,8 @@ def cmd_steady(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
         "trace": float(rho.trace().real),
         "min_eigenvalue": rho.min_eigenvalue(),
     }
+    if cfg.model.family == "cw-single":
+        summary["cat_fidelity"] = analysis.cat_fidelity(rho, cfg.model.p)
     writer.write_json("steady_summary.json", summary)
     writer.write_csv(
         "steady_diag.csv", ["index", "population"],

@@ -154,9 +154,9 @@ def _parse_supermode(section: dict) -> SupermodeConfig:
         raise ConfigValidationError("field `supermode.n_signal` must be >= 1")
     if cfg.k_max < 1:
         raise ConfigValidationError("field `supermode.k_max` must be >= 1")
-    if cfg.parity_retention not in ("auto", "even", "magnitude"):
+    if cfg.parity_retention not in ("auto", "magnitude"):
         raise ConfigValidationError(
-            "field `supermode.parity_retention` must be one of auto|even|magnitude"
+            "field `supermode.parity_retention` must be one of auto|magnitude"
         )
     return cfg
 
@@ -210,13 +210,9 @@ def _check_supermode_fits_dispersion(sm: SupermodeConfig, disp: DispersionParams
     symmetric = disp.beta1 == 0.0  # parity-symmetric phase matching
     if sm.odd_only and not symmetric:
         raise ConfigValidationError("field `supermode.odd_only` requires `dispersion.beta1` = 0")
-    if sm.parity_retention == "even" and not symmetric:
-        raise ConfigValidationError(
-            "field `supermode.parity_retention` = even requires `dispersion.beta1` = 0"
-        )
     if sm.odd_only and sm.parity_retention == "magnitude":
         raise ConfigValidationError(
-            "field `supermode.odd_only` requires `supermode.parity_retention` = auto or even: "
+            "field `supermode.odd_only` requires `supermode.parity_retention` = auto: "
             "magnitude retention keeps odd-parity signal supermodes, whose even-label pump "
             "channels are not zero"
         )

@@ -106,7 +106,6 @@ class SimulationRecord:
     times: np.ndarray
     observables: dict[str, np.ndarray]
     final_state: object
-    seed: int | None = None
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -790,7 +789,6 @@ def sse_ensemble(
             times=t,
             observables={name: s[:, k] for name, s in series.items()},
             final_state=StateVector(model.space, psi[:, k]),
-            seed=seed,
             extras={"homodyne_currents": homodyne[:, :, k], "dt": dt},
         )
         for k in range(n_trajectories)

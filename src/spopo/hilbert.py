@@ -74,9 +74,6 @@ class LinearOperator:
     def dag(self) -> "LinearOperator":
         return LinearOperator(self.space, self.matrix.conj().T)
 
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
     def norm(self) -> float:
         """Frobenius norm; duplicate entries are summed first, as ``sparse.linalg.norm`` does."""
         self.matrix.sum_duplicates()
@@ -134,7 +131,10 @@ class StateVector:
         return StateVector(self.space, self.amplitudes / n)
 
     def to_density(self) -> "DensityOperator":
-        return DensityOperator(self.space, np.outer(self.amplitudes, self.amplitudes.conj()))
+        """|psi><psi|, exactly Hermitian: the outer product's round-off is averaged away
+        (a no-op on real amplitudes, whose outer product is already symmetric)."""
+        rho = np.outer(self.amplitudes, self.amplitudes.conj())
+        return DensityOperator(self.space, (rho + rho.conj().T) / 2.0)
 
 
 class DensityOperator:
@@ -156,10 +156,6 @@ class DensityOperator:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2).min())
-
-
-def identity(space: FockSpace) -> LinearOperator:
-    return LinearOperator(space, sparse.identity(space.dim, dtype=complex, format="csr"))
 
 
 def _ladder(cutoff: int) -> sparse.csr_matrix:
@@ -189,10 +185,6 @@ def embed(space: FockSpace, mode: int, single_mode_matrix) -> LinearOperator:
 def annihilation(space: FockSpace, mode: int) -> LinearOperator:
     """Annihilation operator of the given mode on the full tensor space."""
     return embed(space, mode, _ladder(space.cutoffs[space.check_mode(mode)]))
-
-
-def creation(space: FockSpace, mode: int) -> LinearOperator:
-    return annihilation(space, mode).dag()
 
 
 def number_operator(space: FockSpace, mode: int) -> LinearOperator:
@@ -261,17 +253,11 @@ def trace_product(op: sparse.spmatrix, rho: np.ndarray) -> complex:
     return complex(np.sum(op.data * rho[op.indices, rows]))
 
 
-def expectation(op: LinearOperator, state) -> complex:
-    """tr(op rho) for a DensityOperator, <psi|op|psi> for a StateVector."""
-    if isinstance(state, StateVector):
-        if state.space != op.space:
-            raise ValueError("operator and state live on different spaces")
-        return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-    if isinstance(state, DensityOperator):
-        if state.space != op.space:
-            raise ValueError("operator and state live on different spaces")
-        return trace_product(op.matrix, state.matrix)
-    raise TypeError(f"unsupported state type {type(state)!r}")
+def expectation(op: LinearOperator, rho: DensityOperator) -> complex:
+    """tr(op rho)."""
+    if rho.space != op.space:
+        raise ValueError("operator and state live on different spaces")
+    return trace_product(op.matrix, rho.matrix)
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:

@@ -42,11 +42,6 @@ class DispersionParams:
         """Pump comb indices -2M .. 2M (all possible m + n)."""
         return np.arange(-2 * self.M, 2 * self.M + 1)
 
-    def check_index(self, m: int) -> int:
-        if abs(m) > self.M:
-            raise IndexError(f"comb index {m} outside [-{self.M}, {self.M}]")
-        return int(m)
-
 
 def sinc(x):
     """sin(x)/x with a series branch near zero (not numpy's normalized sinc)."""
@@ -60,33 +55,9 @@ def sinc(x):
     return out if out.ndim else float(out)
 
 
-def phase_mismatch(params: DispersionParams, m: int, n: int) -> float:
-    """Phase mismatch Phi_mn of the three-wave process (m, n) -> m + n."""
-    m = params.check_index(m)
-    n = params.check_index(n)
-    s = m + n
-    return params.beta1 * s + params.beta2p * s * s - params.beta2s * (m * m + n * n)
-
-
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """Symmetric coupling weights over (m, n) in [-M, M]^2."""
-
-    matrix: np.ndarray  # shape (2M+1, 2M+1), real
-    params: DispersionParams
-
-    def value(self, m: int, n: int) -> float:
-        M = self.params.M
-        return float(self.matrix[self.params.check_index(m) + M,
-                                 self.params.check_index(n) + M])
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.params.indices
-
-
-def coupling_matrix(params: DispersionParams) -> CouplingMatrix:
-    """Build sqrt(g0) * sinc(Phi_mn) over the full comb, exactly symmetric."""
+def coupling_matrix(params: DispersionParams) -> np.ndarray:
+    """sqrt(g0) * sinc(Phi_mn) over (m, n) in [-M, M]^2, real, read-only and exactly
+    symmetric; entry [m + M, n + M] is the pair (m, n)."""
     m = params.indices.astype(float)
     mm, nn = np.meshgrid(m, m, indexing="ij")
     s = mm + nn
@@ -94,7 +65,7 @@ def coupling_matrix(params: DispersionParams) -> CouplingMatrix:
     F = np.sqrt(params.g0) * sinc(phi)
     F = (F + F.T) / 2.0
     F.flags.writeable = False
-    return CouplingMatrix(F, params)
+    return F
 
 
 def is_parity_symmetric(params: DispersionParams) -> bool:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasematch import CouplingMatrix, DispersionParams, coupling_matrix, is_parity_symmetric
+from .phasematch import DispersionParams, coupling_matrix, is_parity_symmetric
 
 
 # Largest relative asymmetry diagonalize_signal accepts, and how far from +/-1
@@ -81,10 +81,11 @@ def hermite_gaussian_basis(Np: float, pump_grid, count: int) -> np.ndarray:
     return (Q * signs).T
 
 
-def transform_pump(F: CouplingMatrix, R: np.ndarray) -> list[np.ndarray]:
-    """Per-label transformed coupling matrices, row k weighting pump line m + n."""
+def transform_pump(F: np.ndarray, R: np.ndarray) -> list[np.ndarray]:
+    """Per-label transformed coupling matrices of the (2M+1) x (2M+1) coupling matrix F,
+    row k of R weighting pump line m + n."""
     R = np.asarray(R)
-    M = F.params.M
+    M = (F.shape[0] - 1) // 2
     if R.ndim != 2 or R.shape[1] != 4 * M + 1:
         raise ValueError(
             f"pump basis must have {4 * M + 1} columns covering q in [-2M, 2M], "
@@ -92,7 +93,7 @@ def transform_pump(F: CouplingMatrix, R: np.ndarray) -> list[np.ndarray]:
         )
     m = np.arange(-M, M + 1)
     qindex = (m[:, None] + m[None, :]) + 2 * M
-    return [R[k][qindex] * F.matrix for k in range(R.shape[0])]
+    return [R[k][qindex] * F for k in range(R.shape[0])]
 
 
 def diagonalize_signal(Fp1: np.ndarray):
@@ -170,7 +171,6 @@ class SupermodeSet:
     eigenvalues: np.ndarray         # retained label-1 diagonal, descending |.|
     parities: tuple[int, ...]
     params: DispersionParams | None
-    Np: float | None
 
     @property
     def n_signal(self) -> int:
@@ -193,7 +193,6 @@ def single_mode_set(lambda1: float = 1.0) -> SupermodeSet:
         eigenvalues=np.array([lambda1]),
         parities=(1,),
         params=None,
-        Np=None,
     )
 
 
@@ -211,7 +210,6 @@ def build_supermodes(
       - "auto": under parity-symmetric dispersion retain, in descending
         |eigenvalue| order, only even-parity signal supermodes (see module
         docstring); otherwise fall back to plain descending-|eigenvalue|.
-      - "even": force even-parity retention (requires parity symmetry).
       - "magnitude": plain descending-|eigenvalue| retention; it keeps odd-parity
         supermodes, so it cannot be combined with ``odd_only``.
     """
@@ -219,13 +217,11 @@ def build_supermodes(
         raise ValueError("n_signal must be >= 1")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if parity_retention not in ("auto", "even", "magnitude"):
+    if parity_retention not in ("auto", "magnitude"):
         raise ValueError(f"unknown parity_retention {parity_retention!r}")
 
     symmetric = is_parity_symmetric(params)
-    if parity_retention == "even" and not symmetric:
-        raise ValueError("even-parity retention requires parity-symmetric dispersion (beta1 = 0)")
-    use_even = parity_retention == "even" or (parity_retention == "auto" and symmetric)
+    use_even = parity_retention == "auto" and symmetric
     if odd_only and not symmetric:
         raise ValueError("odd_only labels are only exact under parity-symmetric dispersion")
     if odd_only and parity_retention == "magnitude":
@@ -268,5 +264,4 @@ def build_supermodes(
         eigenvalues=lam,
         parities=parities,
         params=params,
-        Np=Np,
     )

@@ -132,7 +132,6 @@ def sse_ensemble_at_once(model, psi0, t, n_trajectories: int, seed: int, dt: flo
             times=t,
             observables={name: s[:, k] for name, s in series.items()},
             final_state=StateVector(model.space, psi[:, k]),
-            seed=seed,
             extras={"homodyne_currents": homodyne[:, :, k], "dt": dt},
         )
         for k in range(n_trajectories)

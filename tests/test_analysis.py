@@ -18,7 +18,6 @@ from spopo.dynamics import steady_state
 from spopo.hilbert import (
     DensityOperator,
     FockSpace,
-    StateVector,
     annihilation,
     coherent_state,
     fock_state,
@@ -42,7 +41,7 @@ def wigner_bruteforce(rho: DensityOperator, x, p, pad=48):
     cutoff = rho.space.cutoffs[0]
     big = np.zeros((pad, pad), dtype=complex)
     big[:cutoff, :cutoff] = rho.matrix
-    a = annihilation(FockSpace((pad,)), 0).to_dense()
+    a = annihilation(FockSpace((pad,)), 0).matrix.toarray()
     parity = np.diag((-1.0) ** np.arange(pad))
     W = np.empty((len(p), len(x)))
     for i, pv in enumerate(p):
@@ -57,7 +56,7 @@ def wigner_bruteforce(rho: DensityOperator, x, p, pad=48):
 
 def test_wigner_vacuum_peak():
     s = FockSpace((8,))
-    wg = wigner(vacuum_state(s), GRID, GRID)
+    wg = wigner(vacuum_state(s).to_density(), GRID, GRID)
     center = np.argmin(np.abs(GRID))
     assert wg.W[center, center] == pytest.approx(1 / math.pi, rel=1e-10)
     assert wg.integral() == pytest.approx(1.0, abs=1e-3)
@@ -74,7 +73,7 @@ def test_wigner_fock1_negative_at_origin():
 def test_wigner_cat_negativity():
     s = FockSpace((25,))
     cat = cat_state(s, 2.0)
-    wg = wigner(cat, GRID, GRID)
+    wg = wigner(cat.to_density(), GRID, GRID)
     assert wg.min_value() < -0.05
     assert wg.integral() == pytest.approx(1.0, abs=1e-3)
 
@@ -97,7 +96,7 @@ def test_wigner_small_grid_warns():
     s = FockSpace((20,))
     small = np.linspace(-1.0, 1.0, 21)
     with pytest.warns(UserWarning, match="integral"):
-        wigner(coherent_state(s, 2.0), small, small)
+        wigner(coherent_state(s, 2.0).to_density(), small, small)
 
 
 def test_wigner_rejects_multimode():
@@ -129,7 +128,7 @@ def test_purity_cases():
 
 def test_cat_fidelity_pure_cat():
     s = FockSpace((25,))
-    assert cat_fidelity(cat_state(s, 2.0), 2.0) == pytest.approx(1.0, abs=1e-10)
+    assert cat_fidelity(cat_state(s, 2.0).to_density(), 2.0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_cat_fidelity_p0_is_vacuum_overlap():
@@ -183,7 +182,7 @@ def test_signal_flux_parseval(lossy_pair):
     total = out["flux"].sum()
     n_ops = [annihilation(mdl.space, i) for i in range(2)]
     expected = 2.0 * sum(
-        np.real(np.trace((op.dag() @ op).to_dense() @ rho.matrix)) for op in n_ops
+        np.real(np.trace((op.dag() @ op).matrix.toarray() @ rho.matrix)) for op in n_ops
     )
     assert total == pytest.approx(expected, rel=1e-10)
 

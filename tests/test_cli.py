@@ -177,6 +177,7 @@ def rule(name, value, *more, field=None):
     rule("supermode.n_signal", 0),
     rule("supermode.k_max", 0),
     rule("supermode.parity_retention", "odd"),
+    rule("supermode.parity_retention", "even"),
     rule("model.family", "cw"),
     rule("model.cutoffs", []),
     rule("model.cutoffs", [3, 1]),
@@ -201,8 +202,6 @@ def rule(name, value, *more, field=None):
     # across sections
     rule("model.cutoffs", [3]),
     rule("dispersion.beta1", 0.1, field="supermode.odd_only"),
-    rule("dispersion.beta1", 0.1, "supermode.odd_only", False,
-         "supermode.parity_retention", "even", field="supermode.parity_retention"),
     rule("supermode.parity_retention", "magnitude", field="supermode.odd_only"),
     rule("dispersion.M", 1, field="supermode.k_max"),
     rule("dispersion.M", 1, "supermode.k_max", 5, "supermode.n_signal", 3,
@@ -494,6 +493,16 @@ def test_evolve_and_steady_commands(tmp_path):
     summary = json.loads((out / "steady_summary.json").read_text())
     assert abs(summary["trace"] - 1.0) < 1e-8
     assert summary["purity"] > 0.99  # lossless cw steady state is the pure cat
+
+
+def test_steady_summary_reports_cat_fidelity_on_cw_single_only(tmp_path):
+    # the lossless cw steady state is the even cat at +/- i sqrt(p): 0.99999993 at cutoff 16
+    assert main(["steady", "--config", cw_config(tmp_path, "cw")]) == 0
+    summary = json.loads((tmp_path / "cw" / "steady_summary.json").read_text())
+    assert summary["cat_fidelity"] == pytest.approx(1.0, abs=1e-6)
+    assert main(["steady", "--config", lossy_config(tmp_path, "comb")]) == 0
+    summary = json.loads((tmp_path / "comb" / "steady_summary.json").read_text())
+    assert "cat_fidelity" not in summary
 
 
 def test_cutoffs_must_match_n_signal(tmp_path, capsys):

@@ -197,11 +197,9 @@ def test_half_layout_indices_are_built_on_first_use():
 def test_master_half_sums_match_full_sums_oracle(monkeypatch, case):
     # every Chebyshev term is exactly Hermitian, so the sums held as halves give the whole
     # sums' states bit for bit: from the vacuum on the d=150 rung's parity blocks, from a
-    # complex Hermitian state on them, and from a coherent state on the d x d layout, made
-    # exactly Hermitian: its outer product leaves round-off in the imaginary diagonal
+    # complex Hermitian state on them, and from a coherent state on the d x d layout
     if case == "cw-complex":
         mdl, rho0, t = stepper_case(case)
-        rho0 = DensityOperator(mdl.space, (rho0.matrix + rho0.matrix.conj().T) / 2.0)
     else:
         mdl = desk_comb((10, 5, 3) if case == "desk-d150" else (6, 4, 3))
         psi = vacuum_state(mdl.space).amplitudes.astype(complex)

@@ -31,7 +31,7 @@ def desk_sm(n_signal=3, k_max=9):
 def test_unpumped_model_has_no_drive():
     mdl = build_spopo(single_mode_set(1.0), r=0.0, eta=1.0, cutoffs=(6,))
     assert mdl.H.norm() == 0.0
-    L = mdl.nonlinear_lindblads()[0].op.to_dense()
+    L = mdl.nonlinear_lindblads()[0].op.matrix.toarray()
     assert L[0, 0] == 0.0  # no constant term on the vacuum diagonal
     assert not mdl.nonlinear_lindblads()[0].pumped
 
@@ -41,8 +41,8 @@ def test_single_supermode_nonlinear_lindblad_form():
     mdl = build_spopo(single_mode_set(1.0), r=1.0, eta=1.0, cutoffs=(6,))
     s = FockSpace((6,))
     a = annihilation(s, 0)
-    expected = (a @ a).to_dense() + 0.5 * np.eye(6)
-    assert np.allclose(mdl.nonlinear_lindblads()[0].op.to_dense(), expected, atol=1e-15)
+    expected = (a @ a).matrix.toarray() + 0.5 * np.eye(6)
+    assert np.allclose(mdl.nonlinear_lindblads()[0].op.matrix.toarray(), expected, atol=1e-15)
 
 
 def test_hamiltonian_squeezing_coefficients():
@@ -50,10 +50,10 @@ def test_hamiltonian_squeezing_coefficients():
     r = 0.7
     mdl = build_spopo(sm, r=r, eta=1.0, cutoffs=(5, 4, 3))
     s = mdl.space
-    H = mdl.H.to_dense()
+    H = mdl.H.matrix.toarray()
     for i in range(3):
         a = annihilation(s, i)
-        sq = (a @ a).to_dense()
+        sq = (a @ a).matrix.toarray()
         # coefficient of S_i^2 extracted against the vacuum-row matrix element
         row, col = np.argwhere(sq == sq.max())[0]
         coeff = H[row, col] / sq[row, col]
@@ -74,7 +74,7 @@ def test_linear_lindblads_are_sqrt2_ladders():
     mdl = build_spopo(desk_sm(), r=0.3, eta=0.5, cutoffs=(4, 3, 2))
     for i, lb in enumerate(mdl.linear_lindblads()):
         a = annihilation(mdl.space, i)
-        assert np.allclose(lb.op.to_dense(), math.sqrt(2) * a.to_dense())
+        assert np.allclose(lb.op.matrix.toarray(), math.sqrt(2) * a.matrix.toarray())
 
 
 def test_build_validation():
@@ -94,13 +94,13 @@ def test_lossless_unpumped_single_mode():
     s = FockSpace((6,))
     a = annihilation(s, 0)
     assert mdl.H.norm() == 0.0
-    assert np.allclose(mdl.nonlinear_lindblads()[0].op.to_dense(), (a @ a).to_dense())
+    assert np.allclose(mdl.nonlinear_lindblads()[0].op.matrix.toarray(), (a @ a).matrix.toarray())
     assert mdl.linear_lindblads() == []
 
 
 def test_lossless_constant_term_at_p2():
     mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(6,))
-    L = mdl.nonlinear_lindblads()[0].op.to_dense()
+    L = mdl.nonlinear_lindblads()[0].op.matrix.toarray()
     assert L[0, 0] == pytest.approx(1.0)  # p/2 * lambda1 with lambda1 = 1
 
 
@@ -121,18 +121,18 @@ def test_restrict_single_mode_lossless_p2():
     assert single.space.cutoffs == (8,)
     s = single.space
     a = annihilation(s, 0)
-    expected_L = (a @ a).to_dense() + np.eye(8)
-    assert np.allclose(single.nonlinear_lindblads()[0].op.to_dense(), expected_L)
-    expected_H = 0.5j * ((a @ a).to_dense() - (a.dag() @ a.dag()).to_dense())
-    assert np.allclose(single.H.to_dense(), expected_H)
+    expected_L = (a @ a).matrix.toarray() + np.eye(8)
+    assert np.allclose(single.nonlinear_lindblads()[0].op.matrix.toarray(), expected_L)
+    expected_H = 0.5j * ((a @ a).matrix.toarray() - (a.dag() @ a.dag()).matrix.toarray())
+    assert np.allclose(single.H.matrix.toarray(), expected_H)
 
 
 def test_restrict_single_mode_lossy():
     single = build_spopo(single_mode_set(1.0), r=1.0, eta=1.0, cutoffs=(10,))
     s = single.space
     a = annihilation(s, 0)
-    expected = (a @ a).to_dense() + 0.5 * np.eye(10)
-    assert np.allclose(single.nonlinear_lindblads()[0].op.to_dense(), expected)
+    expected = (a @ a).matrix.toarray() + 0.5 * np.eye(10)
+    assert np.allclose(single.nonlinear_lindblads()[0].op.matrix.toarray(), expected)
     assert len(single.linear_lindblads()) == 1
 
 

@@ -79,7 +79,7 @@ def test_transform_pump_identity_selects_diagonals():
     for qi, q in enumerate(range(-2 * M, 2 * M + 1)):
         for i, m in enumerate(range(-M, M + 1)):
             for j, n in enumerate(range(-M, M + 1)):
-                expected = F.matrix[i, j] if m + n == q else 0.0
+                expected = F[i, j] if m + n == q else 0.0
                 assert Fp[qi][i, j] == expected
 
 
@@ -238,7 +238,7 @@ def test_reconstruction_residual_decreases_with_retained_labels():
     qindex = (m[:, None] + m[None, :]) + 2 * M
     target = np.zeros((count, 2 * M + 1, 2 * M + 1))
     for qi in range(count):
-        target[qi] = np.where(qindex == qi, F.matrix, 0.0)
+        target[qi] = np.where(qindex == qi, F, 0.0)
     residuals = []
     recon = np.zeros_like(target)
     for k in range(count):
