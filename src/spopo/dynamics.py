@@ -27,21 +27,21 @@ Solvers:
 Photon-number parity is a symmetry of the comb and cw models: H and every
 pump channel keep it, and each linear loss flips it.  So a state with no
 even-odd coherence, such as the vacuum, stays block-diagonal, even plus odd,
-and ``_MasterRHS`` acts on those blocks alone, packed one after another.
+and ``_MasterRHS`` acts on those blocks alone, held one after another.
 Under strong symmetry (no channel flips parity) a block that starts at zero
 stays zero and is left out.  Where H or a channel mixes parities, or the
 initial state has an even-odd coherence, the state is one block of every
 index: the d x d layout, with the same products as without blocks.  The
 spectrum's Krylov basis always runs on that one block.
 
-Every solver uses one generator action, ``_MasterRHS.apply(rho, sign)``, on a
+Every solver uses one generator action, ``_MasterRHS.apply(h, sign)``, on a
 state with rho^dag = sign rho: the generator keeps Hermiticity (Breuer & Petruccione
 2002, ch. 3), so master-equation and steady states are Hermitian and the spectrum's
 Hermitian seed splits into a symmetric and an antisymmetric real part.  Half of each
-such state repeats the other half, so the states a solver stores (the propagator's
-output sums, the GMRES and Arnoldi bases) are held in the half layout,
-``_MasterRHS.half``: each block's upper triangle, diagonal included, n(n + 1)/2 of its
-n^2 entries.  ``apply`` runs on the whole blocks that ``_MasterRHS.whole`` rebuilds.
+such state repeats the other half, so every solver holds its states in one layout, the
+half: each block's upper triangle, diagonal included, n(n + 1)/2 of its n^2 entries.
+``_MasterRHS.pack`` and ``unpack`` convert a d x d state, ``apply`` takes and returns
+halves, and ``norm`` gives a half's Frobenius norm; only ``apply`` rebuilds whole blocks.
 The generator is real: every model operator makes -iH and each Lindblad operator real,
 and ``_MasterRHS`` refuses one that is not.  A state keeps the dtype of its input, so
 the vacuum evolves, relaxes and unravels in float64.
@@ -66,7 +66,7 @@ from .model import OpenSystemModel
 
 # Krylov solves stop at a residual estimate near round-off, so the exit checks have ample
 # margin; GMRES restarts every KRYLOV_RESTART vectors, and no solve builds more than the cap.
-# Every basis vector is a half-layout state (``_MasterRHS.half``): GMRES holds at most
+# Every basis vector is a half-layout state (``_MasterRHS.pack``): GMRES holds at most
 # KRYLOV_RESTART + 1 of them, 10.2 MB at d=288, and a spectrum part m + 1, 43.6 MB at d=288
 # with m=130.
 KRYLOV_RTOL = 1e-12
@@ -142,15 +142,10 @@ class _MasterRHS:
     each L real, so C and L are stored as real CSR and L^dag = L^T; a real
     state stays real and a complex one goes through the same products.  A
     nonzero imaginary entry of -iH or of an L would be lost, so it raises
-    :class:`ValueError` naming the operator.  ``apply(rho, sign)`` requires
-    rho^dag = sign rho, sign 1 or -1, and returns M + sign M^dag with
-    M = C rho + sign sum L~ (L~ rho)^dag, L~ = L/sqrt(2): the generator's action
-    with one sparse product per L and C, exactly sign-Hermitian.  On a state
-    without that symmetry it is wrong.  ``evaluations`` counts its calls.
+    :class:`ValueError` naming the operator.  ``evaluations`` counts the calls of ``apply``.
 
     A state is held as diagonal blocks of rho: ``blocks`` lists disjoint index
-    sets, every entry of rho outside their diagonal blocks is zero, and
-    ``pack`` lays the blocks out one after another, each row-major.  Given the
+    sets, and every entry of rho outside their diagonal blocks is zero.  Given the
     initial state ``rho0``, the blocks are those evolution from it leaves nonzero
     (Albert & Jiang, PRA 89, 022118 (2014)): with C keeping total photon-number
     parity and each L keeping or flipping it, and no even-odd coherence in
@@ -159,12 +154,16 @@ class _MasterRHS:
     through one sub-CSR per block, and each L through one per (target <- source)
     pair: (a, a) where it keeps parity, (1 - a, a) where it flips it, leaving out
     an empty one.  Otherwise, and without ``rho0``, the one block is every index:
-    the d x d state itself.  ``apply`` takes a state of the packed size in any
-    shape and returns that shape.
+    the d x d state itself.
 
-    ``half`` stores a packed state with y^dag = sign y as each block's upper triangle, and
-    ``whole(h, sign)`` rebuilds it, bit for bit; their index arrays are built on first use,
-    so the SSE and the residual checks, which never store such states, do not pay for them.
+    Every state rho^dag = sign rho, sign 1 or -1, is held as its half: each block's upper
+    triangle, diagonal included, row by row, one block after another (``pack``).
+    ``unpack(h, sign)`` rebuilds rho, each entry below a block's diagonal sign times the
+    conjugate of its mirror, so exactly sign-Hermitian, and ``norm(h)`` is ||rho||_F.
+    ``apply(h, sign)`` returns the half of M + sign M^dag, M = C rho + sign sum L~ (L~ rho)^dag,
+    L~ = L/sqrt(2): the generator's action with one sparse product per L and C on the whole
+    blocks it rebuilds.  The index arrays are built on first use, so the SSE, which uses C
+    and the Ls alone, does not pay for them.
     """
 
     def __init__(self, model: OpenSystemModel, rho0: np.ndarray | None = None):
@@ -203,27 +202,13 @@ class _MasterRHS:
                 links = [[(a, a ^ (act == "flip")) for a in range(len(self.blocks))]
                          for act in actions]
         self.sizes = [b.size for b in self.blocks]
-        ends = np.cumsum([n * n for n in self.sizes])
-        self._spans = [slice(e - n * n, e) for e, n in zip(ends, self.sizes)]
-        # where each packed entry sits in the flattened d x d rho
-        self._places = np.concatenate([(d * b[:, None] + b).ravel() for b in self.blocks])
         self._C = [self.C[b][:, b] for b in self.blocks]
         subs = [(a, b, L[self.blocks[a]][:, self.blocks[b]])
                 for L, pairs in zip(self.Ls, links) for a, b in pairs]
         self._half_Ls = [(a, b, np.sqrt(0.5) * L) for a, b, L in subs if L.count_nonzero()]
 
-    def pack(self, rho: np.ndarray) -> np.ndarray:
-        """The blocks of the d x d ``rho`` as one packed vector; entries off them are dropped."""
-        return rho.ravel()[self._places]
-
-    def unpack(self, y: np.ndarray) -> np.ndarray:
-        """The d x d matrix holding the blocks of the packed ``y``, zero elsewhere."""
-        rho = np.zeros(self.dim * self.dim, dtype=y.dtype)
-        rho[self._places] = y
-        return rho.reshape(self.dim, self.dim)
-
     def diagonal(self) -> np.ndarray:
-        """The generator's superoperator diagonal D_(ij) = C_ii + C_jj + sum_L L_ii L_jj, packed."""
+        """The generator's superoperator diagonal D_ij = C_ii + C_jj + sum_L L_ii L_jj, a half."""
         c = self.C.diagonal()
         D = np.add.outer(c, c)
         for L in self.Ls:
@@ -231,46 +216,57 @@ class _MasterRHS:
         return self.pack(D)
 
     @cached_property
-    def _triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The half layout's index arrays, built on first use: where each half entry sits in
-        the packed layout, which half entry each packed entry reads, and the packed entries
-        below a block's diagonal."""
-        upper, source, lower, start, half_start = [], [], [], 0, 0
-        for n in self.sizes:
-            i, j = np.indices((n, n))
-            low, high = np.minimum(i, j), np.maximum(i, j)
-            upper.append(start + np.flatnonzero(i <= j))
-            source.append((half_start + low * n - low * (low + 1) // 2 + high).ravel())
-            lower.append((i > j).ravel())
-            start, half_start = start + n * n, half_start + n * (n + 1) // 2
-        return tuple(map(np.concatenate, (upper, source, lower)))
+    def _triangle(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+        """The half layout's index arrays, built on first use: for each block of n indices,
+        its slice of the half and where the slice's entries and their mirrors sit in the
+        flattened n x n block; where each half entry and its mirror sit in the flattened
+        d x d rho; and the half entries on a block's diagonal."""
+        blocks, upper, mirror, start = [], [], [], 0
+        for b in self.blocks:
+            i, j = np.triu_indices(b.size)
+            blocks.append((slice(start, start + i.size), b.size * i + j, b.size * j + i))
+            upper.append(self.dim * b[i] + b[j])
+            mirror.append(self.dim * b[j] + b[i])
+            start += i.size
+        upper, mirror = np.concatenate(upper), np.concatenate(mirror)
+        return blocks, upper, mirror, np.flatnonzero(upper == mirror)
 
-    def half(self, y: np.ndarray) -> np.ndarray:
-        """The half layout of the packed ``y``: each block's upper triangle, diagonal included,
-        row by row, one block after another.  It holds all of a state with y^dag = sign y."""
-        return np.ravel(y)[self._triangle[0]]
+    @staticmethod
+    def _mirrored(h: np.ndarray, sign: int, upper, mirror, out: np.ndarray) -> np.ndarray:
+        """``out`` with ``h`` at ``upper`` and sign conj(h) at ``mirror``, diagonal last."""
+        out[mirror] = h.conj() if sign > 0 else -h.conj()
+        out[upper] = h
+        return out
 
-    def whole(self, h: np.ndarray, sign: int = 1) -> np.ndarray:
-        """The packed state y with y^dag = sign y whose :meth:`half` is ``h``: each entry below
-        a block's diagonal is sign times the conjugate of its mirror."""
-        _, source, lower = self._triangle
-        y = h[source]
-        if sign < 0:
-            np.negative(y, out=y, where=lower)
-        if np.iscomplexobj(y):
-            np.conjugate(y, out=y, where=lower)
-        return y
+    def pack(self, rho: np.ndarray) -> np.ndarray:
+        """The half of the d x d ``rho``; entries below a block's diagonal or off the blocks are
+        dropped."""
+        return rho.ravel()[self._triangle[1]]
 
-    def apply(self, rho: np.ndarray, sign: int = 1) -> np.ndarray:
+    def unpack(self, h: np.ndarray, sign: int = 1) -> np.ndarray:
+        """The d x d state with rho^dag = sign rho whose half is ``h``, zero off the blocks."""
+        rho = np.zeros(self.dim * self.dim, dtype=h.dtype)
+        return self._mirrored(h, sign, *self._triangle[1:3], rho).reshape(self.dim, self.dim)
+
+    def norm(self, h: np.ndarray) -> float:
+        """||rho||_F of the state whose half is ``h``: an entry off a block's diagonal stands for
+        two of its magnitude.  numpy's own sums, not BLAS: no thread count moves it."""
+        squares = np.square(np.abs(h))
+        return float(np.sqrt(2.0 * np.sum(squares) - np.sum(squares[self._triangle[3]])))
+
+    def apply(self, h: np.ndarray, sign: int = 1) -> np.ndarray:
         self.evaluations += 1
         add = np.add if sign > 0 else np.subtract
-        y = rho.reshape(-1)
-        xs = [y[s].reshape(n, n) for s, n in zip(self._spans, self.sizes)]
+        blocks = self._triangle[0]
+        xs = [self._mirrored(h[s], sign, upper, mirror, np.empty(n * n, h.dtype)).reshape(n, n)
+              for (s, upper, mirror), n in zip(blocks, self.sizes)]
         ms = [C @ x for C, x in zip(self._C, xs)]
         for a, b, L in self._half_Ls:
             add(ms[a], L @ (L @ xs[b]).conj().T, out=ms[a])
-        out = [add(m, m.conj().T).ravel() for m in ms]
-        return (out[0] if len(out) == 1 else np.concatenate(out)).reshape(rho.shape)
+        out = np.empty_like(h)
+        for (s, upper, mirror), m in zip(blocks, ms):
+            add(m.ravel()[upper], m.ravel()[mirror].conj(), out=out[s])
+        return out
 
 
 def _norm(v: np.ndarray) -> float:  # numpy's own sum, not BLAS: no thread count moves it
@@ -297,24 +293,22 @@ def _chebyshev_sums(rhs: _MasterRHS, y: np.ndarray, z: np.ndarray, scale: float)
     :func:`_bessel_weights`, for each z_i of the increasing ``z``, by the three-term recurrence,
     all elementwise.  Output i closes once its terms have been at most ``CHEBYSHEV_TOL`` ||y||
     for three consecutive k and every earlier output has closed; closed outputs take no more
-    terms.  Returns the sums of the closed outputs, each in the half layout
-    (:meth:`_MasterRHS.half`): all of them, or those closed when a term of an open one exceeds
-    ``CHEBYSHEV_GROWTH`` ||y|| or is not finite.  ``y`` must be Hermitian: then so is every
-    term T_k(G') y, exactly, since ``apply`` returns M + M^dag and the recurrence is
-    elementwise, and the half sums hold the whole sums bit for bit."""
-    y_norm, quiet, closed = _norm(y), np.zeros(z.size, dtype=int), 0
+    terms.  ``y``, every term T_k(G') y and the returned sums are the halves of Hermitian
+    states, ||.|| their Frobenius norm (:class:`_MasterRHS`).  Returns the sums of the closed
+    outputs: all of them, or those closed when a term of an open one exceeds
+    ``CHEBYSHEV_GROWTH`` ||y|| or is not finite."""
+    y_norm, quiet, closed = rhs.norm(y), np.zeros(z.size, dtype=int), 0
     a = _bessel_weights(z, 1)
-    sums = np.multiply.outer(a[0], rhs.half(y))
+    sums = np.multiply.outer(a[0], y)
     older, v = y, rhs.apply(y) * (2.0 / scale) + y  # T_0 and T_1
     for k in count(1):
         if k == len(a):  # the stop rule weighs a_k by ||T_k y||, which can grow
             a = _bessel_weights(z, 2 * k)
-        terms = a[k, closed:] * _norm(v)
+        terms = a[k, closed:] * rhs.norm(v)
         if not terms.max() <= CHEBYSHEV_GROWTH * y_norm:
             return sums[:closed]
-        term = rhs.half(v)
         for s, c in zip(sums[closed:], a[k, closed:]):  # no temporary of outputs x state
-            s += c * term
+            s += c * v
         quiet[closed:] = np.where(terms <= CHEBYSHEV_TOL * y_norm, quiet[closed:] + 1, 0)
         closed += int(np.logical_and.accumulate(quiet[closed:] >= 3).sum())
         if closed == z.size:
@@ -327,7 +321,7 @@ def _chebyshev_sums(rhs: _MasterRHS, y: np.ndarray, z: np.ndarray, scale: float)
 
 def _chebyshev(rhs: _MasterRHS, y0: np.ndarray, t: np.ndarray):
     """Yield exp((t_i - t_0) G) y0, G = ``rhs``, at each t_i of ``t`` (the first is y0), y0
-    Hermitian in ``rhs``'s packed layout.
+    the half of a Hermitian state.
 
     One expansion per span of up to ``CHEBYSHEV_OUTPUTS`` outputs, from the state at its start
     to each output in it (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), fitted to
@@ -335,8 +329,7 @@ def _chebyshev(rhs: _MasterRHS, y0: np.ndarray, t: np.ndarray):
     radius closely.  A diverging expansion keeps the outputs it has closed and the next one
     starts from the last of them; if it closed none, its span and every later one are halved,
     to end at an output or between two, and a span below 1/L raises ConvergenceError.  One
-    expansion's sums are held at a time, in the half layout, and each state is yielded as a
-    new whole array."""
+    expansion's sums are held at a time, and each state is yielded as a new array."""
     scale = -float(rhs.diagonal().min()) or 1.0
     yield y0
     y, start, done, span = y0, t[0], 1, np.inf
@@ -345,9 +338,9 @@ def _chebyshev(rhs: _MasterRHS, y0: np.ndarray, t: np.ndarray):
         upto = int(np.searchsorted(t, end, side="right"))
         ends = t[done:upto] if t[upto - 1] == end else np.append(t[done:upto], end)
         sums = _chebyshev_sums(rhs, y, (ends - start) * (scale / 2.0), scale)
-        yield from map(rhs.whole, sums[:upto - done])
+        yield from map(np.copy, sums[:upto - done])
         if closed := len(sums):
-            y, start, done = rhs.whole(sums[-1]), ends[closed - 1], min(done + closed, upto)
+            y, start, done = sums[-1].copy(), ends[closed - 1], min(done + closed, upto)
         del sums  # before the next expansion allocates its own
         if not closed and (span := (end - start) / 2.0) * scale < 1.0:
             raise ConvergenceError(
@@ -356,19 +349,18 @@ def _chebyshev(rhs: _MasterRHS, y0: np.ndarray, t: np.ndarray):
                 f"to {2.0 * span:.3g}, and the floor is 1/L = {1.0 / scale:.3g}")
 
 
-def _checked_state(rho: np.ndarray, where: str, blocks: list) -> tuple[np.ndarray, float]:
-    """``rho`` symmetrized and its least eigenvalue, by one ``eigvalsh`` per diagonal block.
+def _checked_state(rho: np.ndarray, where: str, blocks: list) -> float:
+    """The least eigenvalue of the Hermitian ``rho``, by one ``eigvalsh`` per diagonal block.
 
     ``rho`` must be zero off ``blocks``, so an index outside them adds an eigenvalue 0.
     :class:`ConvergenceError` if the least eigenvalue is below -POSITIVITY_TOL.
     """
-    rho = (rho + rho.conj().T) / 2.0
     lam_min = min(float(np.linalg.eigvalsh(rho[np.ix_(b, b)]).min()) for b in blocks)
     if sum(b.size for b in blocks) < rho.shape[0]:
         lam_min = min(lam_min, 0.0)
     if lam_min < -POSITIVITY_TOL:
         raise ConvergenceError(f"negative eigenvalue {lam_min:.3e} {where}")
-    return rho, lam_min
+    return lam_min
 
 
 def evolve_master(
@@ -386,10 +378,10 @@ def evolve_master(
     The state evolves as the parity blocks of rho that :class:`_MasterRHS` finds for
     ``rho0``, or as one block of every index.  A propagator that diverges, trace drift
     beyond ``trace_tol`` or an eigenvalue below ``-POSITIVITY_TOL`` at an output raises
-    :class:`ConvergenceError`.  Output states are symmetrized before recording.  ``extras``
-    holds the generator applies (``rhs_evaluations``), the block sizes (``block_sizes``),
-    the worst trace drift (``max_trace_drift``) and the least eigenvalue
-    (``min_eigenvalue``) over the outputs, and with ``keep_states`` the states.
+    :class:`ConvergenceError`.  Output states are exactly Hermitian.  ``extras`` holds the
+    generator applies (``rhs_evaluations``), the block sizes (``block_sizes``), the worst
+    trace drift (``max_trace_drift``) and the least eigenvalue (``min_eigenvalue``) over the
+    outputs, and with ``keep_states`` the states.
     """
     if rho0.space != model.space:
         raise ValueError("initial state lives on a different space")
@@ -405,7 +397,8 @@ def evolve_master(
     states = []
     worst_drift, least_eigenvalue = 0.0, np.inf
     for idx, y in enumerate(_chebyshev(rhs, rhs.pack(rho0.matrix), t)):
-        rho_m, lam_min = _checked_state(rhs.unpack(y), f"at t={t[idx]:.4g}", rhs.blocks)
+        rho_m = rhs.unpack(y)
+        lam_min = _checked_state(rho_m, f"at t={t[idx]:.4g}", rhs.blocks)
         drift = abs(np.trace(rho_m).real - 1.0)
         if drift > trace_tol:
             raise ConvergenceError(f"trace drift {drift:.3e} at t={t[idx]:.4g} exceeds "
@@ -483,20 +476,20 @@ def _krylov_solve(rhs: _MasterRHS):
     count nearly flat in eta (Saad, Iterative Methods for Sparse Linear Systems, 9.3).
 
     I_s and d_s are the identity on the blocks' diagonal and its size, so b and every
-    vector are real symmetric, and each is stored in the half layout
-    (:meth:`_MasterRHS.half`), whose Euclidean norm GMRES minimizes; G acts on the whole
-    state.  Returns x (d x d, zero off the blocks), at a true residual of ``KRYLOV_RTOL`` ||b||
-    in that norm or after ``KRYLOV_MAX_DIM`` vectors, and the vectors built.
+    vector are real symmetric, and each is held as its half (:class:`_MasterRHS`), whose
+    Euclidean norm GMRES minimizes.  Returns x (d x d, zero off the blocks), at a true
+    residual of ``KRYLOV_RTOL`` ||b|| in that norm or after ``KRYLOV_MAX_DIM`` vectors, and the
+    vectors built.
     """
-    b = rhs.half(rhs.pack(np.eye(rhs.dim)))  # I_s in the half layout
+    b = rhs.pack(np.eye(rhs.dim))  # I_s in the half layout
     diag = np.flatnonzero(b)
     b /= diag.size
-    jacobi = rhs.half(rhs.diagonal())
+    jacobi = rhs.diagonal()
     jacobi[diag] += 1.0 / diag.size
     jacobi[jacobi == 0] = 1.0
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        out = rhs.half(rhs.apply(rhs.whole(x)))
+        out = rhs.apply(x)
         out[diag] += x[diag].sum() / diag.size
         return out
 
@@ -509,7 +502,7 @@ def _krylov_solve(rhs: _MasterRHS):
             if lstsq.add(h) <= target:
                 break
         x += np.einsum("i,ij->j", lstsq.solve(), V[:-1]) / jacobi
-    return rhs.unpack(rhs.whole(x)), built
+    return rhs.unpack(x), built
 
 
 def steady_state(
@@ -526,8 +519,8 @@ def steady_state(
     sector holds one steady state, which fixing the sector ensures even where
     a strong parity symmetry makes the full kernel degenerate.
     ``"long-time"`` propagates the d x d state from the vacuum instead, by
-    :func:`_chebyshev` over spans of ``LONG_TIME_CHUNK``, each state symmetrized
-    and renormalized: an independent reference, which no CLI op runs, kept off
+    :func:`_chebyshev` over spans of ``LONG_TIME_CHUNK``, each state
+    renormalized: an independent reference, which no CLI op runs, kept off
     the parity analysis it checks.
 
     The returned state always satisfies ||d rho/dt||_F < tol (verified against
@@ -541,9 +534,8 @@ def steady_state(
     if method == "null-space":
         vacuum = vacuum_state(model.space).to_density().matrix
         rho, built = _krylov_solve(_MasterRHS(model, vacuum))
-        rho = (rho + rho.conj().T) / 2.0
         rho = rho / np.trace(rho).real
-        residual = float(np.linalg.norm(rhs.apply(rho)))
+        residual = rhs.norm(rhs.apply(rhs.pack(rho)))
         if not residual <= tol:
             raise ConvergenceError(f"Krylov steady state failed after {built} iterations: "
                                    f"residual {residual:.3e}, tol {tol:.1g}")
@@ -551,12 +543,11 @@ def steady_state(
         rho = vacuum_state(model.space).to_density().matrix
         elapsed = 0.0
         while elapsed < LONG_TIME_MAX:
-            *_, y = _chebyshev(rhs, rho.ravel(), np.array([0.0, LONG_TIME_CHUNK]))
-            rho = y.reshape(rho.shape)
-            rho = (rho + rho.conj().T) / 2.0
+            *_, y = _chebyshev(rhs, rhs.pack(rho), np.array([0.0, LONG_TIME_CHUNK]))
+            rho = rhs.unpack(y)
             rho = rho / np.trace(rho).real
             elapsed += LONG_TIME_CHUNK
-            residual = float(np.linalg.norm(rhs.apply(rho)))
+            residual = rhs.norm(rhs.apply(rhs.pack(rho)))
             if residual < tol:
                 break
         else:
@@ -565,7 +556,7 @@ def steady_state(
             )
     else:
         raise ValueError(f"unknown steady-state method {method!r}")
-    rho, _ = _checked_state(rho, f"in the {method} steady state", rhs.blocks)
+    _checked_state(rho, f"in the {method} steady state", rhs.blocks)
     return DensityOperator(model.space, rho)
 
 
@@ -573,7 +564,7 @@ def homodyne_spectrum(
     model: OpenSystemModel,
     channel: LinearOperator,
     omega_grid,
-    rho_ss: DensityOperator | None = None,
+    rho_ss: DensityOperator,
 ) -> SpectrumResult:
     """Steady-state homodyne (squeezing) spectrum of one output channel.
 
@@ -581,9 +572,9 @@ def homodyne_spectrum(
     A0' = A0 - tr(A0) rho_ss, A0 = L rho_ss + rho_ss L^dag; 1 is the vacuum level.  With
     rho_ss symmetrized, A0' is exactly Hermitian, and one real Krylov basis per part of A0',
     symmetric real and antisymmetric imaginary, serves every w (Frommer & Glaessner, SIAM J.
-    Sci. Comput. 19, 15 (1998)).  Each basis is held in the half layout of the d x d block,
-    whose Euclidean norm counts each mirrored pair once, and grows to an estimated residual
-    of ``KRYLOV_RTOL`` ||A0'|| in that norm.
+    Sci. Comput. 19, 15 (1998)).  Each basis vector is the half of a state on the d x d block
+    (:class:`_MasterRHS`), whose Euclidean norm counts each mirrored pair once, and the basis
+    grows to an estimated residual of ``KRYLOV_RTOL`` ||A0'|| in that norm.
     A part at most ``KRYLOV_RTOL`` ||L||_F ||rho_ss||_F, the scale A0' is rounded at, needs
     none.  No trace pin: A0' is traceless.
     A basis of ``KRYLOV_MAX_DIM`` vectors, or a residual against G (summed over the parts)
@@ -592,11 +583,11 @@ def homodyne_spectrum(
     """
     if channel.space != model.space:
         raise ValueError("channel lives on a different space")
-    if rho_ss is not None and rho_ss.space != model.space:
+    if rho_ss.space != model.space:
         raise ValueError("steady state lives on a different space")
     w = np.asarray(omega_grid, dtype=float)
 
-    rho = (steady_state(model) if rho_ss is None else rho_ss).matrix
+    rho = rho_ss.matrix
     rho = (rho + rho.conj().T) / 2.0
     L = channel.matrix
     A0 = L @ rho
@@ -608,17 +599,15 @@ def homodyne_spectrum(
 
     rhs = _MasterRHS(model)
     S, residuals, dimension = np.ones(w.size), np.zeros(w.size), 0
-    parts = (A0.real, A0.imag)
-    seeds = [rhs.half(part) for part in parts]  # A0' in the half layout, part by part
+    seeds = [rhs.pack(part) for part in (A0.real, A0.imag)]  # A0' in the half layout
     half_scale = float(np.hypot(*map(_norm, seeds)))  # ||A0'|| in the half layout
-    for phase, sign, part, seed in zip((1.0, 1j), (1, -1), parts, seeds):
+    for phase, sign, seed in zip((1.0, 1j), (1, -1), seeds):
         beta = _norm(seed)
         if beta <= floor:
             continue
         lstsq = _HessenbergLstsq(beta, 1j * w)
         action = partial(rhs.apply, sign=sign)
-        for V, h in _arnoldi(lambda u: rhs.half(action(rhs.whole(u, sign))), seed / beta,
-                             KRYLOV_MAX_DIM):
+        for V, h in _arnoldi(action, seed / beta, KRYLOV_MAX_DIM):
             if (estimate := lstsq.add(h).max(initial=0.0) / half_scale) <= KRYLOV_RTOL:
                 break
         else:
@@ -626,11 +615,10 @@ def homodyne_spectrum(
                                    f"(KRYLOV_MAX_DIM): residual estimate {estimate:.3e}")
         V, dimension = V[:-1], dimension + V.shape[0] - 1
         for k, y in enumerate(lstsq.solve()):  # two real products, no complex copy of V
-            Xr, Xi = (-rhs.whole(np.einsum("i,ij->j", c, V), sign).reshape(A0.shape)
-                      for c in (y.real, y.imag))
-            X = Xr + 1j * Xi
+            Xr, Xi = (-np.einsum("i,ij->j", c, V) for c in (y.real, y.imag))
             GX = action(Xr) + 1j * action(Xi)  # G on each real piece
-            residuals[k] += _norm(GX - 1j * w[k] * X + part) / scale
+            residuals[k] += rhs.norm(GX - 1j * w[k] * (Xr + 1j * Xi) + seed) / scale
+            X = rhs.unpack(Xr, sign) + 1j * rhs.unpack(Xi, sign)
             S[k] += 2.0 * (phase * trace_product(quad, X)).real
     worst = float(residuals.max(initial=0.0))
     if not worst <= SPECTRUM_RESIDUAL_TOL:

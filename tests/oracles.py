@@ -143,8 +143,43 @@ def trace_product(op, rho) -> complex:
     return complex(op.multiply(rho.T).sum())
 
 
+class WholeBlocks:
+    """The generator of ``rhs`` (a ``dynamics._MasterRHS``) on whole packed states: the
+    diagonal blocks of rho, every entry, one block after another, each row-major, by the
+    same sparse products as ``rhs.apply`` but without its half layout."""
+
+    def __init__(self, rhs):
+        self.rhs, self.dim = rhs, rhs.dim
+        self.places = np.concatenate([(rhs.dim * b[:, None] + b).ravel() for b in rhs.blocks])
+        self.ends = np.cumsum([b.size ** 2 for b in rhs.blocks])[:-1]
+
+    def pack(self, rho):
+        return rho.ravel()[self.places]
+
+    def unpack(self, y):
+        rho = np.zeros(self.dim * self.dim, dtype=y.dtype)
+        rho[self.places] = y
+        return rho.reshape(self.dim, self.dim)
+
+    def diagonal(self):
+        return self.pack(self.rhs.unpack(self.rhs.diagonal()))
+
+    def apply(self, y, sign=1):
+        """M + sign M^dag, M = C rho + sign sum L~ (L~ rho)^dag, on a packed ``y`` of any shape
+        with rho^dag = sign rho; counted in ``rhs.evaluations``."""
+        self.rhs.evaluations += 1
+        add = np.add if sign > 0 else np.subtract
+        xs = [x.reshape(b.size, b.size)
+              for x, b in zip(np.split(np.ravel(y), self.ends), self.rhs.blocks)]
+        ms = [C @ x for C, x in zip(self.rhs._C, xs)]
+        for a, b, L in self.rhs._half_Ls:
+            add(ms[a], L @ (L @ xs[b]).conj().T, out=ms[a])
+        return np.concatenate([add(m, m.conj().T).ravel() for m in ms]).reshape(np.shape(y))
+
+
 def chebyshev_sums_full(rhs, y, z, scale):
-    """``dynamics._chebyshev_sums`` with each sum held as a whole packed state."""
+    """``dynamics._chebyshev_sums`` with each sum held as a whole packed state: ``rhs`` a
+    :class:`WholeBlocks`, ``y`` whole."""
     y_norm, quiet, closed = dynamics._norm(y), np.zeros(z.size, dtype=int), 0
     a = dynamics._bessel_weights(z, 1)
     sums = np.multiply.outer(a[0], y)
@@ -169,16 +204,18 @@ def chebyshev_sums_full(rhs, y, z, scale):
 
 def chebyshev_full(rhs, y0, t):
     """``dynamics._chebyshev`` on :func:`chebyshev_sums_full`: the half-layout sums'
-    reference, equal bit for bit."""
-    scale = -float(rhs.diagonal().min()) or 1.0
+    reference, equal bit for bit.  It takes and yields halves, as ``dynamics._chebyshev``
+    does, and holds every state whole in between."""
+    whole = WholeBlocks(rhs)
+    scale = -float(whole.diagonal().min()) or 1.0
     yield y0
-    y, start, done, span = y0, t[0], 1, np.inf
+    y, start, done, span = whole.pack(rhs.unpack(y0)), t[0], 1, np.inf
     while done < t.size:
         end = min(t[min(done + dynamics.CHEBYSHEV_OUTPUTS, t.size) - 1], start + span)
         upto = int(np.searchsorted(t, end, side="right"))
         ends = t[done:upto] if t[upto - 1] == end else np.append(t[done:upto], end)
-        sums = chebyshev_sums_full(rhs, y, (ends - start) * (scale / 2.0), scale)
-        yield from map(np.copy, sums[:upto - done])
+        sums = chebyshev_sums_full(whole, y, (ends - start) * (scale / 2.0), scale)
+        yield from (rhs.pack(whole.unpack(s)) for s in sums[:upto - done])
         if closed := len(sums):
             y, start, done = sums[-1].copy(), ends[closed - 1], min(done + closed, upto)
         del sums
@@ -205,7 +242,9 @@ def arnoldi_full(matvec, v0, m):
 
 
 def krylov_solve_full(rhs):
-    """``dynamics._krylov_solve`` on whole packed vectors, minimizing their Euclidean norm."""
+    """``dynamics._krylov_solve`` on whole packed vectors (:class:`WholeBlocks` of ``rhs``),
+    minimizing their Euclidean norm."""
+    rhs = WholeBlocks(rhs)
     b = rhs.pack(np.eye(rhs.dim))
     diag = np.flatnonzero(b)
     b /= diag.size
@@ -244,7 +283,7 @@ def homodyne_spectrum_full(model, channel, omega_grid, rho_ss) -> SpectrumResult
     quad = (L + L.conj().T).tocsr()
     scale = float(np.linalg.norm(A0))
     floor = dynamics.KRYLOV_RTOL * float(np.linalg.norm(L.data) * np.linalg.norm(rho))
-    rhs = dynamics._MasterRHS(model)
+    rhs = WholeBlocks(dynamics._MasterRHS(model))
     S, residuals, dimension = np.ones(w.size), np.zeros(w.size), 0
     for phase, sign, part in ((1.0, 1, A0.real), (1j, -1, A0.imag)):
         beta = float(np.linalg.norm(part))

@@ -145,9 +145,9 @@ def test_generator_action_matches_liouvillian_matrix(family, sizes, sign, dtype)
     rho = (X + sign * X.conj().T) / 2.0
     blocked = vacuum_generator(mdl)
     assert blocked.sizes == sizes
-    y = blocked.pack(rho)
-    for rhs, state in ((dynamics._MasterRHS(mdl), rho), (blocked, blocked.unpack(y))):
-        got = rhs.unpack(rhs.apply(rhs.pack(state), sign))
+    h = blocked.pack(rho)
+    for rhs, state in ((dynamics._MasterRHS(mdl), rho), (blocked, blocked.unpack(h, sign))):
+        got = rhs.unpack(rhs.apply(rhs.pack(state), sign), sign)
         want = (liouvillian_matrix(mdl) @ state.ravel()).reshape(d, d)
         assert got.dtype == rho.dtype
         err = np.max(np.abs(got - want))
@@ -166,7 +166,8 @@ def desk_comb(cutoffs):
 @pytest.mark.parametrize("sign", [1, -1], ids=["hermitian", "anti-hermitian"])
 @pytest.mark.parametrize("layout", ["parity-blocks", "d-by-d"])
 def test_half_layout_round_trips(layout, sign, dtype):
-    # a state with rho^dag = sign rho is its blocks' upper triangles, bit for bit
+    # a state with rho^dag = sign rho is its blocks' upper triangles, bit for bit, and the
+    # half's norm is the state's Frobenius norm
     mdl = sse_comb_model()
     rhs = vacuum_generator(mdl) if layout == "parity-blocks" else dynamics._MasterRHS(mdl)
     assert len(rhs.sizes) == (2 if layout == "parity-blocks" else 1)
@@ -175,21 +176,32 @@ def test_half_layout_round_trips(layout, sign, dtype):
     X = rng.normal(size=(d, d)).astype(dtype)
     if dtype is complex:
         X += 1j * rng.normal(size=(d, d))
-    y = rhs.pack(X + sign * X.conj().T)
-    h = rhs.half(y)
+    on_blocks = np.zeros((d, d), dtype=bool)
+    for b in rhs.blocks:
+        on_blocks[np.ix_(b, b)] = True
+    rho = np.where(on_blocks, X + sign * X.conj().T, 0.0)
+    h = rhs.pack(rho)
     assert h.size == sum(n * (n + 1) // 2 for n in rhs.sizes)
-    assert np.array_equal(rhs.whole(h, sign), y)
+    assert np.array_equal(rhs.unpack(h, sign), rho)
+    assert abs(rhs.norm(h) - np.linalg.norm(rho)) <= 4 * np.spacing(np.linalg.norm(rho))
 
 
-def test_half_layout_indices_are_built_on_first_use():
-    # the residual checks and the SSE use the d x d generator and never the half layout,
-    # whose index arrays there take about 1.5 d^2 integers
+def test_half_layout_indices_are_built_on_first_use(monkeypatch):
+    # the SSE uses C and the Ls alone and never the half layout, whose index arrays on the
+    # d x d block take about d^2 integers
+    built = []
+
+    class RecordingRHS(dynamics._MasterRHS):
+        def __init__(self, model):
+            super().__init__(model)
+            built.append(self)
+
+    monkeypatch.setattr(dynamics, "_MasterRHS", RecordingRHS)
     mdl = sse_comb_model()
-    rhs = dynamics._MasterRHS(mdl)
-    y = rhs.pack(np.eye(mdl.space.dim))
-    rhs.apply(y)
+    sse_ensemble(mdl, vacuum_state(mdl.space), np.linspace(0.0, 0.01, 2), 2, seed=4)
+    [rhs] = built
     assert "_triangle" not in vars(rhs)
-    assert np.array_equal(rhs.whole(rhs.half(y)), y)
+    rhs.apply(rhs.pack(np.eye(mdl.space.dim)))
     assert "_triangle" in vars(rhs)
 
 
@@ -271,7 +283,8 @@ def detuned_cavity(cutoff=8, detuning=0.7):
 @pytest.mark.parametrize("solver", [
     lambda mdl: evolve_master(mdl, vacuum_state(mdl.space).to_density(), [0.0, 1.0]),
     lambda mdl: steady_state(mdl),
-    lambda mdl: homodyne_spectrum(mdl, mdl.lindblads[0].op, [0.0, 1.0]),
+    lambda mdl: homodyne_spectrum(mdl, mdl.lindblads[0].op, [0.0, 1.0],
+                                  vacuum_state(mdl.space).to_density()),
     lambda mdl: sse_ensemble(mdl, vacuum_state(mdl.space), [0.0, 0.01], 2, seed=1),
 ], ids=["evolve_master", "steady_state", "homodyne_spectrum", "sse_ensemble"])
 def test_generator_rejects_an_imaginary_part(solver):
@@ -293,9 +306,11 @@ def test_solvers_keep_the_vacuum_real():
     vac = vacuum_state(mdl.space)
     assert vac.amplitudes.dtype == vac.to_density().matrix.dtype == np.float64
     rec = evolve_master(mdl, vac.to_density(), np.linspace(0.0, 0.5, 3))
-    assert rec.final_state.matrix.dtype == np.float64
-    for method in ("null-space", "long-time"):
-        assert steady_state(mdl, method=method).matrix.dtype == np.float64
+    states = [rec.final_state.matrix]
+    states += [steady_state(mdl, method=method).matrix for method in ("null-space", "long-time")]
+    for rho in states:
+        assert rho.dtype == np.float64
+        assert np.array_equal(rho, rho.conj().T)
     recs = sse_ensemble(mdl, vac, np.linspace(0.0, 0.01, 2), 2, seed=4)
     assert all(r.final_state.amplitudes.dtype == np.float64 for r in recs)
 
@@ -363,10 +378,9 @@ def test_master_coherences_fall_back_to_one_block():
     rec = evolve_master(mdl, rho0, t, keep_states=True)
     assert rec.extras["block_sizes"] == [mdl.space.dim]
     rhs = dynamics._MasterRHS(mdl)
-    want = dynamics._chebyshev(rhs, rho0.matrix.ravel(), t)
+    want = dynamics._chebyshev(rhs, rhs.pack(rho0.matrix), t)
     for got, y in zip(rec.extras["states"], want, strict=True):
-        rho = y.reshape(rho0.matrix.shape)
-        assert np.array_equal(got.matrix, (rho + rho.conj().T) / 2.0)
+        assert np.array_equal(got.matrix, rhs.unpack(y))
 
 
 def test_bessel_weights_match_ive():
@@ -520,14 +534,15 @@ def test_steady_state_at_strong_two_photon_loss_matches_direct_solve():
     rhs = vacuum_generator(mdl)
     _, built = dynamics._krylov_solve(rhs)
     assert built < 150
-    places = rhs.pack(np.arange(mdl.space.dim ** 2).reshape(mdl.space.dim, -1))
-    b = rhs.pack(np.eye(mdl.space.dim))
+    d = mdl.space.dim
+    places = np.concatenate([(d * b[:, None] + b).ravel() for b in rhs.blocks])
+    b = np.eye(d).ravel()[places]
     pin = sparse.csr_matrix(np.outer(b, b) / b.sum())
     system = liouvillian_matrix(mdl).real.tocsr()[places][:, places] + pin
     want = spsolve(system.tocsc(), b / b.sum())
     want /= want[b == 1].sum()
     rho = steady_state(mdl)
-    assert np.max(np.abs(rhs.pack(rho.matrix) - want)) < 1e-12
+    assert np.max(np.abs(rho.matrix.ravel()[places] - want)) < 1e-12
 
 
 def test_steady_state_without_parity_symmetry():
@@ -560,7 +575,7 @@ def test_steady_state_rejects_negative_eigenvalue(monkeypatch, method):
     mdl = OpenSystemModel(space, zero_op(space), dephasing, ModelParams("lossy"))
     bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     monkeypatch.setattr(dynamics, "_krylov_solve", lambda *args: (bad.copy(), 1))
-    monkeypatch.setattr(dynamics, "_chebyshev", lambda rhs, y0, t: iter([y0, bad.ravel()]))
+    monkeypatch.setattr(dynamics, "_chebyshev", lambda rhs, y0, t: iter([y0, rhs.pack(bad)]))
     with pytest.raises(ConvergenceError, match="negative eigenvalue"):
         steady_state(mdl, method=method)
 
@@ -575,8 +590,8 @@ def test_steady_state_requires_lindblads():
 def test_spectrum_vacuum_level():
     mdl = damped_cavity()
     w = np.linspace(-4, 4, 17)
-    res = homodyne_spectrum(mdl, mdl.lindblads[0].op, omega_grid=w)
-    # the default steady state is the vacuum to round-off: A0' is below its rounding
+    res = homodyne_spectrum(mdl, mdl.lindblads[0].op, w, steady_state(mdl))
+    # the Krylov steady state is the vacuum to round-off: A0' is below its rounding
     # scale ||L||_F ||rho_ss||_F, so no basis is built on round-off
     assert np.all(res.S == 1.0)
     assert res.metadata["krylov_dimension"] == 0
@@ -608,7 +623,8 @@ def test_spectrum_matches_linearized_opo():
 def test_spectrum_sanity_bounds():
     mdl = build_spopo(single_mode_set(1.0), r=0.3, eta=1e-2, cutoffs=(12,))
     w = np.linspace(-30, 30, 31)
-    res = homodyne_spectrum(mdl, rotated_channel(mdl.lindblads[0].op, -90.0), w)
+    res = homodyne_spectrum(mdl, rotated_channel(mdl.lindblads[0].op, -90.0), w,
+                            steady_state(mdl))
     assert np.all(res.S > -1e-9)
     assert abs(res.S[0] - 1.0) < 0.02 and abs(res.S[-1] - 1.0) < 0.02
 
