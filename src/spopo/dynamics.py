@@ -32,7 +32,8 @@ Under strong symmetry (no channel flips parity) a block that starts at zero
 stays zero and is left out.  Where H or a channel mixes parities, or the
 initial state has an even-odd coherence, the state is one block of every
 index: the d x d layout, with the same products as without blocks.  The
-spectrum's Krylov basis always runs on that one block.
+spectrum's Krylov basis always runs on that one block.  The one positivity
+certificate, ``DensityOperator.min_eigenvalue``, works on the parity blocks too.
 
 Every solver uses one generator action, ``_MasterRHS.apply(h, sign)``, on a
 state with rho^dag = sign rho: the generator keeps Hermiticity (Breuer & Petruccione
@@ -192,7 +193,7 @@ class _MasterRHS:
         # flip to the other one
         self.blocks, links = [np.arange(d)], [[(0, 0)]] * len(self.Ls)
         if rho0 is not None:
-            even = np.indices(model.space.cutoffs).sum(axis=0).ravel() % 2 == 0
+            even = model.space.even
             action, *actions = [_parity_action(op, even) for op in (self.C, *self.Ls)]
             coherent = np.any(rho0[even[:, None] != even])
             if action == "keep" and "mix" not in actions and not coherent:
@@ -349,20 +350,6 @@ def _chebyshev(rhs: _MasterRHS, y0: np.ndarray, t: np.ndarray):
                 f"to {2.0 * span:.3g}, and the floor is 1/L = {1.0 / scale:.3g}")
 
 
-def _checked_state(rho: np.ndarray, where: str, blocks: list) -> float:
-    """The least eigenvalue of the Hermitian ``rho``, by one ``eigvalsh`` per diagonal block.
-
-    ``rho`` must be zero off ``blocks``, so an index outside them adds an eigenvalue 0.
-    :class:`ConvergenceError` if the least eigenvalue is below -POSITIVITY_TOL.
-    """
-    lam_min = min(float(np.linalg.eigvalsh(rho[np.ix_(b, b)]).min()) for b in blocks)
-    if sum(b.size for b in blocks) < rho.shape[0]:
-        lam_min = min(lam_min, 0.0)
-    if lam_min < -POSITIVITY_TOL:
-        raise ConvergenceError(f"negative eigenvalue {lam_min:.3e} {where}")
-    return lam_min
-
-
 def evolve_master(
     model: OpenSystemModel,
     rho0: DensityOperator,
@@ -377,7 +364,7 @@ def evolve_master(
 
     The state evolves as the parity blocks of rho that :class:`_MasterRHS` finds for
     ``rho0``, or as one block of every index.  A propagator that diverges, trace drift
-    beyond ``trace_tol`` or an eigenvalue below ``-POSITIVITY_TOL`` at an output raises
+    beyond ``trace_tol`` or an output's ``min_eigenvalue()`` below ``-POSITIVITY_TOL`` raises
     :class:`ConvergenceError`.  Output states are exactly Hermitian.  ``extras`` holds the
     generator applies (``rhs_evaluations``), the block sizes (``block_sizes``), the worst
     trace drift (``max_trace_drift``) and the least eigenvalue (``min_eigenvalue``) over the
@@ -397,22 +384,22 @@ def evolve_master(
     states = []
     worst_drift, least_eigenvalue = 0.0, np.inf
     for idx, y in enumerate(_chebyshev(rhs, rhs.pack(rho0.matrix), t)):
-        rho_m = rhs.unpack(y)
-        lam_min = _checked_state(rho_m, f"at t={t[idx]:.4g}", rhs.blocks)
-        drift = abs(np.trace(rho_m).real - 1.0)
-        if drift > trace_tol:
+        state = DensityOperator(model.space, rhs.unpack(y))
+        if (lam_min := state.min_eigenvalue()) < -POSITIVITY_TOL:
+            raise ConvergenceError(f"negative eigenvalue {lam_min:.3e} at t={t[idx]:.4g}")
+        if (drift := abs(state.trace().real - 1.0)) > trace_tol:
             raise ConvergenceError(f"trace drift {drift:.3e} at t={t[idx]:.4g} exceeds "
                                    f"{trace_tol:.1g}")
         worst_drift, least_eigenvalue = max(worst_drift, drift), min(least_eigenvalue, lam_min)
         for name, op in observables.items():
-            series[name][idx] = trace_product(op.matrix, rho_m)
+            series[name][idx] = trace_product(op.matrix, state.matrix)
         if keep_states:
-            states.append(DensityOperator(model.space, rho_m))
+            states.append(state)
     extras = {"rhs_evaluations": rhs.evaluations, "block_sizes": rhs.sizes,
               "max_trace_drift": worst_drift, "min_eigenvalue": least_eigenvalue}
     if keep_states:
         extras["states"] = states
-    return SimulationRecord(t, series, DensityOperator(model.space, rho_m), extras=extras)
+    return SimulationRecord(t, series, state, extras=extras)
 
 
 def _arnoldi(matvec, v0: np.ndarray, m: int):
@@ -524,7 +511,7 @@ def steady_state(
     the parity analysis it checks.
 
     The returned state always satisfies ||d rho/dt||_F < tol (verified against
-    the full generator for both methods) and has no eigenvalue below
+    the full generator for both methods) and a ``min_eigenvalue()`` of at least
     ``-POSITIVITY_TOL``; otherwise :class:`ConvergenceError`.
     """
     if not model.lindblads:
@@ -556,8 +543,10 @@ def steady_state(
             )
     else:
         raise ValueError(f"unknown steady-state method {method!r}")
-    _checked_state(rho, f"in the {method} steady state", rhs.blocks)
-    return DensityOperator(model.space, rho)
+    state = DensityOperator(model.space, rho)
+    if (lam_min := state.min_eigenvalue()) < -POSITIVITY_TOL:
+        raise ConvergenceError(f"negative eigenvalue {lam_min:.3e} in the {method} steady state")
+    return state
 
 
 def homodyne_spectrum(

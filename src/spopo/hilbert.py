@@ -30,7 +30,8 @@ class FockSpace:
 
     ``cutoffs[i]`` is the number of Fock levels kept for mode ``i`` (levels
     ``0 .. cutoffs[i]-1``).  Mode ordering is fixed at construction and row-major:
-    the last mode varies fastest in the flattened index.
+    the last mode varies fastest in the flattened index.  ``even`` marks the flattened
+    indices of even total photon number: the parity blocks of the solvers' states.
     """
 
     cutoffs: tuple[int, ...]
@@ -50,6 +51,10 @@ class FockSpace:
     @property
     def dim(self) -> int:
         return math.prod(self.cutoffs)
+
+    @property
+    def even(self) -> np.ndarray:
+        return np.indices(self.cutoffs).sum(axis=0).ravel() % 2 == 0
 
     def check_mode(self, mode: int) -> int:
         if not 0 <= mode < self.mode_count:
@@ -138,7 +143,8 @@ class StateVector:
 
 
 class DensityOperator:
-    """Mixed state: dense matrix on a FockSpace, float64 or complex128 as given."""
+    """Mixed state: dense matrix on a FockSpace, float64 or complex128 as given.  Its
+    ``min_eigenvalue`` is the one positivity certificate of every solver and CLI summary."""
 
     __slots__ = ("space", "matrix")
 
@@ -155,7 +161,12 @@ class DensityOperator:
         return complex(np.trace(self.matrix))
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2).min())
+        """The least eigenvalue of (rho + rho^dag)/2: the least over its parity blocks, whose
+        spectra make up its own, if it has no even-odd coherence, else that of the whole."""
+        rho, even = (self.matrix + self.matrix.conj().T) / 2, self.space.even
+        if np.any(rho[np.ix_(even, ~even)]):  # the odd-even block is its mirror image
+            return float(np.linalg.eigvalsh(rho).min())
+        return min(float(np.linalg.eigvalsh(rho[np.ix_(b, b)]).min()) for b in (even, ~even))
 
 
 def _ladder(cutoff: int) -> sparse.csr_matrix:

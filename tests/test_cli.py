@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -306,15 +307,16 @@ def test_nan_generator_exits_4_promptly(tmp_path):
     assert "Chebyshev propagator diverged" in proc.stderr
 
 
-def artifacts_by_blas_threads(tmp_path, command, dynamics, names):
-    """The bytes of artifacts ``names`` that ``command`` writes on the d=150 desk comb, run
-    with one and with two OpenBLAS/OMP threads."""
+def artifacts_by_blas_threads(tmp_path, command, dynamics, cutoffs=(10, 5, 3)):
+    """Every artifact that ``command`` writes on the desk comb at ``cutoffs`` (d=150 by
+    default) as {name: bytes}, run with one and with two OpenBLAS/OMP threads; not
+    ``manifest.json``, which records the wall time."""
     written = []
     for threads in ("1", "2"):
         payload = {
             "dispersion": BASE_DISPERSION,
             "supermode": {**BASE_SUPERMODE, "n_signal": 3},
-            "model": {"family": "lossy", "r": 1.19, "eta": 1.0, "cutoffs": [10, 5, 3]},
+            "model": {"family": "lossy", "r": 1.19, "eta": 1.0, "cutoffs": list(cutoffs)},
             "dynamics": dynamics,
             "outputs": {"directory": str(tmp_path / threads)},
         }
@@ -322,34 +324,47 @@ def artifacts_by_blas_threads(tmp_path, command, dynamics, names):
         env = {name: threads for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         proc = run_python("-m", "spopo.cli", command, "--config", cfg, env=env)
         assert proc.returncode == 0, proc.stderr
-        written.append([(tmp_path / threads / name).read_bytes() for name in names])
+        written.append({path.name: path.read_bytes() for path in (tmp_path / threads).iterdir()
+                        if path.name != "manifest.json"})
     return written
 
 
 def test_evolve_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
     # d=150, where summing RK45 stages through BLAS once moved timeseries.csv by round-off
-    one, two = artifacts_by_blas_threads(tmp_path, "evolve", {"t_max": 5.0, "n_points": 51},
-                                         ["timeseries.csv"])
-    assert one == two
+    one, two = artifacts_by_blas_threads(tmp_path, "evolve", {"t_max": 5.0, "n_points": 51})
+    assert one == two and "timeseries.csv" in one
 
 
 def test_trajectories_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
-    names = ["trajectories_photon.csv", "homodyne_pumped_channel.csv", "ensemble.csv"]
     one, two = artifacts_by_blas_threads(
         tmp_path, "trajectories",
-        {"t_max": 0.5, "n_points": 6, "dt": 1e-3, "n_trajectories": 4, "seed": 5}, names)
-    assert one == two
+        {"t_max": 0.5, "n_points": 6, "dt": 1e-3, "n_trajectories": 4, "seed": 5})
+    assert one == two and "homodyne_pumped_channel.csv" in one
 
 
 def test_steady_and_spectrum_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # d=150, where BLAS Gram-Schmidt products and norms once moved both by round-off
+    # d=150, where BLAS Gram-Schmidt products and norms once moved both by round-off, and
+    # LAPACK eigvalsh on the whole state moved steady_summary.json's min_eigenvalue at d=150
+    # and d=288; on the parity blocks (75 and 144 indices) it did not
     spectrum = {"omega_grid": np.linspace(0.0, 6.0, 31).tolist(), "channel_index": 1,
                 "channel_phase_deg": -30.0}
-    for command, dynamics, name in (("steady", {}, "steady_diag.csv"),
-                                    ("spectrum", spectrum, "spectrum.csv")):
+    for command, dynamics, cutoffs, name in (
+            ("steady", {}, (10, 5, 3), "steady_summary.json"),
+            ("steady", {}, (12, 6, 4), "steady_summary.json"),
+            ("spectrum", spectrum, (10, 5, 3), "spectrum.csv")):
+        work = tmp_path / f"{command}{math.prod(cutoffs)}"
+        work.mkdir()
+        one, two = artifacts_by_blas_threads(work, command, dynamics, cutoffs)
+        assert one == two and name in one, work.name
+
+
+def test_fluxes_wigner_and_build_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    for command, dynamics, name in (("fluxes", {}, "flux_pump.csv"),
+                                    ("wigner", {"t_max": 5.0, "n_points": 51}, "wigner.csv"),
+                                    ("build", {}, "tensors.csv")):
         (tmp_path / command).mkdir()
-        one, two = artifacts_by_blas_threads(tmp_path / command, command, dynamics, [name])
-        assert one == two, name
+        one, two = artifacts_by_blas_threads(tmp_path / command, command, dynamics)
+        assert one == two and name in one, command
 
 
 def test_convergence_failure_exit_code(tmp_path, capsys):

@@ -362,13 +362,15 @@ def test_master_runs_on_parity_blocks_and_reports_statistics(monkeypatch, case, 
     else:
         mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(12,))
         rho0, t = vacuum_state(mdl.space).to_density(), np.linspace(0.0, 2.0, 9)
-    rec = evolve_master(mdl, rho0, t)
+    rec = evolve_master(mdl, rho0, t, keep_states=True)
     assert rec.extras["block_sizes"] == sizes
     calls = count_applies(monkeypatch)
     evolve_master(mdl, rho0, t)
     assert rec.extras["rhs_evaluations"] == len(calls) > 0
     assert 0.0 <= rec.extras["max_trace_drift"] <= 1e-8
     assert abs(rec.extras["min_eigenvalue"]) <= dynamics.POSITIVITY_TOL
+    # one certificate for every output; under strong parity the zero odd block supplies a 0
+    assert rec.extras["min_eigenvalue"] == min(r.min_eigenvalue() for r in rec.extras["states"])
 
 
 def test_master_coherences_fall_back_to_one_block():

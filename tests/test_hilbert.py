@@ -225,6 +225,44 @@ def test_to_density_keeps_the_bits_of_real_amplitudes():
         assert np.array_equal(rho, np.outer(psi.amplitudes, psi.amplitudes))
 
 
+def test_fock_space_even_marks_even_total_photon_number():
+    s = FockSpace((3, 2))  # flattened index 2 n_0 + n_1
+    assert s.even.tolist() == [True, False, False, True, True, False]
+
+
+@pytest.mark.parametrize("case, sizes", [
+    ("weak", [6, 6]), ("strong", [6, 6]), ("coherence-real", [12]),
+    ("coherence-complex", [12]),
+])
+def test_min_eigenvalue_on_parity_blocks_matches_the_whole_matrix(monkeypatch, case, sizes):
+    # weak symmetry: both parity blocks nonzero; strong: the odd block is zero, so its
+    # eigenvalue 0 is the least of a positive even block; one even-odd coherence: the whole
+    # matrix, bit for bit
+    s = FockSpace((4, 3))
+    even = s.even
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(s.dim, s.dim))
+    if case == "coherence-complex":
+        a = a + 1j * rng.normal(size=(s.dim, s.dim))
+    if case == "strong":
+        rho = (a @ a.T + np.eye(s.dim)) * np.outer(even, even)
+    else:
+        rho = (a + a.conj().T) * (even[:, None] == even)
+    if case.startswith("coherence"):
+        i, j = np.flatnonzero(even)[2], np.flatnonzero(~even)[3]
+        rho[i, j], rho[j, i] = a[i, j], np.conj(a[i, j])
+    whole = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
+    seen, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.shape[0]) or eigvalsh(m))
+    got = DensityOperator(s, rho).min_eigenvalue()
+    assert seen == sizes
+    assert abs(got - whole) <= 1e-13
+    if case == "strong":
+        assert got == 0.0 < float(eigvalsh(rho[np.ix_(even, even)]).min())
+    if case.startswith("coherence"):
+        assert got == whole
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4))
 def test_ladder_elements_property(row, col):
