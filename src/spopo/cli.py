@@ -40,15 +40,19 @@ class ArtifactWriter:
 
     def __init__(self, directory: Path):
         self.directory = directory
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.files: dict[str, str] = {}
+
+    def _path(self, name: str) -> Path:
+        """Artifact ``name``'s path; the first write makes the directory."""
+        self.directory.mkdir(parents=True, exist_ok=True)
+        return self.directory / name
 
     def _register(self, path: Path):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         self.files[path.name] = digest
 
     def write_csv(self, name: str, header: list[str], rows):
-        path = self.directory / name
+        path = self._path(name)
         with open(path, "w", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
@@ -57,20 +61,20 @@ class ArtifactWriter:
         self._register(path)
 
     def write_json(self, name: str, payload):
-        path = self.directory / name
+        path = self._path(name)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         self._register(path)
 
-    def write_manifest(self, cfg: RunConfig, seed: int, wall_time: float):
+    def write_manifest(self, cfg: RunConfig, wall_time: float):
         payload = {
             "config": cfg.raw,
             "config_sha256": cfg.content_hash(),
-            "seed": seed,
+            "seed": cfg.dynamics.seed,
             "package_version": __version__,
             "artifacts": dict(sorted(self.files.items())),
             "wall_time_s": wall_time,
         }
-        path = self.directory / "manifest.json"
+        path = self._path("manifest.json")
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -109,7 +113,7 @@ def _photon_observables(space) -> dict[str, hilbert.LinearOperator]:
     return obs
 
 
-def cmd_build(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
+def cmd_build(cfg: RunConfig, writer: ArtifactWriter):
     if cfg.dispersion is None or cfg.supermode is None:
         raise ConfigValidationError("`build` requires sections `dispersion` and `supermode`")
     params = cfg.dispersion
@@ -151,7 +155,7 @@ def cmd_build(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
     })
 
 
-def cmd_evolve(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
+def cmd_evolve(cfg: RunConfig, writer: ArtifactWriter):
     _sm, mdl = _build_model(cfg)
     t = _time_grid(cfg)
     obs = _photon_observables(mdl.space)
@@ -168,7 +172,7 @@ def cmd_evolve(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
     writer.write_json("model_summary.json", mdl.summary())
 
 
-def cmd_steady(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
+def cmd_steady(cfg: RunConfig, writer: ArtifactWriter):
     _sm, mdl = _build_model(cfg)
     rho = dynamics.steady_state(mdl, tol=cfg.dynamics.tolerance)
     obs = _photon_observables(mdl.space)
@@ -202,7 +206,7 @@ def _spectrum_channel(cfg: RunConfig, mdl) -> hilbert.LinearOperator:
     return dynamics.rotated_channel(match[0].op, cfg.dynamics.channel_phase_deg)
 
 
-def cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
+def cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter):
     _sm, mdl = _build_model(cfg)
     if not cfg.dynamics.omega_grid:
         raise ConfigValidationError("missing required field `dynamics.omega_grid` for spectrum")
@@ -218,40 +222,33 @@ def cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
     })
 
 
-def cmd_trajectories(cfg: RunConfig, writer: ArtifactWriter, seed: int):
+def cmd_trajectories(cfg: RunConfig, writer: ArtifactWriter):
     _sm, mdl = _build_model(cfg)
     t = dynamics.step_grid(_time_grid(cfg), cfg.dynamics.dt)
     if t.size < 2:
         raise ConfigValidationError("field `dynamics.t_max` rounds to zero steps of `dynamics.dt`")
     n_total = hilbert.total_number_operator(mdl.space)
-    records = dynamics.sse_ensemble(
+    rec = dynamics.sse_ensemble(
         mdl, hilbert.vacuum_state(mdl.space), t,
-        n_trajectories=cfg.dynamics.n_trajectories, seed=seed, dt=cfg.dynamics.dt,
+        n_trajectories=cfg.dynamics.n_trajectories, seed=cfg.dynamics.seed, dt=cfg.dynamics.dt,
         observables={"n_total": n_total},
     )
-    n_traj = len(records)
-    writer.write_csv(
-        "trajectories_photon.csv", ["t"] + [f"traj_{k}" for k in range(n_traj)],
-        ((t[i], *(records[k].observables["n_total"][i].real for k in range(n_traj)))
-         for i in range(t.size)),
-    )
+    photons = rec.observables["n_total"]  # [time, trajectory]
+    labels = [f"traj_{k}" for k in range(photons.shape[1])]
+    writer.write_csv("trajectories_photon.csv", ["t"] + labels,
+                     ((ti, *row) for ti, row in zip(t, photons.real)))
     pumped = [j for j, l in enumerate(mdl.lindblads) if l.pumped]
     if pumped:
-        ch = pumped[0]
         mid = (t[:-1] + t[1:]) / 2.0
-        writer.write_csv(
-            "homodyne_pumped_channel.csv", ["t_mid"] + [f"traj_{k}" for k in range(n_traj)],
-            ((mid[i], *(records[k].extras["homodyne_currents"][ch, i] for k in range(n_traj)))
-             for i in range(mid.size)),
-        )
-    mean, stderr = dynamics.ensemble_mean(records, "n_total")
-    writer.write_csv(
-        "ensemble.csv", ["t", "mean_n_total", "stderr_n_total"],
-        ((t[i], mean[i], stderr[i]) for i in range(t.size)),
-    )
+        currents = rec.extras["homodyne_currents"][pumped[0]]  # [interval, trajectory]
+        writer.write_csv("homodyne_pumped_channel.csv", ["t_mid"] + labels,
+                         ((ti, *row) for ti, row in zip(mid, currents)))
+    mean, stderr = dynamics.ensemble_mean(photons)
+    writer.write_csv("ensemble.csv", ["t", "mean_n_total", "stderr_n_total"],
+                     zip(t, mean, stderr))
 
 
-def cmd_wigner(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
+def cmd_wigner(cfg: RunConfig, writer: ArtifactWriter):
     _sm, mdl = _build_model(cfg)
     t = _time_grid(cfg)
     rec = dynamics.evolve_master(
@@ -275,7 +272,7 @@ def cmd_wigner(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
     })
 
 
-def cmd_fluxes(cfg: RunConfig, writer: ArtifactWriter, _seed: int):
+def cmd_fluxes(cfg: RunConfig, writer: ArtifactWriter):
     sm, mdl = _build_model(cfg)
     if cfg.model.family == "cw-single":
         raise ConfigValidationError("fluxes requires a comb model (family lossy or lossless)")
@@ -328,9 +325,8 @@ def main(argv=None) -> int:
             cfg = replace(cfg, dynamics=replace(cfg.dynamics, seed=args.seed))
         out_dir = Path(args.out) if args.out else Path(cfg.outputs.directory)
         writer = ArtifactWriter(out_dir)
-        seed = cfg.dynamics.seed
-        COMMANDS[args.command](cfg, writer, seed)
-        writer.write_manifest(cfg, seed, wall_time=time.monotonic() - start)
+        COMMANDS[args.command](cfg, writer)
+        writer.write_manifest(cfg, wall_time=time.monotonic() - start)
     except ConfigParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

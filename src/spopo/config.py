@@ -185,6 +185,9 @@ def _parse_model(section: dict) -> ModelConfig:
         raise ConfigValidationError("field `model.r` must be >= 0")
     if cfg.p is not None and cfg.p < 0:
         raise ConfigValidationError("field `model.p` must be >= 0")
+    for name in ("p",) if family == "lossy" else ("r", "eta"):
+        if getattr(cfg, name) is not None:
+            raise ConfigValidationError(f"field `model.{name}` is not read by family {family}")
     return cfg
 
 

@@ -18,11 +18,12 @@ Solvers:
   L rho_ss + rho_ss L^dag of channel L without its stationary part.
 * ``sse_ensemble`` integrates the unnormalized stochastic Schroedinger
   equation by Euler-Maruyama with per-step normalization, all trajectories as
-  one block and every channel through one stacked sparse product per step;
-  ``sse_trajectory`` is its one-trajectory case.  Noise streams are keyed per
-  (seed, trajectory, channel), so neither the channel nor the trajectory
-  count reshuffles existing streams, and drawn one chunk of at most
-  ``SSE_CHUNK_STEPS`` steps at a time, so memory does not grow with run length.
+  one block and every channel through one stacked sparse product per step, into
+  one record of blocks, each observable [time, trajectory]; ``sse_trajectory`` is
+  its ensemble of one.  Noise streams are keyed per (seed, trajectory, channel), so
+  neither the channel nor the trajectory count reshuffles existing streams, and drawn
+  one chunk of at most ``SSE_CHUNK_STEPS`` steps at a time, so memory does not grow
+  with run length.
 
 Photon-number parity is a symmetry of the comb and cw models: H and every
 pump channel keep it, and each linear loss flips it.  So a state with no
@@ -359,8 +360,8 @@ def evolve_master(
     keep_states: bool = False,
 ) -> SimulationRecord:
     """rho(t) = exp((t - t_0) G) rho0 on ``t_grid`` by :func:`_chebyshev`, G the generator,
-    linear and time-independent, recording observables.  ``rho0`` must be Hermitian: the
-    generator action assumes it, and the propagator stores each state's upper triangle.
+    linear and time-independent, recording observables.  ``rho0`` must be Hermitian to
+    1e-12 max|rho0|, else :class:`ValueError`: the propagator stores upper triangles.
 
     The state evolves as the parity blocks of rho that :class:`_MasterRHS` finds for
     ``rho0``, or as one block of every index.  A propagator that diverges, trace drift
@@ -375,15 +376,18 @@ def evolve_master(
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
         raise ValueError("t_grid must be strictly increasing with at least two points")
+    rho = rho0.matrix
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-12 * np.max(np.abs(rho)):
+        raise ValueError("initial state is not Hermitian; its lower triangle would be dropped")
     observables = observables or {}
     for name, op in observables.items():
         if op.space != model.space:
             raise ValueError(f"observable {name!r} lives on a different space")
-    rhs = _MasterRHS(model, rho0.matrix)
+    rhs = _MasterRHS(model, rho)
     series = {name: np.empty(t.size, dtype=complex) for name in observables}
     states = []
     worst_drift, least_eigenvalue = 0.0, np.inf
-    for idx, y in enumerate(_chebyshev(rhs, rhs.pack(rho0.matrix), t)):
+    for idx, y in enumerate(_chebyshev(rhs, rhs.pack(rho), t)):
         state = DensityOperator(model.space, rhs.unpack(y))
         if (lam_min := state.min_eigenvalue()) < -POSITIVITY_TOL:
             raise ConvergenceError(f"negative eigenvalue {lam_min:.3e} at t={t[idx]:.4g}")
@@ -700,15 +704,16 @@ def sse_ensemble(
     seed: int,
     dt: float = 1e-3,
     observables: dict[str, LinearOperator] | None = None,
-) -> list[SimulationRecord]:
+) -> SimulationRecord:
     """Homodyne-unraveling trajectories by Euler-Maruyama with per-step normalization.
 
     All trajectories evolve as one d x n_trajectories block on one generator
     build, and each step is one product of that block with the stacked CSR
     [dt C; L_1; ...; L_n], which gives the drift and every channel's L psi at
-    once (:func:`_sse_steps`).  Each records observables at ``t_grid`` (which
-    :func:`step_grid` must leave unchanged) and, per channel, the mean homodyne
-    current over each output interval: (sum of dW + <L + L^dag> dt) / interval.
+    once (:func:`_sse_steps`).  One record holds the ensemble: each observable at ``t_grid``
+    (which :func:`step_grid` must leave unchanged) [time, trajectory], ``final_state`` the
+    d x n_trajectories amplitudes, and ``extras["homodyne_currents"]`` [channel, interval,
+    trajectory] the mean homodyne current (sum of dW + <L + L^dag> dt) / interval.
     Trajectory k's noise is keyed (seed, k, channel), whatever ``n_trajectories``;
     a run is bit-reproducible for fixed (seed, n_trajectories, dt, Lindblad order).
     A norm drift above ``SSE_NORM_DRIFT_MAX`` raises :class:`ConvergenceError`
@@ -717,7 +722,7 @@ def sse_ensemble(
     The noise is drawn and reduced into the currents one chunk at a time: a chunk
     ends at the last output time within ``SSE_CHUNK_STEPS`` steps of its start, or
     splits a longer interval, whose current then sums in another order (round-off).
-    Beyond the returned records, the working set is the block, the stacked products,
+    Beyond the returned record, the working set is the block, the stacked products,
     (n_channels + 1) x d x n_trajectories, and one chunk, n_channels x
     ``SSE_CHUNK_STEPS`` x n_trajectories x 8 B at most, whatever the run length.
     """
@@ -761,15 +766,7 @@ def sse_ensemble(
         offsets = np.subtract(edges[:-1], start)
         homodyne[:, first:first + offsets.size] += np.add.reduceat(dW, offsets, axis=1)
     homodyne /= np.diff(t)[:, None]
-    return [
-        SimulationRecord(
-            times=t,
-            observables={name: s[:, k] for name, s in series.items()},
-            final_state=StateVector(model.space, psi[:, k]),
-            extras={"homodyne_currents": homodyne[:, :, k], "dt": dt},
-        )
-        for k in range(n_trajectories)
-    ]
+    return SimulationRecord(t, series, psi, extras={"homodyne_currents": homodyne, "dt": dt})
 
 
 def sse_trajectory(
@@ -780,19 +777,20 @@ def sse_trajectory(
     dt: float = 1e-3,
     observables: dict[str, LinearOperator] | None = None,
 ) -> SimulationRecord:
-    """One homodyne trajectory: trajectory 0 of :func:`sse_ensemble`, noise keyed (seed, 0, ch)."""
-    return sse_ensemble(model, psi0, t_grid, 1, seed, dt, observables)[0]
+    """One homodyne trajectory: :func:`sse_ensemble` of one, noise keyed (seed, 0, ch), so each
+    observable is [time, 1], ``final_state`` d x 1 and the currents [channel, interval, 1]."""
+    return sse_ensemble(model, psi0, t_grid, 1, seed, dt, observables)
 
 
-def ensemble_mean(records: list[SimulationRecord], name: str):
-    """Mean and standard error of one observable across an ensemble.
-
-    One record has no sample spread: its standard error is NaN at every time.
+def ensemble_mean(series: np.ndarray):
+    """Mean and standard error over trajectories of the real part of ``series``, one
+    observable's [time, trajectory] block from :func:`sse_ensemble`.  Both reduce a
+    [trajectory, time] copy row by row, whatever the layout of ``series``; one trajectory's
+    standard error is NaN at every time.
     """
-    stack = np.array([r.observables[name] for r in records]).real
+    stack = np.ascontiguousarray(series.real.T)
     mean = stack.mean(axis=0)
     if stack.shape[0] < 2:
         return mean, np.full(mean.shape, np.nan)
     stderr = stack.std(axis=0, ddof=1) / np.sqrt(stack.shape[0])
     return mean, stderr
-

@@ -8,7 +8,6 @@ from scipy import sparse
 
 from spopo import dynamics
 from spopo.dynamics import ConvergenceError, SimulationRecord, SpectrumResult
-from spopo.hilbert import StateVector
 
 # RK45 tolerances of the mean field.
 MEAN_FIELD_RTOL, MEAN_FIELD_ATOL = 1e-10, 1e-12
@@ -87,9 +86,11 @@ def noise_streams(seed: int, n_trajectories: int, n_channels: int, n_steps: int,
 
 
 def sse_ensemble_at_once(model, psi0, t, n_trajectories: int, seed: int, dt: float = 1e-3,
-                         observables=None) -> list[SimulationRecord]:
+                         observables=None) -> SimulationRecord:
     """``dynamics.sse_ensemble`` with the noise of the whole run drawn before the first step
-    and the homodyne currents reduced after the last: the streamed integrator's reference.
+    and the homodyne currents reduced after the last: the streamed integrator's reference,
+    returned as the same one record of [time, trajectory] observables, d x n_trajectories
+    amplitudes and [channel, interval, trajectory] currents.
 
     ``t`` must be on the dt lattice and start at 0; inputs are not checked."""
     t = np.asarray(t, dtype=float)
@@ -127,15 +128,7 @@ def sse_ensemble_at_once(model, psi0, t, n_trajectories: int, seed: int, dt: flo
             out_idx += 1
 
     homodyne = np.add.reduceat(dW, out_steps[:-1], axis=1) / np.diff(t)[:, None]
-    return [
-        SimulationRecord(
-            times=t,
-            observables={name: s[:, k] for name, s in series.items()},
-            final_state=StateVector(model.space, psi[:, k]),
-            extras={"homodyne_currents": homodyne[:, :, k], "dt": dt},
-        )
-        for k in range(n_trajectories)
-    ]
+    return SimulationRecord(t, series, psi, extras={"homodyne_currents": homodyne, "dt": dt})
 
 
 def trace_product(op, rho) -> complex:

@@ -186,6 +186,11 @@ def rule(name, value, *more, field=None):
     rule("model.r", -0.1),
     rule("model.family", "lossless", "model.p", -1.0, field="model.p"),
     rule("model.family", "cw-single", "model.p", 2.0, field="model.cutoffs"),
+    # fields the family does not read
+    rule("model.p", 2.0),
+    rule("model.family", "lossless", "model.p", 2.0, field="model.r"),
+    rule("model.family", "lossless", "model.p", 2.0, "model.r", DROP, field="model.eta"),
+    rule("model.family", "cw-single", "model.p", 2.0, "model.cutoffs", [16], field="model.r"),
     rule("dynamics.t_max", 0.0),
     rule("dynamics.dt", -1e-3),
     rule("dynamics.tolerance", 0.0),
@@ -217,6 +222,17 @@ def test_negative_seed_override_exits_3(tmp_path, capsys):
     assert main(["trajectories", "--config", cw_config(tmp_path, "seed"), "--seed", "-1"]) == 3
     assert "field `dynamics.seed` must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "seed").exists()
+
+
+@pytest.mark.parametrize("command, edits", [
+    ("spectrum", {"dynamics.omega_grid": DROP}),
+    ("fluxes", {"model": {"family": "cw-single", "p": 2.0, "cutoffs": [16]}}),
+], ids=["spectrum-without-omega-grid", "fluxes-on-cw-single"])
+def test_command_failing_validation_leaves_no_output_directory(tmp_path, capsys, command, edits):
+    # the rule is checked once the command has built its model, after the config loaded
+    assert main([command, "--config", config_with(tmp_path, edits)]) == 3
+    assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_omitted_dynamics_and_wigner_load_their_defaults(tmp_path):
@@ -571,7 +587,7 @@ def test_supermode_data_failures_exit_3_naming_np_and_k_max(tmp_path, capsys, mo
 
 
 def test_internal_value_error_is_not_a_validation_error(tmp_path, monkeypatch):
-    def broken(_cfg, _writer, _seed):
+    def broken(_cfg, _writer):
         raise ValueError("internal defect")
 
     monkeypatch.setitem(cli.COMMANDS, "evolve", broken)

@@ -311,8 +311,8 @@ def test_solvers_keep_the_vacuum_real():
     for rho in states:
         assert rho.dtype == np.float64
         assert np.array_equal(rho, rho.conj().T)
-    recs = sse_ensemble(mdl, vac, np.linspace(0.0, 0.01, 2), 2, seed=4)
-    assert all(r.final_state.amplitudes.dtype == np.float64 for r in recs)
+    rec = sse_ensemble(mdl, vac, np.linspace(0.0, 0.01, 2), 2, seed=4)
+    assert rec.final_state.dtype == np.float64
 
 
 def stepper_case(case):
@@ -472,6 +472,16 @@ def test_observable_space_mismatch():
             mdl, vacuum_state(mdl.space).to_density(), [0, 1],
             {"n": number_operator(FockSpace((9,)), 0)},
         )
+
+
+def test_master_rejects_a_non_hermitian_initial_state():
+    # the half layout keeps each block's upper triangle: an entry set only below the diagonal
+    # was dropped, and the vacuum evolved in its place
+    mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(8,))
+    rho = vacuum_state(mdl.space).to_density().matrix.copy()
+    rho[1, 0] = 0.3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        evolve_master(mdl, DensityOperator(mdl.space, rho), [0.0, 1.0])
 
 
 def test_record_requires_increasing_times():
@@ -744,7 +754,8 @@ def test_sse_free_state_constant():
     rec = sse_trajectory(mdl, psi0, t, seed=1, dt=1e-3,
                          observables={"n": number_operator(mdl.space, 0)})
     assert np.allclose(rec.observables["n"].real, 2.0, atol=1e-12)
-    assert rec.final_state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert rec.final_state.shape == (mdl.space.dim, 1)
+    assert np.linalg.norm(rec.final_state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sse_bitwise_determinism():
@@ -755,7 +766,7 @@ def test_sse_bitwise_determinism():
     a = sse_trajectory(mdl, psi0, t, seed=42, dt=1e-3, observables=obs)
     b = sse_trajectory(mdl, psi0, t, seed=42, dt=1e-3, observables=obs)
     assert np.array_equal(a.observables["n"], b.observables["n"])
-    assert np.array_equal(a.final_state.amplitudes, b.final_state.amplitudes)
+    assert np.array_equal(a.final_state, b.final_state)
     assert np.array_equal(a.extras["homodyne_currents"], b.extras["homodyne_currents"])
     c = sse_trajectory(mdl, psi0, t, seed=43, dt=1e-3, observables=obs)
     assert not np.array_equal(a.observables["n"], c.observables["n"])
@@ -800,9 +811,9 @@ def test_sse_ensemble_matches_master_in_transient():
     mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(14,))
     t = np.linspace(0, 2, 9)
     obs = {"n": number_operator(mdl.space, 0)}
-    recs = sse_ensemble(mdl, vacuum_state(mdl.space), t, 40, seed=314, dt=5e-4,
-                        observables=obs)
-    mean, se = ensemble_mean(recs, "n")
+    rec = sse_ensemble(mdl, vacuum_state(mdl.space), t, 40, seed=314, dt=5e-4,
+                       observables=obs)
+    mean, se = ensemble_mean(rec.observables["n"])
     target = evolve_master(mdl, vacuum_state(mdl.space).to_density(), t, obs)
     dev = np.abs(mean - target.observables["n"].real)
     assert np.all(dev[1:] < 4.0 * se[1:] + 1e-3)
@@ -822,7 +833,7 @@ def test_sse_homodyne_record_shape():
     mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(12,))
     t = np.linspace(0, 1, 5)
     rec = sse_trajectory(mdl, vacuum_state(mdl.space), t, seed=3, dt=1e-3)
-    assert rec.extras["homodyne_currents"].shape == (1, 4)
+    assert rec.extras["homodyne_currents"].shape == (1, 4, 1)
 
 
 def sse_comb_model(eta=1.0):
@@ -840,13 +851,13 @@ def test_sse_trajectory_independent_of_ensemble_size():
     eight = sse_ensemble(mdl, psi0, t, 8, seed=11, observables=obs)
     three = sse_ensemble(mdl, psi0, t, 3, seed=11, observables=obs)
     single = sse_trajectory(mdl, psi0, t, seed=11, observables=obs)
-    pairs = [(eight[k], three[k]) for k in range(3)] + [(eight[0], single)]
-    for a, b in pairs:
-        assert np.max(np.abs(a.observables["n"] - b.observables["n"])) <= 1e-12
-        currents = a.extras["homodyne_currents"] - b.extras["homodyne_currents"]
+    for b in (three, single):  # the leading trajectories of the eight
+        n = b.final_state.shape[1]
+        assert np.max(np.abs(eight.observables["n"][:, :n] - b.observables["n"])) <= 1e-12
+        currents = eight.extras["homodyne_currents"][..., :n] - b.extras["homodyne_currents"]
         assert np.max(np.abs(currents)) <= 1e-12
-        assert np.max(np.abs(a.final_state.amplitudes - b.final_state.amplitudes)) <= 1e-12
-    assert not np.array_equal(eight[0].observables["n"], eight[1].observables["n"])
+        assert np.max(np.abs(eight.final_state[:, :n] - b.final_state)) <= 1e-12
+    assert not np.array_equal(eight.observables["n"][:, 0], eight.observables["n"][:, 1])
 
 
 def test_sse_ensemble_builds_generator_and_noise_once(monkeypatch):
@@ -865,8 +876,8 @@ def test_sse_ensemble_builds_generator_and_noise_once(monkeypatch):
     monkeypatch.setattr(dynamics, "_MasterRHS", CountingRHS)
     monkeypatch.setattr(dynamics, "_noise_streams", counting_noise)
     mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(12,))
-    recs = sse_ensemble(mdl, vacuum_state(mdl.space), np.linspace(0, 0.1, 3), 5, seed=2)
-    assert len(recs) == 5
+    rec = sse_ensemble(mdl, vacuum_state(mdl.space), np.linspace(0, 0.1, 3), 5, seed=2)
+    assert rec.final_state.shape == (mdl.space.dim, 5)
     assert calls == {"generator": 1, "noise": 1}
 
 
@@ -925,13 +936,12 @@ def test_sse_stacked_step_matches_per_channel_loop(start):
                            + 1j * rng.normal(size=mdl.space.dim))
     t = np.linspace(0, 0.2, 5)
     obs = {"n": total_number_operator(mdl.space), "a1": annihilation(mdl.space, 0)}
-    recs = sse_ensemble(mdl, psi0, t, 3, seed=17, observables=obs)
+    rec = sse_ensemble(mdl, psi0, t, 3, seed=17, observables=obs)
     series, currents, psi = sse_per_channel(mdl, psi0, t, 3, 17, 1e-3, obs)
-    for k, rec in enumerate(recs):
-        for name in obs:
-            assert np.max(np.abs(rec.observables[name] - series[name][:, k])) <= 1e-12
-        assert np.max(np.abs(rec.extras["homodyne_currents"] - currents[:, :, k])) <= 1e-12
-        assert np.max(np.abs(rec.final_state.amplitudes - psi[:, k])) <= 1e-12
+    for name in obs:
+        assert np.max(np.abs(rec.observables[name] - series[name])) <= 1e-12
+    assert np.max(np.abs(rec.extras["homodyne_currents"] - currents)) <= 1e-12
+    assert np.max(np.abs(rec.final_state - psi)) <= 1e-12
 
 
 @pytest.mark.parametrize("chunk", [None, 30, 7])
@@ -947,15 +957,15 @@ def test_sse_streamed_noise_matches_the_all_at_once_reference(monkeypatch, chunk
     for n_traj in (1, 3):
         got = sse_ensemble(mdl, vacuum_state(mdl.space), t, n_traj, 17, observables=obs)
         want = sse_ensemble_at_once(mdl, vacuum_state(mdl.space), t, n_traj, 17, observables=obs)
-        for a, b in zip(got, want, strict=True):
-            for name in obs:
-                assert np.array_equal(a.observables[name], b.observables[name])
-            assert np.array_equal(a.final_state.amplitudes, b.final_state.amplitudes)
-            currents, ref = a.extras["homodyne_currents"], b.extras["homodyne_currents"]
-            if chunk == 7:
-                assert np.max(np.abs(currents - ref)) <= 1e-15 * np.max(np.abs(ref))
-            else:
-                assert np.array_equal(currents, ref)
+        for name in obs:
+            assert np.array_equal(got.observables[name], want.observables[name])
+        assert np.array_equal(got.final_state, want.final_state)
+        currents, ref = got.extras["homodyne_currents"], want.extras["homodyne_currents"]
+        assert currents.shape == ref.shape == (8, t.size - 1, n_traj)
+        if chunk == 7:
+            assert np.max(np.abs(currents - ref)) <= 1e-15 * np.max(np.abs(ref))
+        else:
+            assert np.array_equal(currents, ref)
 
 
 def test_sse_memory_does_not_grow_with_run_length():
@@ -969,12 +979,11 @@ def test_sse_memory_does_not_grow_with_run_length():
         t = np.linspace(0.0, 0.6 * n_intervals, n_intervals + 1)
         tracemalloc.start()
         try:
-            recs = sse_ensemble(mdl, vacuum_state(mdl.space), t, 1, 3, observables=obs)
+            rec = sse_ensemble(mdl, vacuum_state(mdl.space), t, 1, 3, observables=obs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        arrays = [a for r in recs for a in (*r.observables.values(), r.final_state.amplitudes,
-                                             r.extras["homodyne_currents"])]
+        arrays = [*rec.observables.values(), rec.final_state, rec.extras["homodyne_currents"]]
         return peak, sum(a.nbytes for a in arrays)
 
     peak_and_outputs(1)  # first-call allocations
@@ -987,9 +996,9 @@ def test_sse_comb_ensemble_matches_master_in_transient():
     mdl = sse_comb_model()
     t = np.linspace(0, 1, 6)
     obs = {"n_total": total_number_operator(mdl.space)}
-    recs = sse_ensemble(mdl, vacuum_state(mdl.space), t, 40, seed=2718, dt=1e-3,
-                        observables=obs)
-    mean, se = ensemble_mean(recs, "n_total")
+    rec = sse_ensemble(mdl, vacuum_state(mdl.space), t, 40, seed=2718, dt=1e-3,
+                       observables=obs)
+    mean, se = ensemble_mean(rec.observables["n_total"])
     target = evolve_master(mdl, vacuum_state(mdl.space).to_density(), t, obs)
     dev = np.abs(mean - target.observables["n_total"].real)
     assert np.all(dev[1:] < 4.0 * se[1:] + 1e-3)
