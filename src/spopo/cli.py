@@ -1,7 +1,7 @@
 """Command-line pipeline: config in, deterministic CSV/JSON artifacts out.
 
-Exit codes: 0 success, 2 config parse error, 3 validation error,
-4 numerical-convergence failure.
+Exit codes: 0 success, 2 config parse error, 3 validation error (a config rule at load
+or a ``SupermodeDataError`` from the supermode build), 4 numerical-convergence failure.
 """
 
 import argparse
@@ -10,7 +10,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,15 +79,7 @@ class ArtifactWriter:
 
 
 def _build_supermodes(cfg: RunConfig) -> supermode.SupermodeSet:
-    s = cfg.supermode
-    return supermode.build_supermodes(
-        cfg.dispersion,
-        Np=s.Np,
-        n_signal=s.n_signal,
-        k_max=s.k_max,
-        odd_only=s.odd_only,
-        parity_retention=s.parity_retention,
-    )
+    return supermode.build_supermodes(cfg.dispersion, **asdict(cfg.supermode))
 
 
 def _build_model(cfg: RunConfig):
@@ -330,12 +322,8 @@ def main(argv=None) -> int:
     except ConfigParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConfigValidationError as exc:
+    except (ConfigValidationError, SupermodeDataError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SupermodeDataError as exc:
-        print(f"validation error: {exc}; adjust `supermode.Np` or `supermode.k_max`",
-              file=sys.stderr)
         return EXIT_VALIDATION
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)

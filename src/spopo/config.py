@@ -6,6 +6,10 @@ read by ``_read`` into its dataclass (``phasematch.DispersionParams`` for
 every field's type and default; the ``_parse_*`` functions, and ``DynamicsConfig``
 for its seed, add the range and enum checks.  Unknown keys anywhere are
 rejected; error messages name the offending field by dotted path.
+
+Loading checks each field on its own and the sections' presence and lengths against
+each other; whether the dispersion admits the requested supermodes is decided once, by
+``supermode.build_supermodes`` when a command builds them.
 """
 
 import hashlib
@@ -208,29 +212,6 @@ def _parse_dynamics(section: dict) -> DynamicsConfig:
     return cfg
 
 
-def _check_supermode_fits_dispersion(sm: SupermodeConfig, disp: DispersionParams):
-    """Reject supermode settings the dispersion cannot support."""
-    symmetric = disp.beta1 == 0.0  # parity-symmetric phase matching
-    if sm.odd_only and not symmetric:
-        raise ConfigValidationError("field `supermode.odd_only` requires `dispersion.beta1` = 0")
-    if sm.odd_only and sm.parity_retention == "magnitude":
-        raise ConfigValidationError(
-            "field `supermode.odd_only` requires `supermode.parity_retention` = auto: "
-            "magnitude retention keeps odd-parity signal supermodes, whose even-label pump "
-            "channels are not zero"
-        )
-    if sm.k_max > 4 * disp.M + 1:
-        raise ConfigValidationError(
-            f"field `supermode.k_max` exceeds the {4 * disp.M + 1} pump lines of `dispersion.M`"
-        )
-    even_only = symmetric and sm.parity_retention != "magnitude"
-    available = disp.M + 1 if even_only else 2 * disp.M + 1
-    if sm.n_signal > available:
-        raise ConfigValidationError(
-            f"field `supermode.n_signal` exceeds the {available} retainable signal supermodes"
-        )
-
-
 def _parse_wigner(section: dict) -> WignerConfig:
     cfg = WignerConfig(**_read(WignerConfig, section, "wigner"))
     if cfg.x_max <= 0:
@@ -243,8 +224,8 @@ def _parse_wigner(section: dict) -> WignerConfig:
 def load_config(path) -> RunConfig:
     """Parse and validate a config file; raises ConfigParseError / ConfigValidationError."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config file {path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -289,8 +270,6 @@ def validate_config(raw) -> RunConfig:
             raise ConfigValidationError(
                 "field `model.cutoffs` length must equal `supermode.n_signal`"
             )
-    if dispersion is not None and supermode is not None:
-        _check_supermode_fits_dispersion(supermode, dispersion)
     return RunConfig(
         dispersion=dispersion,
         supermode=supermode,

@@ -15,6 +15,10 @@ and the dominant positive eigenvalues all carry even parity; retaining only
 even-parity signal supermodes therefore makes every even-label tensor vanish
 identically on the retained block, which is what justifies dropping the
 even-label nonlinear channels ("odd_only") without approximation.
+
+:func:`build_supermodes` takes the config's ``supermode`` section as its parameters and
+alone decides whether a dispersion admits the requested set; each infeasible request is a
+:class:`SupermodeDataError` naming the ``supermode.*`` or ``dispersion.*`` field to change.
 """
 
 import math
@@ -32,7 +36,8 @@ PARITY_TOL = 1e-8
 
 
 class SupermodeDataError(ValueError):
-    """Valid-looking parameters whose sampled basis or coupling admits no supermode set."""
+    """Parameters that pass the config's per-field rules but whose dispersion, sampled
+    basis or coupling admits no supermode set; the message names the config field."""
 
 
 def _hermite(order: int, x: np.ndarray) -> np.ndarray:
@@ -74,7 +79,7 @@ def hermite_gaussian_basis(Np: float, pump_grid, count: int) -> np.ndarray:
     if np.min(np.abs(diag)) < 1e-10 * np.max(np.abs(diag)):
         raise SupermodeDataError(
             f"sampled Hermite-Gaussian rows are numerically dependent at count {count} "
-            f"(Np {Np} too small for the grid)"
+            f"(Np {Np} too small for the grid); adjust `supermode.Np` or `supermode.k_max`"
         )
     signs = np.sign(diag)
     signs[signs == 0] = 1.0
@@ -101,7 +106,8 @@ def diagonalize_signal(Fp1: np.ndarray):
 
     Returns (T, lam) with rows of T the eigenvectors ordered by descending
     |eigenvalue|; each row's largest-magnitude entry is made positive (ties
-    broken by lowest index) and the leading eigenvalue must be positive.
+    broken by lowest index).  Raises :class:`SupermodeDataError` if the leading
+    eigenvalue is not positive.
     """
     Fp1 = np.asarray(Fp1, dtype=float)
     if Fp1.ndim != 2 or Fp1.shape[0] != Fp1.shape[1]:
@@ -118,7 +124,10 @@ def diagonalize_signal(Fp1: np.ndarray):
         if T[i, lead] < 0:
             T[i] = -T[i]
     if lam[0] <= 0:
-        raise ValueError(f"leading eigenvalue {lam[0]:.3e} is not positive")
+        raise SupermodeDataError(
+            f"leading eigenvalue {lam[0]:.3e} is not positive; adjust the phase mismatch "
+            "(`dispersion.beta1`, `dispersion.beta2s`, `dispersion.beta2p`) or `supermode.Np`"
+        )
     return T, lam
 
 
@@ -212,6 +221,11 @@ def build_supermodes(
         docstring); otherwise fall back to plain descending-|eigenvalue|.
       - "magnitude": plain descending-|eigenvalue| retention; it keeps odd-parity
         supermodes, so it cannot be combined with ``odd_only``.
+
+    Raises :class:`SupermodeDataError`, naming the config field, when ``odd_only`` meets
+    asymmetric dispersion or magnitude retention, ``k_max`` exceeds the 4M+1 pump lines,
+    the Hermite-Gaussian rows are numerically dependent, the label-1 coupling's leading
+    eigenvalue is not positive, or fewer than ``n_signal`` supermodes are retainable.
     """
     if n_signal < 1:
         raise ValueError("n_signal must be >= 1")
@@ -223,34 +237,43 @@ def build_supermodes(
     symmetric = is_parity_symmetric(params)
     use_even = parity_retention == "auto" and symmetric
     if odd_only and not symmetric:
-        raise ValueError("odd_only labels are only exact under parity-symmetric dispersion")
+        raise SupermodeDataError("field `supermode.odd_only` requires `dispersion.beta1` = 0")
     if odd_only and parity_retention == "magnitude":
-        raise ValueError("odd_only labels are only exact with even-parity retention; "
-                         "magnitude retention keeps odd-parity signal supermodes")
+        raise SupermodeDataError(
+            "field `supermode.odd_only` requires `supermode.parity_retention` = auto: "
+            "magnitude retention keeps odd-parity signal supermodes, whose even-label pump "
+            "channels are not zero"
+        )
+    if k_max > 4 * params.M + 1:
+        raise SupermodeDataError(
+            f"field `supermode.k_max` exceeds the {4 * params.M + 1} pump lines of "
+            "`dispersion.M`"
+        )
 
     F = coupling_matrix(params)
     R_all = hermite_gaussian_basis(Np, params.pump_indices, k_max)
     Fp_all = transform_pump(F, R_all)
     T_full, _ = diagonalize_signal(Fp_all[0])
 
-    if use_even:
-        pars = [parity_signature(T_full[i]) for i in range(T_full.shape[0])]
-        selected = [i for i, p in enumerate(pars) if p == 1][:n_signal]
-        if len(selected) < n_signal:
-            raise ValueError(
-                f"only {len(selected)} even-parity signal supermodes available, "
-                f"requested {n_signal}"
-            )
-    else:
-        selected = list(range(n_signal))
-
+    pars = [parity_signature(row) for row in T_full]
+    # counted: rows of tiny eigenvalue lose definite parity, so fewer than M + 1 are even
+    retainable = [i for i, p in enumerate(pars) if p == 1 or not use_even]
+    if len(retainable) < n_signal:
+        raise SupermodeDataError(
+            f"field `supermode.n_signal` exceeds the {len(retainable)} retainable signal "
+            "supermodes"
+        )
+    selected = retainable[:n_signal]
     T = T_full[selected]
-    parities = tuple(parity_signature(T[i]) for i in range(T.shape[0]))
+    parities = tuple(pars[i] for i in selected)
 
     labels = tuple(k for k in range(1, k_max + 1) if not odd_only or k % 2 == 1)
     G_all, lam = coupling_tensors([Fp_all[k - 1] for k in labels], T)  # labels[0] is 1
     if lam[0] <= 0:
-        raise SupermodeDataError("retained leading eigenvalue is not positive")
+        raise SupermodeDataError(
+            "retained leading eigenvalue is not positive; adjust `supermode.Np` or "
+            "`supermode.k_max`"
+        )
 
     tensors = tuple(np.real_if_close(g, tol=1000).astype(float) for g in G_all)
     p = np.array(parities)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,10 @@ import pytest
 import spopo
 from spopo import cli, supermode
 from spopo.cli import main
-from spopo.config import DynamicsConfig, WignerConfig, load_config
+from spopo.config import (
+    ConfigValidationError, DynamicsConfig, WignerConfig, load_config, validate_config,
+)
+from spopo.supermode import SupermodeDataError
 
 from oracles import linearized_spectrum
 
@@ -86,6 +90,13 @@ def test_missing_family_names_field(tmp_path, capsys):
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
+    assert main(["evolve", "--config", str(bad)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"outputs": {"directory": "x\xff"}}')
     assert main(["evolve", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
 
@@ -212,6 +223,9 @@ def rule(name, value, *more, field=None):
     rule("dispersion.M", 1, field="supermode.k_max"),
     rule("dispersion.M", 1, "supermode.k_max", 5, "supermode.n_signal", 3,
          "model.cutoffs", [3, 2, 2], field="supermode.n_signal"),
+    # the desk's 21 signal rows hold 9 of definite even parity, not M + 1 = 11
+    rule("supermode.n_signal", 10, "model.cutoffs", [2] * 10),
+    rule("dispersion.beta2p", 1.0),  # the label-1 coupling's leading eigenvalue is negative
 ])
 def test_each_config_rule_exits_3_naming_its_field(tmp_path, capsys, edits, field):
     assert main(["build", "--config", config_with(tmp_path, edits)]) == 3
@@ -227,12 +241,43 @@ def test_negative_seed_override_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("command, edits", [
     ("spectrum", {"dynamics.omega_grid": DROP}),
     ("fluxes", {"model": {"family": "cw-single", "p": 2.0, "cutoffs": [16]}}),
-], ids=["spectrum-without-omega-grid", "fluxes-on-cw-single"])
+    ("build", {"supermode.k_max": 42}),
+], ids=["spectrum-without-omega-grid", "fluxes-on-cw-single", "build-k-max-above-pump-lines"])
 def test_command_failing_validation_leaves_no_output_directory(tmp_path, capsys, command, edits):
     # the rule is checked once the command has built its model, after the config loaded
     assert main([command, "--config", config_with(tmp_path, edits)]) == 3
     assert "validation error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+SUPERMODE_GRID = list(itertools.product(
+    (1, 10),  # dispersion.M
+    (0.0, 0.05),  # dispersion.beta1
+    (0.0025, 1.0),  # dispersion.beta2p
+    (4.0, 0.05),  # supermode.Np
+    (3, 9),  # supermode.k_max
+    (1, 3, 10),  # supermode.n_signal
+    (True, False),  # supermode.odd_only
+    ("auto", "magnitude"),  # supermode.parity_retention
+))
+
+
+def test_every_supermode_section_builds_or_exits_3():
+    # each section either builds its set or fails with an error `main` maps to exit 3;
+    # any other exception would be a traceback with exit 1
+    built = 0
+    for M, beta1, beta2p, Np, k_max, n_signal, odd_only, retention in SUPERMODE_GRID:
+        try:
+            cfg = validate_config({
+                "dispersion": {**BASE_DISPERSION, "M": M, "beta1": beta1, "beta2p": beta2p},
+                "supermode": {"Np": Np, "k_max": k_max, "n_signal": n_signal,
+                              "odd_only": odd_only, "parity_retention": retention},
+                "outputs": {"directory": "unused"},
+            })
+            built += cli._build_supermodes(cfg).n_signal == n_signal
+        except (ConfigValidationError, SupermodeDataError):
+            pass
+    assert len(SUPERMODE_GRID) == 384 and 0 < built < 384
 
 
 def test_omitted_dynamics_and_wigner_load_their_defaults(tmp_path):

@@ -6,6 +6,7 @@ from scipy.special import eval_hermite
 
 from spopo.phasematch import DispersionParams, coupling_matrix
 from spopo.supermode import (
+    SupermodeDataError,
     _hermite,
     build_supermodes,
     coupling_tensors,
@@ -137,7 +138,7 @@ def test_diagonalize_rejects_asymmetric():
 
 
 def test_diagonalize_rejects_negative_leading():
-    with pytest.raises(ValueError):
+    with pytest.raises(SupermodeDataError):
         diagonalize_signal(np.array([[-1.0]]))
 
 
@@ -252,7 +253,7 @@ def test_reconstruction_residual_decreases_with_retained_labels():
 
 def test_builder_rejects_odd_only_without_symmetry():
     p = DispersionParams(beta1=1e-3, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(SupermodeDataError):
         build_supermodes(p, Np=4.0, n_signal=3, k_max=9, odd_only=True)
     sm = build_supermodes(p, Np=4.0, n_signal=3, k_max=9, odd_only=False,
                           parity_retention="magnitude")
@@ -265,7 +266,7 @@ def test_builder_rejects_odd_only_with_magnitude_retention():
     assert full.parities == (1, -1, 1)
     even_label = [G for k, G in zip(full.pump_labels, full.tensors) if k % 2 == 0]
     assert min(np.max(np.abs(G)) for G in even_label) > 0.5
-    with pytest.raises(ValueError, match="odd_only"):
+    with pytest.raises(SupermodeDataError, match="odd_only"):
         desk_set(n_signal=3, parity_retention="magnitude")
 
 
