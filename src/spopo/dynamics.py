@@ -3,15 +3,15 @@
 Solvers:
 
 * ``evolve_master`` propagates d rho/dt = G rho = -i[H, rho] + sum_i L_i rho L_i^dag
-  - 1/2 {L_i^dag L_i, rho} on the dense parity blocks of the state by Chebyshev
+  - 1/2 {L_i^dag L_i, rho} on the dense blocks of the state by Chebyshev
   expansions of exp(tau G), which relies on G being linear and time-independent: one
   expansion serves every output of its span tau at about sqrt(tau L ln(1/tol)) applies
   of G, L its spectral scale, where stability holds an explicit step to about 1/L.
 * ``steady_state`` finds rho_ss by GMRES on the trace-stabilized generator,
   right-preconditioned by its superoperator diagonal, matrix-free on the
-  vacuum's parity blocks (which pin a unique state when parity is a strong
-  symmetry), or by propagating the d x d state from the vacuum as an independent
-  reference; either way the residual is verified against the full generator.
+  vacuum's blocks (which pin one state where a symmetry leaves several), or by
+  propagating the d x d state from the vacuum as an independent reference;
+  either way the residual is verified against the full generator.
 * ``homodyne_spectrum`` applies the quantum regression theorem in the
   frequency domain: the resolvent (G - i w) X = -A0' at every frequency, G
   being the generator, from one Arnoldi basis grown from A0', the seed
@@ -25,16 +25,11 @@ Solvers:
   one chunk of at most ``SSE_CHUNK_STEPS`` steps at a time, so memory does not grow
   with run length.
 
-Photon-number parity is a symmetry of the comb and cw models: H and every
-pump channel keep it, and each linear loss flips it.  So a state with no
-even-odd coherence, such as the vacuum, stays block-diagonal, even plus odd,
-and ``_MasterRHS`` acts on those blocks alone, held one after another.
-Under strong symmetry (no channel flips parity) a block that starts at zero
-stays zero and is left out.  Where H or a channel mixes parities, or the
-initial state has an even-odd coherence, the state is one block of every
-index: the d x d layout, with the same products as without blocks.  The
-spectrum's Krylov basis always runs on that one block.  The one positivity
-certificate, ``DensityOperator.min_eigenvalue``, works on the parity blocks too.
+``_MasterRHS`` holds a state as the diagonal blocks of rho that evolution from the initial
+state leaves nonzero, found by one rule from the nonzeros of the operators and of that state
+(``_blocks``), or as one block of every index, the d x d layout, on which the spectrum's Krylov
+basis runs.  The one positivity certificate, ``DensityOperator.min_eigenvalue``, works on the
+total-parity blocks of a state without even-odd coherence.
 
 Every solver uses one generator action, ``_MasterRHS.apply(h, sign)``, on a
 state with rho^dag = sign rho: the generator keeps Hermiticity (Breuer & Petruccione
@@ -128,12 +123,37 @@ class SpectrumResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _parity_action(op: sparse.spmatrix, even: np.ndarray) -> str:
-    """"keep" if ``op`` preserves total photon-number parity, "flip" if it flips it, else "mix"."""
-    coo = op.tocoo()
-    nonzero = coo.data != 0
-    same = even[coo.row[nonzero]] == even[coo.col[nonzero]]
-    return "keep" if same.all() else "flip" if not same.any() else "mix"
+def _blocks(C: sparse.csr_matrix, Ls: list, rho0: np.ndarray) -> tuple[list, list]:
+    """The blocks of rho that evolution from ``rho0`` leaves nonzero, and each L's (target,
+    source) pairs of them in target order.  Of the finest partition of the indices in which
+    every nonzero of C and of ``rho0`` lies inside a block and each L takes each block into
+    one block, found by label propagation with pointer jumping, these are the blocks the Ls
+    reach from ``rho0``'s diagonal, ordered by least index.  Stored zeros join nothing."""
+    d = C.shape[0]
+    fixed, *jumps = [(op.row[op.data != 0], op.col[op.data != 0]) for op in
+                     (C.tocoo(), *(L.tocoo() for L in Ls))]
+    fixed = [np.concatenate(ends) for ends in zip(fixed, np.nonzero(rho0))]
+    label, settled = np.arange(d), None  # each index's block, named by its least index
+    while not np.array_equal(label, settled):
+        pairs, settled = [fixed], label.copy()
+        for i, j in jumps:  # the indices an L reaches from one block join one block
+            first = np.full(d, d)
+            np.minimum.at(first, label[j], label[i])
+            pairs.append((i, first[label[j]]))
+        u, v = (label[np.concatenate(ends)] for ends in zip(*pairs))
+        np.minimum.at(label, np.concatenate([u, v]), np.concatenate([v, u]))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    arrows = [np.unique(label[i] * d + label[j]) for i, j in jumps]  # target * d + source
+    target, source = np.divmod(np.concatenate([np.empty(0, int), *arrows]), d)
+    kept, size = np.zeros(d, dtype=bool), 0
+    kept[label[np.flatnonzero(np.diagonal(rho0))]] = True
+    while size < np.count_nonzero(kept):
+        size = np.count_nonzero(kept)
+        kept[target[kept[source]]] = True
+    place = np.cumsum(kept) - 1  # a kept block's place in the list
+    links = [place[np.stack(np.divmod(a[kept[a % d]], d), axis=1)].tolist() for a in arrows]
+    return [np.flatnonzero(label == r) for r in np.flatnonzero(kept)], links
 
 
 class _MasterRHS:
@@ -146,17 +166,11 @@ class _MasterRHS:
     nonzero imaginary entry of -iH or of an L would be lost, so it raises
     :class:`ValueError` naming the operator.  ``evaluations`` counts the calls of ``apply``.
 
-    A state is held as diagonal blocks of rho: ``blocks`` lists disjoint index
-    sets, and every entry of rho outside their diagonal blocks is zero.  Given the
-    initial state ``rho0``, the blocks are those evolution from it leaves nonzero
-    (Albert & Jiang, PRA 89, 022118 (2014)): with C keeping total photon-number
-    parity and each L keeping or flipping it, and no even-odd coherence in
-    ``rho0``, the even and the odd block if some L flips parity (weak symmetry),
-    else those of them where ``rho0`` has an entry (strong symmetry).  C acts
-    through one sub-CSR per block, and each L through one per (target <- source)
-    pair: (a, a) where it keeps parity, (1 - a, a) where it flips it, leaving out
-    an empty one.  Otherwise, and without ``rho0``, the one block is every index:
-    the d x d state itself.
+    A state is held as diagonal blocks of rho: ``blocks`` lists disjoint index sets, and
+    every entry of rho outside their diagonal blocks is zero.  Given the initial state
+    ``rho0``, they are those evolution from it leaves nonzero (:func:`_blocks`; Albert & Jiang,
+    PRA 89, 022118 (2014)), else one block of every index, the d x d state itself.  C acts
+    through one sub-CSR per block, and each L through one per (target <- source) pair.
 
     Every state rho^dag = sign rho, sign 1 or -1, is held as its half: each block's upper
     triangle, diagonal included, row by row, one block after another (``pack``).
@@ -189,25 +203,12 @@ class _MasterRHS:
         self.C.eliminate_zeros()
         self.dim = d = model.space.dim
         self.evaluations = 0  # calls of ``apply``
-
-        # blocks, and the (target, source) block pairs of each L: keep maps a block to itself,
-        # flip to the other one
-        self.blocks, links = [np.arange(d)], [[(0, 0)]] * len(self.Ls)
-        if rho0 is not None:
-            even = model.space.even
-            action, *actions = [_parity_action(op, even) for op in (self.C, *self.Ls)]
-            coherent = np.any(rho0[even[:, None] != even])
-            if action == "keep" and "mix" not in actions and not coherent:
-                self.blocks = [np.flatnonzero(even), np.flatnonzero(~even)]
-                if "flip" not in actions:  # strong symmetry: a block that starts at zero stays so
-                    self.blocks = [b for b in self.blocks if np.any(rho0[np.ix_(b, b)])]
-                links = [[(a, a ^ (act == "flip")) for a in range(len(self.blocks))]
-                         for act in actions]
+        self.blocks, links = (([np.arange(d)], [[(0, 0)]] * len(self.Ls)) if rho0 is None
+                              else _blocks(self.C, self.Ls, rho0))
         self.sizes = [b.size for b in self.blocks]
         self._C = [self.C[b][:, b] for b in self.blocks]
-        subs = [(a, b, L[self.blocks[a]][:, self.blocks[b]])
-                for L, pairs in zip(self.Ls, links) for a, b in pairs]
-        self._half_Ls = [(a, b, np.sqrt(0.5) * L) for a, b, L in subs if L.count_nonzero()]
+        self._half_Ls = [(a, b, np.sqrt(0.5) * L[self.blocks[a]][:, self.blocks[b]])
+                         for L, pairs in zip(self.Ls, links) for a, b in pairs]
 
     def diagonal(self) -> np.ndarray:
         """The generator's superoperator diagonal D_ij = C_ii + C_jj + sum_L L_ii L_jj, a half."""
@@ -363,8 +364,8 @@ def evolve_master(
     linear and time-independent, recording observables.  ``rho0`` must be Hermitian to
     1e-12 max|rho0|, else :class:`ValueError`: the propagator stores upper triangles.
 
-    The state evolves as the parity blocks of rho that :class:`_MasterRHS` finds for
-    ``rho0``, or as one block of every index.  A propagator that diverges, trace drift
+    The state evolves as the blocks of rho that :class:`_MasterRHS` finds for ``rho0``
+    (:func:`_blocks`).  A propagator that diverges, trace drift
     beyond ``trace_tol`` or an output's ``min_eigenvalue()`` below ``-POSITIVITY_TOL`` raises
     :class:`ConvergenceError`.  Output states are exactly Hermitian.  ``extras`` holds the
     generator applies (``rhs_evaluations``), the block sizes (``block_sizes``), the worst
@@ -503,16 +504,15 @@ def steady_state(
 ) -> DensityOperator:
     """Steady state of the model by a sectored Krylov solve or long-time propagation.
 
-    ``"null-space"`` solves L x + tr(x) I_s/d_s = I_s/d_s by
-    restarted GMRES (:func:`_krylov_solve`) on the vacuum's parity blocks of rho
-    (:class:`_MasterRHS`), I_s and d_s being the identity on their diagonal
-    and its size.  The trace term makes the operator invertible when the
-    sector holds one steady state, which fixing the sector ensures even where
-    a strong parity symmetry makes the full kernel degenerate.
+    ``"null-space"`` solves L x + tr(x) I_s/d_s = I_s/d_s by restarted GMRES
+    (:func:`_krylov_solve`) on the blocks of rho that evolution from the vacuum reaches
+    (:func:`_blocks`), I_s and d_s being the identity on their diagonal and its size.  The
+    trace term makes the operator invertible when the sector holds one steady state, which
+    fixing the sector ensures even where a conserved quantity makes the full kernel degenerate.
     ``"long-time"`` propagates the d x d state from the vacuum instead, by
     :func:`_chebyshev` over spans of ``LONG_TIME_CHUNK``, each state
     renormalized: an independent reference, which no CLI op runs, kept off
-    the parity analysis it checks.
+    the blocks it checks.
 
     The returned state always satisfies ||d rho/dt||_F < tol (verified against
     the full generator for both methods) and a ``min_eigenvalue()`` of at least

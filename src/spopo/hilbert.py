@@ -31,7 +31,7 @@ class FockSpace:
     ``cutoffs[i]`` is the number of Fock levels kept for mode ``i`` (levels
     ``0 .. cutoffs[i]-1``).  Mode ordering is fixed at construction and row-major:
     the last mode varies fastest in the flattened index.  ``even`` marks the flattened
-    indices of even total photon number: the parity blocks of the solvers' states.
+    indices of even total photon number: the blocks of ``DensityOperator.min_eigenvalue``.
     """
 
     cutoffs: tuple[int, ...]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spopo
-from spopo import cli, supermode
+from spopo import cli, dynamics, hilbert, supermode
 from spopo.cli import main
 from spopo.config import (
     ConfigValidationError, DynamicsConfig, WignerConfig, load_config, validate_config,
@@ -569,6 +569,24 @@ def test_evolve_and_steady_commands(tmp_path):
     summary = json.loads((out / "steady_summary.json").read_text())
     assert abs(summary["trace"] - 1.0) < 1e-8
     assert summary["purity"] > 0.99  # lossless cw steady state is the pure cat
+
+
+def test_steady_lossless_two_mode_matches_the_long_time_reference(tmp_path):
+    # with k_max 1 each mode keeps its own photon-number parity; the even total-parity block
+    # also holds a steady state the vacuum never reaches, at <n_1> = 1.5989 against 1.3214
+    cfg = write_config(tmp_path, {
+        "dispersion": BASE_DISPERSION,
+        "supermode": {**BASE_SUPERMODE, "k_max": 1},
+        "model": {"family": "lossless", "p": 2.0, "cutoffs": [6, 6]},
+        "outputs": {"directory": str(tmp_path / "out")},
+    })
+    assert main(["steady", "--config", cfg]) == 0
+    summary = json.loads((tmp_path / "out" / "steady_summary.json").read_text())
+    _sm, mdl = cli._build_model(load_config(cfg))
+    rho = dynamics.steady_state(mdl, method="long-time")
+    for name, op in cli._photon_observables(mdl.space).items():
+        want = hilbert.expectation(op, rho).real
+        assert summary["photon_numbers"][name] == pytest.approx(want, abs=1e-6)
 
 
 def test_steady_summary_reports_cat_fidelity_on_cw_single_only(tmp_path):

@@ -79,7 +79,7 @@ def driven_cavity(cutoff=12):
 
 
 def vacuum_generator(mdl):
-    """The generator on the parity blocks of rho that evolution from the vacuum leaves nonzero."""
+    """The generator on the blocks of rho that evolution from the vacuum leaves nonzero."""
     return dynamics._MasterRHS(mdl, vacuum_state(mdl.space).to_density().matrix)
 
 
@@ -124,12 +124,17 @@ def test_master_trace_and_positivity_guarantees():
 @pytest.mark.parametrize("sign", [1, -1], ids=["hermitian", "anti-hermitian"])
 @pytest.mark.parametrize("family, sizes", [
     ("lossy-comb", [12, 12]), ("cw-lossless", [8]), ("coherent-drive", [12]),
-], ids=["lossy-comb", "cw-lossless", "coherent-drive"])
+    ("two-mode-lossless", [9]), ("two-mode-lossy", [9, 9, 9, 9]),
+], ids=["lossy-comb", "cw-lossless", "coherent-drive", "per-mode-parity-lossless",
+        "per-mode-parity-lossy"])
 def test_generator_action_matches_liouvillian_matrix(family, sizes, sign, dtype):
     # the one action on a state with rho^dag = sign rho, away from the steady state, against
-    # the superoperator, on the d x d state and on the vacuum's parity blocks: weak symmetry
-    # (even and odd), strong symmetry (even only) and none (one block of every index)
-    if family == "lossy-comb":
+    # the superoperator, on the d x d state and on the vacuum's blocks: the even and the odd
+    # total photon number, the even alone, one block of every index, and with each mode's
+    # parity conserved the both-even block alone or all four parity pairs
+    if family.startswith("two-mode"):
+        mdl = two_mode_comb(lossless=family == "two-mode-lossless")
+    elif family == "lossy-comb":
         desk = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
         sm = build_supermodes(desk, Np=4.0, n_signal=3, k_max=9)
         mdl = build_spopo(sm, r=1.2, eta=1.0, cutoffs=(4, 3, 2))
@@ -160,6 +165,32 @@ def desk_comb(cutoffs):
     desk = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
     return build_spopo(build_supermodes(desk, Np=4.0, n_signal=3, k_max=9), r=1.19, eta=1.0,
                        cutoffs=cutoffs)
+
+
+def two_mode_comb(lossless):
+    """Desk dispersion, two supermodes and the Gaussian pump supermode alone (k_max 1), at
+    cutoffs (6, 6), lossless at p=2 or lossy at r=1.2, eta=1: the one pump channel and the
+    Hamiltonian keep each mode's photon-number parity, and each linear loss flips its own."""
+    desk = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
+    sm = build_supermodes(desk, Np=4.0, n_signal=2, k_max=1)
+    if lossless:
+        return build_lossless(sm, p=2.0, cutoffs=(6, 6))
+    return build_spopo(sm, r=1.2, eta=1.0, cutoffs=(6, 6))
+
+
+@pytest.mark.parametrize("cutoffs", [(6, 4, 3), (10, 5, 3)])
+def test_desk_vacuum_blocks_are_the_total_parity_blocks(cutoffs):
+    # the benchmark's layouts, and with them its bits: the even then the odd total photon
+    # number, each in index order, and each L's (target, source) pairs in target order, a
+    # pump channel keeping each block and a linear loss swapping them
+    mdl = desk_comb(cutoffs)
+    rhs = vacuum_generator(mdl)
+    even = mdl.space.even
+    assert len(rhs.blocks) == 2
+    for got, want in zip(rhs.blocks, [np.flatnonzero(even), np.flatnonzero(~even)]):
+        assert np.array_equal(got, want)
+    flips = [l.kind == "linear" for l in mdl.lindblads]
+    assert [(a, b) for a, b, _ in rhs._half_Ls] == [(a, a ^ f) for f in flips for a in (0, 1)]
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -351,13 +382,21 @@ def test_master_propagator_matches_expm(case):
 
 @pytest.mark.parametrize("case, sizes", [
     ("lossy-comb", [12, 12]), ("cw-vacuum", [6]), ("coherent-drive", [12]),
-], ids=["weak-parity", "strong-parity", "coherent-drive"])
+    ("two-mode-lossless", [9]), ("two-mode-lossy", [9, 9, 9, 9]),
+], ids=["weak-parity", "strong-parity", "coherent-drive", "per-mode-parity-lossless",
+        "per-mode-parity-lossy"])
 def test_master_runs_on_parity_blocks_and_reports_statistics(monkeypatch, case, sizes):
     # the lossy comb's linear losses flip photon-number parity and everything else keeps it,
     # so the vacuum evolves as an even and an odd block; the lossless cat keeps parity in
     # every channel, so only the even block is nonzero.  A coherent drive mixes parities, so
-    # the vacuum evolves as one block of every index.  A wrong layout shows here.
-    if case != "cw-vacuum":
+    # the vacuum evolves as one block of every index.  With the Gaussian pump supermode alone
+    # each mode keeps its own parity: the lossless vacuum stays where both modes are even,
+    # and each mode's loss takes the lossy one to all four parity pairs.  A wrong layout
+    # shows here.
+    if case.startswith("two-mode"):
+        mdl = two_mode_comb(lossless=case == "two-mode-lossless")
+        rho0, t = vacuum_state(mdl.space).to_density(), np.linspace(0.0, 2.0, 9)
+    elif case != "cw-vacuum":
         mdl, rho0, t = stepper_case(case)
     else:
         mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(12,))
@@ -447,11 +486,13 @@ def test_master_nan_generator_raises_promptly(monkeypatch, when):
 
 def test_master_growing_mode_raises_at_span_floor(monkeypatch):
     # G = 1000 I grows every mode far faster than the diagonal's scale L (4 here) allows:
-    # each halved span still outgrows its start state, down to the floor 1/L
+    # each halved span still outgrows its start state, down to the floor 1/L.  The loss takes
+    # |2> through every level, so its blocks hold the diagonal's least entry; the vacuum's
+    # block is the vacuum alone
     monkeypatch.setattr(dynamics._MasterRHS, "apply", lambda self, rho, sign=1: 1e3 * rho)
     calls = count_applies(monkeypatch)
     mdl = damped_cavity(cutoff=3)
-    rho0 = vacuum_state(mdl.space).to_density()
+    rho0 = fock_state(mdl.space, (2,)).to_density()
     assert -dynamics._MasterRHS(mdl).diagonal().min() == pytest.approx(4.0)
     with pytest.raises(ConvergenceError, match=r"at t=0: .* down to 0\.25, .* 1/L = 0\.25"):
         evolve_master(mdl, rho0, [0.0, 2.0])
@@ -507,6 +548,20 @@ def test_steady_state_methods_agree():
         rho_a = steady_state(mdl, method="null-space")
         rho_b = steady_state(mdl, method="long-time")
         assert trace_distance(rho_a, rho_b) < 1e-6
+
+
+def test_lossless_two_mode_steady_state_keeps_each_mode_parity():
+    # with the Gaussian pump supermode alone each mode's photon-number parity is conserved,
+    # not only the total's, so the vacuum's block is the 9 indices where both are even.  The
+    # 18-index even total-parity block also holds a steady state the vacuum never reaches,
+    # <n_1> = 1.5989 against 1.3214 with 93% of it at mode 1 odd, which a solve there returns
+    mdl = two_mode_comb(lossless=True)
+    rho = steady_state(mdl)
+    assert trace_distance(rho, steady_state(mdl, method="long-time")) < 1e-6
+    mode1_odd = np.indices(mdl.space.cutoffs)[0].ravel() % 2 == 1
+    assert np.all(rho.matrix.diagonal()[mode1_odd] == 0.0)
+    rec = evolve_master(mdl, vacuum_state(mdl.space).to_density(), [0.0, 1.0])
+    assert rec.extras["block_sizes"] == [9]
 
 
 def test_steady_state_lossless_cat():
@@ -568,10 +623,12 @@ def test_steady_state_without_parity_symmetry():
 
 @pytest.mark.parametrize("solver", ["steady_state", "homodyne_spectrum"])
 def test_steady_state_krylov_nonconvergence_raises(monkeypatch, solver):
+    # a cavity below threshold, whose vacuum reaches both parity blocks: the damped cavity's
+    # vacuum is stationary, a block of one index that GMRES solves with one vector
+    mdl = build_spopo(single_mode_set(1.0), r=0.5, eta=1e-3, cutoffs=(12,))
     if solver == "steady_state":
-        solve = partial(steady_state, damped_cavity())
+        solve = partial(steady_state, mdl)
     else:
-        mdl = build_spopo(single_mode_set(1.0), r=0.5, eta=1e-3, cutoffs=(12,))
         solve = partial(homodyne_spectrum, mdl, mdl.lindblads[0].op, [0.0, 1.0], steady_state(mdl))
     monkeypatch.setattr(dynamics, "KRYLOV_MAX_DIM", 2)
     with pytest.raises(ConvergenceError, match="iterations.*residual"):
