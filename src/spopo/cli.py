@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, dynamics, hilbert, model as model_mod, supermode
-from .config import ConfigParseError, ConfigValidationError, RunConfig, load_config
+from .config import ConfigParseError, ConfigValidationError, RunConfig, load_config, validate_config
 from .dynamics import ConvergenceError
 from .phasematch import coupling_matrix
 from .supermode import SupermodeDataError
@@ -313,8 +313,9 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, dynamics=replace(cfg.dynamics, seed=args.seed))
+        if args.seed is not None:  # meets the file's rules; the manifest keeps the file's config
+            raw = {**cfg.raw, "dynamics": {**cfg.raw.get("dynamics", {}), "seed": args.seed}}
+            cfg = replace(validate_config(raw), raw=cfg.raw)
         out_dir = Path(args.out) if args.out else Path(cfg.outputs.directory)
         writer = ArtifactWriter(out_dir)
         COMMANDS[args.command](cfg, writer)

@@ -2,24 +2,24 @@
 
 The config file is a single JSON document of nested sections.  Each section is
 read by ``_read`` into its dataclass (``phasematch.DispersionParams`` for
-``dispersion``, then ``SupermodeConfig`` .. ``OutputConfig``), which declares
-every field's type and default; the ``_parse_*`` functions, and ``DynamicsConfig``
-for its seed, add the range and enum checks.  Unknown keys anywhere are
-rejected; error messages name the offending field by dotted path.
+``dispersion``, then ``SupermodeConfig`` .. ``OutputConfig``), whose annotations declare
+each field's whole rule: its type, a ``Literal`` for an enum, ``Annotated[X, "> 0"]`` or
+``Annotated[X, ">= 2"]`` for a lower bound.  ``_parse_model`` adds the rules that depend
+on the model family and ``validate_config`` those between sections.  Unknown keys
+anywhere are rejected; error messages name the offending field by dotted path.
 
-Loading checks each field on its own and the sections' presence and lengths against
-each other; whether the dispersion admits the requested supermodes is decided once, by
+Whether the dispersion admits the requested supermodes is decided once, by
 ``supermode.build_supermodes`` when a command builds them.
 """
 
 import hashlib
 import json
+import operator
 import sys
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, Literal, get_args, get_origin, get_type_hints
 
 from .phasematch import DispersionParams
 
@@ -32,20 +32,32 @@ class ConfigValidationError(Exception):
     """The config contents violate the schema (exit code 3)."""
 
 
-FAMILIES = ("lossy", "lossless", "cw-single")
-
-
 def _is_finite(number) -> bool:
     """False for what ``json`` reads as NaN or +-inf (``NaN``, ``Infinity``, ``1e999``) and
     for an integer too large for a float."""
     return abs(number) <= sys.float_info.max
 
 
+_BOUNDS = {">=": operator.ge, ">": operator.gt}
+
+
 def _value(value, kind, name: str):
     """The JSON ``value`` of field ``name`` as ``kind``: float (any finite number), int (up to
-    the largest numpy index), bool, str, ``X | None`` (read as X) or ``tuple[X, ...]``."""
-    if isinstance(kind, UnionType):
+    the largest numpy index), bool, str, a ``Literal`` of strings, ``X | None`` (read as X),
+    ``tuple[X, ...]`` or ``Annotated[X, "<op> <bound>"]`` (X with ``op`` one of ``>=`` ``>``)."""
+    if type(None) in get_args(kind):
         (kind,) = [k for k in get_args(kind) if k is not type(None)]
+    if get_origin(kind) is Annotated:
+        kind, rule = get_args(kind)
+        value = _value(value, kind, name)
+        op, bound = rule.split()
+        if not _BOUNDS[op](value, float(bound)):
+            raise ConfigValidationError(f"field `{name}` must be {rule}")
+        return value
+    if get_origin(kind) is Literal:
+        if not (isinstance(value, str) and value in get_args(kind)):
+            raise ConfigValidationError(f"field `{name}` must be one of {'|'.join(get_args(kind))}")
+        return value
     if get_origin(kind) is tuple:
         if not isinstance(value, list):
             raise ConfigValidationError(f"field `{name}` must be a list")
@@ -62,10 +74,10 @@ def _value(value, kind, name: str):
     return value
 
 
-def _read(cls, section: dict, path: str) -> dict:
-    """The fields of dataclass ``cls`` read from ``section`` by their annotations, as keyword
-    arguments; a field with a default may be left out, and any other key is rejected."""
-    kinds, values = get_type_hints(cls), {}
+def _read(cls, section: dict, path: str):
+    """Dataclass ``cls`` with its fields read from ``section`` by their annotations; a field
+    with a default may be left out, and any other key is rejected."""
+    kinds, values = get_type_hints(cls, include_extras=True), {}
     for f in fields(cls):
         if f.name in section:
             values[f.name] = _value(section.pop(f.name), kinds[f.name], f"{path}.{f.name}")
@@ -73,49 +85,44 @@ def _read(cls, section: dict, path: str) -> dict:
             raise ConfigValidationError(f"missing required field `{path}.{f.name}`")
     if section:
         raise ConfigValidationError(f"unknown field `{path}.{sorted(section)[0]}`")
-    return values
+    return cls(**values)
 
 
 @dataclass(frozen=True)
 class SupermodeConfig:
-    Np: float
-    n_signal: int
-    k_max: int
+    Np: Annotated[float, "> 0"]
+    n_signal: Annotated[int, ">= 1"]
+    k_max: Annotated[int, ">= 1"]
     odd_only: bool = True
-    parity_retention: str = "auto"
+    parity_retention: Literal["auto", "magnitude"] = "auto"
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    family: str
-    cutoffs: tuple[int, ...]
-    r: float | None = None
-    eta: float | None = None
-    p: float | None = None
+    family: Literal["lossy", "lossless", "cw-single"]
+    cutoffs: tuple[Annotated[int, ">= 2"], ...]
+    r: Annotated[float, ">= 0"] | None = None
+    eta: Annotated[float, "> 0"] | None = None
+    p: Annotated[float, ">= 0"] | None = None
 
 
 @dataclass(frozen=True)
 class DynamicsConfig:
-    t_max: float = 10.0
-    n_points: int = 101
-    dt: float = 1e-3
-    tolerance: float = 1e-8
-    n_trajectories: int = 1
-    seed: int = 1
+    t_max: Annotated[float, "> 0"] = 10.0
+    n_points: Annotated[int, ">= 2"] = 101
+    dt: Annotated[float, "> 0"] = 1e-3
+    tolerance: Annotated[float, "> 0"] = 1e-8
+    n_trajectories: Annotated[int, ">= 1"] = 1
+    seed: Annotated[int, ">= 0"] = 1
     omega_grid: tuple[float, ...] = ()
     channel_index: int = 1
     channel_phase_deg: float = -90.0
 
-    def __post_init__(self):
-        # here rather than in _parse_dynamics, so the CLI's --seed override meets it too
-        if self.seed < 0:
-            raise ConfigValidationError("field `dynamics.seed` must be >= 0")
-
 
 @dataclass(frozen=True)
 class WignerConfig:
-    x_max: float = 4.5
-    points: int = 121
+    x_max: Annotated[float, "> 0"] = 4.5
+    points: Annotated[int, ">= 11"] = 121
 
 
 @dataclass(frozen=True)
@@ -141,55 +148,20 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _parse_dispersion(section: dict) -> DispersionParams:
-    values = _read(DispersionParams, section, "dispersion")
-    if values["M"] < 0:
-        raise ConfigValidationError("field `dispersion.M` must be >= 0")
-    if values["g0"] <= 0:
-        raise ConfigValidationError("field `dispersion.g0` must be positive")
-    return DispersionParams(**values)
-
-
-def _parse_supermode(section: dict) -> SupermodeConfig:
-    cfg = SupermodeConfig(**_read(SupermodeConfig, section, "supermode"))
-    if cfg.Np <= 0:
-        raise ConfigValidationError("field `supermode.Np` must be positive")
-    if cfg.n_signal < 1:
-        raise ConfigValidationError("field `supermode.n_signal` must be >= 1")
-    if cfg.k_max < 1:
-        raise ConfigValidationError("field `supermode.k_max` must be >= 1")
-    if cfg.parity_retention not in ("auto", "magnitude"):
-        raise ConfigValidationError(
-            "field `supermode.parity_retention` must be one of auto|magnitude"
-        )
-    return cfg
-
-
 def _parse_model(section: dict) -> ModelConfig:
-    cfg = ModelConfig(**_read(ModelConfig, section, "model"))
+    cfg = _read(ModelConfig, section, "model")
     family = cfg.family
-    if family not in FAMILIES:
-        raise ConfigValidationError(f"field `model.family` must be one of {'|'.join(FAMILIES)}")
     if not cfg.cutoffs:
         raise ConfigValidationError("field `model.cutoffs` must not be empty")
-    if any(c < 2 for c in cfg.cutoffs):
-        raise ConfigValidationError("field `model.cutoffs` entries must be >= 2")
-    if family == "lossy":
-        if cfg.r is None:
-            raise ConfigValidationError("missing required field `model.r` for family lossy")
-        if cfg.eta is None:
-            raise ConfigValidationError("missing required field `model.eta` for family lossy")
-        if cfg.eta <= 0:
-            raise ConfigValidationError("field `model.eta` must be positive")
-    elif cfg.p is None:
-        raise ConfigValidationError(f"missing required field `model.p` for family {family}")
+    read, unread = (("r", "eta"), ("p",)) if family == "lossy" else (("p",), ("r", "eta"))
+    for name in read:
+        if getattr(cfg, name) is None:
+            raise ConfigValidationError(
+                f"missing required field `model.{name}` for family {family}"
+            )
     if family == "cw-single" and len(cfg.cutoffs) != 1:
         raise ConfigValidationError("field `model.cutoffs` must have one entry for cw-single")
-    if cfg.r is not None and cfg.r < 0:
-        raise ConfigValidationError("field `model.r` must be >= 0")
-    if cfg.p is not None and cfg.p < 0:
-        raise ConfigValidationError("field `model.p` must be >= 0")
-    for name in ("p",) if family == "lossy" else ("r", "eta"):
+    for name in unread:
         if getattr(cfg, name) is not None:
             raise ConfigValidationError(f"field `model.{name}` is not read by family {family}")
     return cfg
@@ -201,24 +173,7 @@ def _parse_dynamics(section: dict) -> DynamicsConfig:
         if key in section:
             del section[key]
             warnings.warn(f"field `dynamics.{key}` is deprecated and ignored", FutureWarning)
-    cfg = DynamicsConfig(**_read(DynamicsConfig, section, "dynamics"))
-    for name, value in (("t_max", cfg.t_max), ("dt", cfg.dt), ("tolerance", cfg.tolerance)):
-        if value <= 0:
-            raise ConfigValidationError(f"field `dynamics.{name}` must be positive")
-    if cfg.n_points < 2:
-        raise ConfigValidationError("field `dynamics.n_points` must be >= 2")
-    if cfg.n_trajectories < 1:
-        raise ConfigValidationError("field `dynamics.n_trajectories` must be >= 1")
-    return cfg
-
-
-def _parse_wigner(section: dict) -> WignerConfig:
-    cfg = WignerConfig(**_read(WignerConfig, section, "wigner"))
-    if cfg.x_max <= 0:
-        raise ConfigValidationError("field `wigner.x_max` must be positive")
-    if cfg.points < 11:
-        raise ConfigValidationError("field `wigner.points` must be >= 11")
-    return cfg
+    return _read(DynamicsConfig, section, "dynamics")
 
 
 def load_config(path) -> RunConfig:
@@ -250,12 +205,14 @@ def validate_config(raw) -> RunConfig:
         if name in data and not isinstance(data[name], dict):
             raise ConfigValidationError(f"section `{name}` must be an object")
 
-    dispersion = _parse_dispersion(data["dispersion"]) if "dispersion" in data else None
-    supermode = _parse_supermode(data["supermode"]) if "supermode" in data else None
+    dispersion = (_read(DispersionParams, data["dispersion"], "dispersion")
+                  if "dispersion" in data else None)
+    supermode = (_read(SupermodeConfig, data["supermode"], "supermode")
+                 if "supermode" in data else None)
     model = _parse_model(data["model"]) if "model" in data else None
     dynamics = _parse_dynamics(data.get("dynamics", {}))
-    wigner = _parse_wigner(data.get("wigner", {}))
-    outputs = OutputConfig(**_read(OutputConfig, data["outputs"], "outputs"))
+    wigner = _read(WignerConfig, data.get("wigner", {}), "wigner")
+    outputs = _read(OutputConfig, data["outputs"], "outputs")
 
     if model is not None and model.family != "cw-single":
         if dispersion is None:

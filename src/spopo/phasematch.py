@@ -12,25 +12,21 @@ re-derived from material data here.
 """
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class DispersionParams:
-    """Dimensionless dispersion inputs plus the coupling-rate scale g0."""
+    """Dimensionless dispersion inputs plus the coupling-rate scale g0; the annotated bounds
+    are the config's rules, checked where ``config`` reads the ``dispersion`` section."""
 
     beta1: float
     beta2s: float
     beta2p: float
-    g0: float
-    M: int
-
-    def __post_init__(self):
-        if self.M < 0:
-            raise ValueError("comb halfwidth M must be >= 0")
-        if self.g0 <= 0:
-            raise ValueError("coupling scale g0 must be positive")
+    g0: Annotated[float, "> 0"]
+    M: Annotated[int, ">= 0"]  # comb halfwidth
 
     @property
     def indices(self) -> np.ndarray:

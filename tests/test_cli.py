@@ -116,11 +116,12 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "unknown field `outputs.artifacts`" in capsys.readouterr().err
 
 
-DROP = object()  # a ``config_with`` edit that removes the key
+DROP = object()  # a ``payload_with`` edit that removes the key
 
 
-def config_with(tmp_path, edits):
-    """A valid config with every section, changed by ``edits``: dotted name -> value or DROP."""
+def payload_with(tmp_path, edits):
+    """A valid config payload with every section, changed by ``edits``: dotted name -> value
+    or DROP."""
     payload = {
         "dispersion": dict(BASE_DISPERSION),
         "supermode": dict(BASE_SUPERMODE),
@@ -136,7 +137,12 @@ def config_with(tmp_path, edits):
             del target[key]
         else:
             target[key] = value
-    return write_config(tmp_path, payload)
+    return payload
+
+
+def config_with(tmp_path, edits):
+    """``payload_with(tmp_path, edits)`` written to a config file."""
+    return write_config(tmp_path, payload_with(tmp_path, edits))
 
 
 def rule(name, value, *more, field=None):
@@ -232,10 +238,34 @@ def test_each_config_rule_exits_3_naming_its_field(tmp_path, capsys, edits, fiel
     assert f"`{field}`" in capsys.readouterr().err
 
 
-def test_negative_seed_override_exits_3(tmp_path, capsys):
-    assert main(["trajectories", "--config", cw_config(tmp_path, "seed"), "--seed", "-1"]) == 3
-    assert "field `dynamics.seed` must be >= 0" in capsys.readouterr().err
+@pytest.mark.parametrize("seed", [-1, 10**30], ids=["-1", "10**30"])
+def test_negative_seed_override_exits_3(tmp_path, capsys, seed):
+    # the override meets every rule of the file's `dynamics.seed`, the int range too
+    cfg = cw_config(tmp_path, "seed")
+    assert main(["trajectories", "--config", cfg, "--seed", str(seed)]) == 3
+    assert "field `dynamics.seed` must be" in capsys.readouterr().err
     assert not (tmp_path / "seed").exists()
+
+
+@pytest.mark.parametrize("edits", [
+    {"dispersion.M": 0},
+    {"supermode.n_signal": 1, "model.cutoffs": [2]},
+    {"supermode.k_max": 1},
+    {"model.cutoffs": [2, 2]},
+    {"model.r": 0.0},
+    {"model.family": "lossless", "model.r": DROP, "model.eta": DROP, "model.p": 0.0},
+    {"dynamics.n_points": 2},
+    {"dynamics.n_trajectories": 1},
+    {"dynamics.seed": 0},
+    {"wigner.points": 11},
+], ids=lambda edits: ",".join(f"{k}={json.dumps(v)}" for k, v in edits.items() if v is not DROP))
+def test_value_at_an_inclusive_bound_loads(tmp_path, edits):
+    cfg = validate_config(payload_with(tmp_path, edits))
+    for name, value in edits.items():
+        section, key = name.split(".")
+        if value is not DROP:
+            loaded = getattr(getattr(cfg, section), key)
+            assert loaded == (tuple(value) if isinstance(value, list) else value)
 
 
 @pytest.mark.parametrize("command, edits", [
@@ -492,11 +522,15 @@ def test_seed_override_changes_trajectories(tmp_path):
     cfg = cw_config(tmp_path, "seeded", n_trajectories=2)
     assert main(["trajectories", "--config", cfg]) == 0
     first = (tmp_path / "seeded" / "trajectories_photon.csv").read_bytes()
+    unseeded = json.loads((tmp_path / "seeded" / "manifest.json").read_text())
     assert main(["trajectories", "--config", cfg, "--seed", "99"]) == 0
     second = (tmp_path / "seeded" / "trajectories_photon.csv").read_bytes()
     assert first != second
     manifest = json.loads((tmp_path / "seeded" / "manifest.json").read_text())
     assert manifest["seed"] == 99
+    # the manifest records the config file as written, not the override
+    assert manifest["config"] == json.loads(Path(cfg).read_text())
+    assert manifest["config_sha256"] == unseeded["config_sha256"]
 
 
 def test_spectrum_pipeline_matches_linearized(tmp_path):

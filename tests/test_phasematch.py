@@ -11,13 +11,6 @@ def params(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10):
     return DispersionParams(beta1=beta1, beta2s=beta2s, beta2p=beta2p, g0=g0, M=M)
 
 
-def test_parameter_validation():
-    with pytest.raises(ValueError):
-        params(M=-1)
-    with pytest.raises(ValueError):
-        params(g0=0.0)
-
-
 def test_sinc_basics():
     assert sinc(0.0) == 1.0
     assert sinc(np.pi) == pytest.approx(0.0, abs=1e-15)
