@@ -1,16 +1,19 @@
 """Truncated multimode Fock-space linear algebra.
 
 Every operator lives on a :class:`FockSpace`, a tensor product of per-mode
-truncated ladders.  Operators are stored sparse (CSR); density operators are
-dense, which is the right trade-off at desk-scale dimensions where Lindblad
-evolution is dominated by sparse-times-dense products.  Operators are
-complex; a state keeps the dtype of its data, float64 when that is real
-(Fock states and the vacuum) and complex128 otherwise.
+truncated ladders.  Its one occupation table, each mode's photon number at each
+flattened index, builds the ladder and number operators and the parity blocks.
+Operators are stored sparse (CSR); density operators are dense, which is the
+right trade-off at desk-scale dimensions where Lindblad evolution is dominated
+by sparse-times-dense products.  Operators are complex; a state keeps the dtype
+of its data, float64 when that is real (Fock states and the vacuum) and
+complex128 otherwise.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -29,8 +32,8 @@ class FockSpace:
     """Tensor product of truncated bosonic modes.
 
     ``cutoffs[i]`` is the number of Fock levels kept for mode ``i`` (levels
-    ``0 .. cutoffs[i]-1``).  Mode ordering is fixed at construction and row-major:
-    the last mode varies fastest in the flattened index.  ``even`` marks the flattened
+    ``0 .. cutoffs[i]-1``).  ``occupations[i, j]`` is mode ``i``'s photon number at
+    flattened index ``j``, row-major: the last mode varies fastest.  ``even`` marks the
     indices of even total photon number: the blocks of ``DensityOperator.min_eigenvalue``.
     """
 
@@ -52,9 +55,15 @@ class FockSpace:
     def dim(self) -> int:
         return math.prod(self.cutoffs)
 
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        occupations = np.indices(self.cutoffs).reshape(self.mode_count, self.dim)
+        occupations.flags.writeable = False
+        return occupations
+
     @property
     def even(self) -> np.ndarray:
-        return np.indices(self.cutoffs).sum(axis=0).ravel() % 2 == 0
+        return self.occupations.sum(axis=0) % 2 == 0
 
     def check_mode(self, mode: int) -> int:
         if not 0 <= mode < self.mode_count:
@@ -75,9 +84,6 @@ class LinearOperator:
             )
         self.space = space
         self.matrix = matrix
-
-    def dag(self) -> "LinearOperator":
-        return LinearOperator(self.space, self.matrix.conj().T)
 
     def norm(self) -> float:
         """Frobenius norm; duplicate entries are summed first, as ``sparse.linalg.norm`` does."""
@@ -169,45 +175,25 @@ class DensityOperator:
         return min(float(np.linalg.eigvalsh(rho[np.ix_(b, b)]).min()) for b in (even, ~even))
 
 
-def _ladder(cutoff: int) -> sparse.csr_matrix:
-    # single-mode annihilation: a|n> = sqrt(n)|n-1>
-    return sparse.diags(
-        np.sqrt(np.arange(1, cutoff, dtype=float)), offsets=1, dtype=complex, format="csr"
-    )
-
-
-def embed(space: FockSpace, mode: int, single_mode_matrix) -> LinearOperator:
-    """Embed a single-mode operator as I x ... x A x ... x I on the full space."""
-    space.check_mode(mode)
-    op = sparse.csr_matrix(single_mode_matrix, dtype=complex)
-    c = space.cutoffs[mode]
-    if op.shape != (c, c):
-        raise ValueError(f"single-mode matrix shape {op.shape} does not match cutoff {c}")
-    left = math.prod(space.cutoffs[:mode])
-    right = math.prod(space.cutoffs[mode + 1:])
-    full = sparse.kron(
-        sparse.kron(sparse.identity(left, dtype=complex), op),
-        sparse.identity(right, dtype=complex),
-        format="csr",
-    )
-    return LinearOperator(space, full)
+def _shifted_diagonal(space: FockSpace, values: np.ndarray, shift: int = 0) -> LinearOperator:
+    """The operator with entry ``values[j]`` at (j - shift, j) for each index j where it is
+    not zero."""
+    j = np.flatnonzero(values)
+    return LinearOperator(space, sparse.csr_matrix((values[j], (j - shift, j)), (space.dim,) * 2))
 
 
 def annihilation(space: FockSpace, mode: int) -> LinearOperator:
-    """Annihilation operator of the given mode on the full tensor space."""
-    return embed(space, mode, _ladder(space.cutoffs[space.check_mode(mode)]))
+    """a|.., n, ..> = sqrt(n)|.., n-1, ..>: one mode-``mode`` stride down the flattened index."""
+    n = space.occupations[space.check_mode(mode)]
+    return _shifted_diagonal(space, np.sqrt(n), math.prod(space.cutoffs[mode + 1:]))
 
 
 def number_operator(space: FockSpace, mode: int) -> LinearOperator:
-    a = annihilation(space, mode)
-    return a.dag() @ a
+    return _shifted_diagonal(space, space.occupations[space.check_mode(mode)])
 
 
 def total_number_operator(space: FockSpace) -> LinearOperator:
-    op = number_operator(space, 0)
-    for m in range(1, space.mode_count):
-        op = op + number_operator(space, m)
-    return op
+    return _shifted_diagonal(space, space.occupations.sum(axis=0))
 
 
 def fock_state(space: FockSpace, occupations) -> StateVector:

@@ -98,22 +98,22 @@ def liouvillian_matrix(model: OpenSystemModel) -> sparse.csr_matrix:
     return gen.tocsr()
 
 
-def _squeezing_hamiltonian(S, drive: float, lam_ratio: np.ndarray) -> sparse.csr_matrix:
-    """(i * drive / 4) sum_i lam_ratio_i S_i^2 + h.c. from the ladder operators S."""
-    acc = sparse.csr_matrix(S[0].shape, dtype=complex)
+def _squeezing_hamiltonian(P, drive: float, lam_ratio: np.ndarray) -> sparse.csr_matrix:
+    """(i * drive / 4) sum_i lam_ratio_i S_i^2 + h.c. from the pair products P[i][j] = S_i S_j."""
+    acc = sparse.csr_matrix(P[0][0].shape, dtype=complex)
     for i, ratio in enumerate(lam_ratio):
-        acc = acc + (S[i] @ S[i]) * (1j * drive / 4.0 * ratio)
+        acc = acc + P[i][i] * (1j * drive / 4.0 * ratio)
     return acc + acc.conj().T
 
 
-def _pair_operator(S, weights: np.ndarray) -> sparse.csr_matrix:
-    """sum_ij weights_ij S_i S_j with a symmetric weight matrix."""
-    acc = sparse.csr_matrix(S[0].shape, dtype=complex)
-    for i in range(len(S)):
-        for j in range(len(S)):
+def _pair_operator(P, weights: np.ndarray) -> sparse.csr_matrix:
+    """sum_ij weights_ij S_i S_j with a symmetric weight matrix, from P[i][j] = S_i S_j."""
+    acc = sparse.csr_matrix(P[0][0].shape, dtype=complex)
+    for i in range(len(P)):
+        for j in range(len(P)):
             w = weights[i, j]
             if w != 0.0:
-                acc = acc + w * (S[i] @ S[j])
+                acc = acc + w * P[i][j]
     return acc
 
 
@@ -128,8 +128,9 @@ def _build(sm: SupermodeSet, cutoffs, params: ModelParams, *, drive: float, scal
         )
     space = FockSpace(cutoffs)
     S = [hilbert.annihilation(space, i).matrix for i in range(space.mode_count)]
+    P = [[Si @ Sj for Sj in S] for Si in S]
     lam1 = sm.lambda1
-    H = LinearOperator(space, _squeezing_hamiltonian(S, drive, sm.eigenvalues / lam1))
+    H = LinearOperator(space, _squeezing_hamiltonian(P, drive, sm.eigenvalues / lam1))
 
     lindblads = []
     if linear_rate is not None:
@@ -138,7 +139,7 @@ def _build(sm: SupermodeSet, cutoffs, params: ModelParams, *, drive: float, scal
             for i in range(sm.n_signal)
         ]
     for label, G in zip(sm.pump_labels, sm.tensors):
-        op = scale * _pair_operator(S, G / lam1)
+        op = scale * _pair_operator(P, G / lam1)
         if label == 1 and drive != 0.0:
             op = op + shift * sparse.identity(space.dim, dtype=complex)
         pumped = label == 1 and drive > 0

@@ -227,6 +227,10 @@ def build_supermodes(
     the Hermite-Gaussian rows are numerically dependent, the label-1 coupling's leading
     eigenvalue is not positive, or fewer than ``n_signal`` supermodes are retainable.
     """
+    if not params.g0 > 0:
+        raise ValueError("g0 must be > 0")
+    if params.M < 0:
+        raise ValueError("M must be >= 0")
     if n_signal < 1:
         raise ValueError("n_signal must be >= 1")
     if k_max < 1:

@@ -1,5 +1,6 @@
 """Analytic results and reference solvers the tests check the solvers against."""
 
+import math
 from functools import partial
 from itertools import count
 
@@ -71,6 +72,21 @@ def mean_field(sm, drive: float, kappa: float, S0, t_grid) -> SimulationRecord:
         observables=observables,
         final_state=amplitudes[:, -1],
     )
+
+
+def kron_annihilation(cutoffs, mode: int) -> sparse.csr_matrix:
+    """I x .. x a x .. x I with a|n> = sqrt(n)|n-1> on ``mode``, from Kronecker products."""
+    a = sparse.diags(np.sqrt(np.arange(1, cutoffs[mode], dtype=float)), offsets=1,
+                     dtype=complex, format="csr")
+    left = sparse.identity(math.prod(cutoffs[:mode]), dtype=complex)
+    right = sparse.identity(math.prod(cutoffs[mode + 1:]), dtype=complex)
+    return sparse.kron(sparse.kron(left, a), right, format="csr")
+
+
+def kron_number_operator(cutoffs, mode: int) -> sparse.csr_matrix:
+    """a^dag a of :func:`kron_annihilation`, a sparse product."""
+    a = kron_annihilation(cutoffs, mode)
+    return (a.conj().T @ a).tocsr()
 
 
 def noise_streams(seed: int, n_trajectories: int, n_channels: int, n_steps: int, dt: float):

@@ -180,9 +180,9 @@ def test_signal_flux_parseval(lossy_pair):
     sm, mdl, rho = lossy_pair
     out = flux_spectrum_signal(rho, sm)
     total = out["flux"].sum()
-    n_ops = [annihilation(mdl.space, i) for i in range(2)]
+    n_ops = [annihilation(mdl.space, i).matrix for i in range(2)]
     expected = 2.0 * sum(
-        np.real(np.trace((op.dag() @ op).matrix.toarray() @ rho.matrix)) for op in n_ops
+        np.real(np.trace((op.conj().T @ op).toarray() @ rho.matrix)) for op in n_ops
     )
     assert total == pytest.approx(expected, rel=1e-10)
 

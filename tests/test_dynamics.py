@@ -72,7 +72,7 @@ def driven_cavity(cutoff=12):
     # a coherent drive mixes photon-number parities: no parity symmetry
     space = FockSpace((cutoff,))
     a = annihilation(space, 0)
-    drive = LinearOperator(space, 0.5j * (a.dag().matrix - a.matrix))
+    drive = LinearOperator(space, 0.5j * (a.matrix.conj().T - a.matrix))
     return OpenSystemModel(
         space, drive, (Lindblad(math.sqrt(2.0) * a, "linear", 1),), ModelParams("lossy", kappa=1.0)
     )

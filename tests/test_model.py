@@ -123,7 +123,8 @@ def test_restrict_single_mode_lossless_p2():
     a = annihilation(s, 0)
     expected_L = (a @ a).matrix.toarray() + np.eye(8)
     assert np.allclose(single.nonlinear_lindblads()[0].op.matrix.toarray(), expected_L)
-    expected_H = 0.5j * ((a @ a).matrix.toarray() - (a.dag() @ a.dag()).matrix.toarray())
+    a2 = (a @ a).matrix.toarray()
+    expected_H = 0.5j * (a2 - a2.conj().T)
     assert np.allclose(single.H.matrix.toarray(), expected_H)
 
 
@@ -230,7 +231,7 @@ def test_displacement_equivalence_of_liouvillians():
                   "nonlinear", 1, True),),
         ModelParams("lossless", p=2 * alpha),
     )
-    Hd = LinearOperator(s, 0.5j * (np.conj(alpha) * L.matrix - alpha * L.dag().matrix))
+    Hd = LinearOperator(s, 0.5j * (np.conj(alpha) * L.matrix - alpha * L.matrix.conj().T))
     undisplaced = OpenSystemModel(
         s, Hd, (Lindblad(L, "nonlinear", 1, False),), ModelParams("lossless", p=0.0),
     )

@@ -52,7 +52,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     sources = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
     uses = sum((identifiers(ast.parse(p.read_text())) for p in sources), Counter())
     public = dict(item for p in sorted(SRC.glob("*.py")) for item in public_definitions(p))
-    assert "supermode.build_supermodes" in public and "hilbert.LinearOperator.dag" in public
+    assert "supermode.build_supermodes" in public and "hilbert.LinearOperator.norm" in public
     unused = [name for name, node in public.items()
               if uses[node.name] == identifiers(node)[node.name]]
     assert not unused, f"public names that only tests reach: {', '.join(unused)}"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -268,6 +269,16 @@ def test_builder_rejects_odd_only_with_magnitude_retention():
     assert min(np.max(np.abs(G)) for G in even_label) > 0.5
     with pytest.raises(SupermodeDataError, match="odd_only"):
         desk_set(n_signal=3, parity_retention="magnitude")
+
+
+@pytest.mark.parametrize("field, value", [("g0", -1.0), ("g0", 0.0), ("M", -1)])
+def test_builder_rejects_out_of_range_dispersion(field, value):
+    # a directly built DispersionParams meets no config rule: the builder names the field
+    # before numpy warns on sqrt(g0) or the pump count goes negative
+    params = dataclasses.replace(DESK, **{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be") as err:
+        build_supermodes(params, Np=4.0, n_signal=3, k_max=9)
+    assert type(err.value) is ValueError
 
 
 def test_single_mode_set_shape():
