@@ -21,9 +21,9 @@ Solvers:
   one block and every channel through one stacked sparse product per step, into
   one record of blocks, each observable [time, trajectory]; ``sse_trajectory`` is
   its ensemble of one.  Noise streams are keyed per (seed, trajectory, channel), so
-  neither the channel nor the trajectory count reshuffles existing streams, and drawn
-  one chunk of at most ``SSE_CHUNK_STEPS`` steps at a time, so memory does not grow
-  with run length.
+  neither the channel nor the trajectory count reshuffles existing streams; each output
+  interval takes its noise, at most ``SSE_CHUNK_STEPS`` steps at a time, from one buffer of
+  at most that many steps, so memory does not grow with run length.
 
 ``_MasterRHS`` holds a state as the diagonal blocks of rho that evolution from the initial
 state leaves nonzero, found by one rule from the nonzeros of the operators and of that state
@@ -62,12 +62,11 @@ from .model import OpenSystemModel
 
 
 # Krylov solves stop at a residual estimate near round-off, so the exit checks have ample
-# margin; GMRES restarts every KRYLOV_RESTART vectors, and no solve builds more than the cap.
-# Every basis vector is a half-layout state (``_MasterRHS.pack``): GMRES holds at most
-# KRYLOV_RESTART + 1 of them, 10.2 MB at d=288, and a spectrum part m + 1, 43.6 MB at d=288
+# margin, and no basis grows past the cap.  Every basis vector is a half-layout state
+# (``_MasterRHS.pack``): GMRES reserves KRYLOV_MAX_DIM + 1 of them, 67 MB on the d=288 blocks,
+# and fills those it builds, 34 MB at r=4; a spectrum part fills m + 1, 43.6 MB at d=288
 # with m=130.
 KRYLOV_RTOL = 1e-12
-KRYLOV_RESTART = 60
 KRYLOV_MAX_DIM = 400
 
 # Output times of an SSE trajectory may sit this many steps off the dt lattice.
@@ -89,7 +88,7 @@ POSITIVITY_TOL = 1e-8
 SPECTRUM_RESIDUAL_TOL = 1e-8
 
 # SSE: largest per-step norm drift before the step counts as unstable, and the most steps of
-# noise drawn at once: a chunk ends at an output time or after this many steps.
+# noise held at once: output intervals run in pieces of at most this many from one buffer.
 SSE_NORM_DRIFT_MAX = 0.5
 SSE_CHUNK_STEPS = 1024
 
@@ -463,9 +462,12 @@ class _HessenbergLstsq:
 
 
 def _krylov_solve(rhs: _MasterRHS):
-    """Solve G x + tr(x) b = b, G = ``rhs``, b = I_s/d_s, by restarted GMRES from x = b,
+    """Solve G x + tr(x) b = b, G = ``rhs``, b = I_s/d_s, by GMRES from x = b,
     right-preconditioned by the operator's diagonal (1 where 0), which holds the vector
     count nearly flat in eta (Saad, Iterative Methods for Sparse Linear Systems, 9.3).
+    One basis grows unrestarted, since a restart discards the generator's slow modes and
+    stalls on lossless models (Saad, 6.5; Morgan, SIAM J. Sci. Comput. 24, 20 (2002)); a
+    true residual above the stop starts another basis from x, within the same cap.
 
     I_s and d_s are the identity on the blocks' diagonal and its size, so b and every
     vector are real symmetric, and each is held as its half (:class:`_MasterRHS`), whose
@@ -487,9 +489,8 @@ def _krylov_solve(rhs: _MasterRHS):
 
     x, target, built = b.copy(), KRYLOV_RTOL * _norm(b), 0
     while (beta := _norm(r := b - matvec(x))) > target and built < KRYLOV_MAX_DIM:
-        lstsq = _HessenbergLstsq(beta, 0.0)  # one restart cycle
-        for V, h in _arnoldi(lambda u: matvec(u / jacobi), r / beta,
-                             min(KRYLOV_RESTART, KRYLOV_MAX_DIM - built)):
+        lstsq = _HessenbergLstsq(beta, 0.0)  # refinement from the true residual
+        for V, h in _arnoldi(lambda u: matvec(u / jacobi), r / beta, KRYLOV_MAX_DIM - built):
             built += 1
             if lstsq.add(h) <= target:
                 break
@@ -504,7 +505,7 @@ def steady_state(
 ) -> DensityOperator:
     """Steady state of the model by a sectored Krylov solve or long-time propagation.
 
-    ``"null-space"`` solves L x + tr(x) I_s/d_s = I_s/d_s by restarted GMRES
+    ``"null-space"`` solves L x + tr(x) I_s/d_s = I_s/d_s by unrestarted GMRES
     (:func:`_krylov_solve`) on the blocks of rho that evolution from the vacuum reaches
     (:func:`_blocks`), I_s and d_s being the identity on their diagonal and its size.  The
     trace term makes the operator invertible when the sector holds one steady state, which
@@ -626,35 +627,35 @@ def rotated_channel(op: LinearOperator, phase_deg: float) -> LinearOperator:
     return np.exp(1j * np.deg2rad(phase_deg)) * op
 
 
-def _noise_streams(seed: int, n_trajectories: int, n_channels: int, dt: float, lengths):
-    """Yield increments dW[channel, step, trajectory] for runs of ``lengths`` steps in turn,
-    each a view of one buffer that the next run overwrites.
-
-    Each stream is keyed (seed, trajectory, channel) and drawn on from run to run, so the
-    runs join into the one draw of all their steps, bit for bit."""
-    root_dt = np.sqrt(dt)
+def _noise_streams(seed: int, n_trajectories: int, n_channels: int, dt: float, out_steps):
+    """``draw(n)``: the next n increments dW[channel, step, trajectory] of a run to the last of
+    ``out_steps``, n at most the longest piece, min(longest interval, ``SSE_CHUNK_STEPS``), as
+    a view of one buffer of as many such pieces as fit in ``SSE_CHUNK_STEPS``.  Streams are
+    keyed (seed, trajectory, channel); a refill keeps the steps not yet handed out and fills
+    the rest by one ``Generator.normal`` call per stream, so the draws join into the one draw
+    of all their steps, bit for bit."""
+    root_dt, total = np.sqrt(dt), int(out_steps[-1])
+    longest = min(SSE_CHUNK_STEPS, int(np.diff(out_steps).max()))
     rngs = [[np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k, ch)))
              for k in range(n_trajectories)] for ch in range(n_channels)]
-    buffer = np.empty((n_channels, max(lengths), n_trajectories))
-    for n in lengths:
-        dW = buffer[:, :n]
-        for ch, streams in enumerate(rngs):
-            for k, rng in enumerate(streams):
-                dW[ch, :, k] = rng.normal(0.0, root_dt, n)
-        yield dW
+    buffer = np.empty((n_channels, min(total, SSE_CHUNK_STEPS // longest * longest),
+                       n_trajectories))
+    head = tail = 0  # buffer[:, head:tail] is drawn and not yet handed out
 
+    def draw(n: int) -> np.ndarray:
+        nonlocal head, tail, total
+        if tail - head < n:
+            kept = tail - head
+            buffer[:, :kept] = buffer[:, head:tail]
+            fill = min(buffer.shape[1] - kept, total)
+            for ch, streams in enumerate(rngs):
+                for k, rng in enumerate(streams):
+                    buffer[ch, kept:kept + fill, k] = rng.normal(0.0, root_dt, fill)
+            head, tail, total = 0, kept + fill, total - fill
+        head += n
+        return buffer[:, head - n:head]
 
-def _chunk_bounds(out_steps: np.ndarray, size: int) -> list[int]:
-    """Steps where the noise chunks of :func:`sse_ensemble` begin and end: each chunk ends at
-    the last output step within ``size`` steps of its start, or after ``size`` steps if no
-    output step lies there."""
-    bounds = [0]
-    for s, after in zip(out_steps[1:], [*out_steps[2:], None]):
-        while s - bounds[-1] > size:
-            bounds.append(bounds[-1] + size)
-        if after is None or after - bounds[-1] > size:
-            bounds.append(int(s))
-    return bounds
+    return draw
 
 
 def _sse_steps(stacked: sparse.csr_matrix, psi: np.ndarray, dW: np.ndarray, dt: float,
@@ -719,12 +720,12 @@ def sse_ensemble(
     A norm drift above ``SSE_NORM_DRIFT_MAX`` raises :class:`ConvergenceError`
     naming the trajectory and the step.
 
-    The noise is drawn and reduced into the currents one chunk at a time: a chunk
-    ends at the last output time within ``SSE_CHUNK_STEPS`` steps of its start, or
-    splits a longer interval, whose current then sums in another order (round-off).
-    Beyond the returned record, the working set is the block, the stacked products,
-    (n_channels + 1) x d x n_trajectories, and one chunk, n_channels x
-    ``SSE_CHUNK_STEPS`` x n_trajectories x 8 B at most, whatever the run length.
+    The noise is summed into the currents, in step order, one output interval at a time,
+    in pieces of at most ``SSE_CHUNK_STEPS`` steps from one buffer that short intervals share
+    (:func:`_noise_streams`); a longer interval's current is the sum of its pieces' sums, so
+    it rounds differently from one sum of all its steps.  Beyond the returned record, the
+    working set is the block, the stacked products, (n_channels + 1) x d x n_trajectories,
+    and the buffer, n_channels x ``SSE_CHUNK_STEPS`` x n_trajectories x 8 B at most.
     """
     if psi0.space != model.space:
         raise ValueError("initial state lives on a different space")
@@ -753,18 +754,14 @@ def sse_ensemble(
             series[name][out_idx] = np.einsum("ij,ij->j", psi.conj(), op.matrix @ psi)
 
     record(0)
-    bounds = _chunk_bounds(out_steps, SSE_CHUNK_STEPS)
-    noise = _noise_streams(seed, n_trajectories, n_channels, dt, np.diff(bounds))
-    for start, stop, dW in zip(bounds[:-1], bounds[1:], noise):
-        # the chunk's pieces of output intervals: the first is interval `first`
-        first = int(np.searchsorted(out_steps, start, side="right")) - 1
-        edges = [start, *out_steps[(out_steps > start) & (out_steps < stop)], stop]
-        for idx, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]), first + 1):
-            psi = _sse_steps(stacked, psi, dW[:, lo - start:hi - start], dt, lo)
-            if hi == out_steps[idx]:
-                record(idx)
-        offsets = np.subtract(edges[:-1], start)
-        homodyne[:, first:first + offsets.size] += np.add.reduceat(dW, offsets, axis=1)
+    draw = _noise_streams(seed, n_trajectories, n_channels, dt, out_steps)
+    for idx, (lo, hi) in enumerate(zip(out_steps[:-1], out_steps[1:])):
+        for start in range(lo, hi, SSE_CHUNK_STEPS):
+            dW = draw(min(SSE_CHUNK_STEPS, hi - start))
+            psi = _sse_steps(stacked, psi, dW, dt, start)
+            # in step order: a plain sum adds a one-trajectory block's steps pairwise
+            homodyne[:, idx] += np.add.reduceat(dW, [0], axis=1)[:, 0]
+        record(idx + 1)
     homodyne /= np.diff(t)[:, None]
     return SimulationRecord(t, series, psi, extras={"homodyne_currents": homodyne, "dt": dt})
 

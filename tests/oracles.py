@@ -271,7 +271,7 @@ def krylov_solve_full(rhs):
            and built < dynamics.KRYLOV_MAX_DIM):
         lstsq = dynamics._HessenbergLstsq(beta, 0.0)
         for V, h in arnoldi_full(lambda u: matvec(u / jacobi), r / beta,
-                                 min(dynamics.KRYLOV_RESTART, dynamics.KRYLOV_MAX_DIM - built)):
+                                 dynamics.KRYLOV_MAX_DIM - built):
             built += 1
             if lstsq.add(h) <= target:
                 break

@@ -591,6 +591,18 @@ def test_steady_state_matches_dense_kernel_on_lossy_comb():
         assert np.max(np.abs(rho.matrix - kernel)) < 1e-10
 
 
+def sector_direct_solve(mdl):
+    """The places in the flattened rho of the vacuum's blocks, and the steady state there by
+    sparse LU of the sector system G x + tr(x) I_s/d_s = I_s/d_s, at unit trace."""
+    d = mdl.space.dim
+    places = np.concatenate([(d * b[:, None] + b).ravel() for b in vacuum_generator(mdl).blocks])
+    b = np.eye(d).ravel()[places]
+    pin = sparse.csr_matrix(np.outer(b, b) / b.sum())
+    system = liouvillian_matrix(mdl).real.tocsr()[places][:, places] + pin
+    want = spsolve(system.tocsc(), b / b.sum())
+    return places, want / want[b == 1].sum()
+
+
 def test_steady_state_at_strong_two_photon_loss_matches_direct_solve():
     # at eta = 100, d = 72, plain GMRES stalled at 400 vectors (residual 9.4e-8); the Jacobi
     # preconditioner converges well below the cap.  The reference solves the same sector
@@ -598,18 +610,29 @@ def test_steady_state_at_strong_two_photon_loss_matches_direct_solve():
     desk = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
     mdl = build_spopo(build_supermodes(desk, Np=4.0, n_signal=3, k_max=9), r=1.19, eta=100.0,
                       cutoffs=(6, 4, 3))
-    rhs = vacuum_generator(mdl)
-    _, built = dynamics._krylov_solve(rhs)
+    _, built = dynamics._krylov_solve(vacuum_generator(mdl))
     assert built < 150
-    d = mdl.space.dim
-    places = np.concatenate([(d * b[:, None] + b).ravel() for b in rhs.blocks])
-    b = np.eye(d).ravel()[places]
-    pin = sparse.csr_matrix(np.outer(b, b) / b.sum())
-    system = liouvillian_matrix(mdl).real.tocsr()[places][:, places] + pin
-    want = spsolve(system.tocsc(), b / b.sum())
-    want /= want[b == 1].sum()
+    places, want = sector_direct_solve(mdl)
     rho = steady_state(mdl)
     assert np.max(np.abs(rho.matrix.ravel()[places] - want)) < 1e-12
+
+
+@pytest.mark.parametrize("n_signal, k_max, p, cutoffs", [(3, 3, 2.0, (5, 4, 3)),
+                                                         (2, 1, 1.0, (8, 8))],
+                         ids=["5-4-3", "8-8"])
+def test_steady_state_converges_on_slow_lossless_combs(n_signal, k_max, p, cutoffs):
+    # slowest decay rates 6.2e-2 and 2.1e-4 against spectral radii 16.9 and 36.5: GMRES
+    # restarted every 60 vectors lost those modes and stalled at 400 vectors, residual 9.1e-5
+    # and 1.2e-5; one unrestarted basis converges in about 250 and 125.  The long-time
+    # reference does not reach the (8, 8) steady state by t = 1e4
+    desk = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
+    mdl = build_lossless(build_supermodes(desk, Np=4.0, n_signal=n_signal, k_max=k_max), p=p,
+                         cutoffs=cutoffs)
+    rho = steady_state(mdl)
+    places, want = sector_direct_solve(mdl)
+    assert np.max(np.abs(rho.matrix.ravel()[places] - want)) < 1e-9
+    if n_signal == 3:
+        assert trace_distance(rho, steady_state(mdl, method="long-time")) < 1e-6
 
 
 def test_steady_state_without_parity_symmetry():
@@ -1003,8 +1026,8 @@ def test_sse_stacked_step_matches_per_channel_loop(start):
 
 @pytest.mark.parametrize("chunk", [None, 30, 7])
 def test_sse_streamed_noise_matches_the_all_at_once_reference(monkeypatch, chunk):
-    # step_grid rounds the grid to intervals of 14, 15 and 1 steps; a 30-step chunk holds two
-    # whole intervals, a 7-step one splits each, and its currents then sum in another order
+    # step_grid rounds the grid to intervals of 14, 15 and 1 steps; 30-step pieces hold each
+    # whole interval, 7-step ones split the longer two, whose currents then sum in another order
     if chunk is not None:
         monkeypatch.setattr(dynamics, "SSE_CHUNK_STEPS", chunk)
     mdl = sse_comb_model()
@@ -1023,6 +1046,25 @@ def test_sse_streamed_noise_matches_the_all_at_once_reference(monkeypatch, chunk
             assert np.max(np.abs(currents - ref)) <= 1e-15 * np.max(np.abs(ref))
         else:
             assert np.array_equal(currents, ref)
+
+
+def test_sse_short_intervals_share_one_noise_draw(monkeypatch):
+    # 100 output intervals of 10 steps: each stream fills its 1000 steps in one call, not one
+    # per interval, whose per-call cost made a dense grid about 1.5x slower at d=72
+    real, calls = np.random.default_rng, []
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def normal(self, loc, scale, size):
+            calls.append(size)
+            return self.rng.normal(loc, scale, size)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    mdl = sse_comb_model()
+    sse_ensemble(mdl, vacuum_state(mdl.space), np.linspace(0.0, 1.0, 101), 2, seed=3)
+    assert calls == [1000] * (2 * len(mdl.lindblads))
 
 
 def test_sse_memory_does_not_grow_with_run_length():
