@@ -444,6 +444,8 @@ class _HessenbergLstsq:
             col[i], col[i + 1] = (c.conjugate() * col[i] + z.conjugate() * col[i + 1],
                                   c * col[i + 1] - z * col[i])
         r = (abs(col[j]) ** 2 + abs(col[j + 1]) ** 2) ** 0.5
+        if not np.all(r):
+            raise ConvergenceError(f"GMRES broke down: Hessenberg column {j} rotates to zero")
         c, z = col[j] / r, col[j + 1] / r
         self.rotations.append((c, z))
         self.R.append(col[:j] + [r])  # column j of the triangular factor

@@ -2,7 +2,8 @@
 
 Every operator lives on a :class:`FockSpace`, a tensor product of per-mode
 truncated ladders.  Its one occupation table, each mode's photon number at each
-flattened index, builds the ladder and number operators and the parity blocks.
+flattened index, builds the ladder, number and pair operators, each in one
+assembly of shifted diagonals, and the parity blocks.
 Operators are stored sparse (CSR); density operators are dense, which is the
 right trade-off at desk-scale dimensions where Lindblad evolution is dominated
 by sparse-times-dense products.  Operators are complex; a state keeps the dtype
@@ -90,27 +91,10 @@ class LinearOperator:
         self.matrix.sum_duplicates()
         return float(np.linalg.norm(self.matrix.data))
 
-    def _require_same_space(self, other: "LinearOperator"):
-        if self.space != other.space:
-            raise ValueError("operators live on different spaces")
-
-    def __matmul__(self, other):
-        if isinstance(other, LinearOperator):
-            self._require_same_space(other)
-            return LinearOperator(self.space, self.matrix @ other.matrix)
-        return self.matrix @ other
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        self._require_same_space(other)
-        return LinearOperator(self.space, self.matrix + other.matrix)
-
     def __mul__(self, scalar) -> "LinearOperator":
         return LinearOperator(self.space, self.matrix * complex(scalar))
 
     __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"LinearOperator(dim={self.space.dim}, nnz={self.matrix.nnz})"
 
 
 def _state_dtype(data):
@@ -175,25 +159,40 @@ class DensityOperator:
         return min(float(np.linalg.eigvalsh(rho[np.ix_(b, b)]).min()) for b in (even, ~even))
 
 
-def _shifted_diagonal(space: FockSpace, values: np.ndarray, shift: int = 0) -> LinearOperator:
-    """The operator with entry ``values[j]`` at (j - shift, j) for each index j where it is
-    not zero."""
-    j = np.flatnonzero(values)
-    return LinearOperator(space, sparse.csr_matrix((values[j], (j - shift, j)), (space.dim,) * 2))
+def _shifted_diagonal(space: FockSpace, terms) -> LinearOperator:
+    """The sum over (values, shift) terms of the operator with entry ``values[j]`` at
+    (j - shift, j) for each index j where it is not zero: one COO assembly, whose entries at
+    one place add up."""
+    j = [np.flatnonzero(values) for values, _ in terms]
+    data = np.concatenate([np.empty(0), *(values[k] for (values, _), k in zip(terms, j))])
+    rows = np.concatenate([np.empty(0, int), *(k - shift for (_, shift), k in zip(terms, j))])
+    cols = np.concatenate([np.empty(0, int), *j])
+    return LinearOperator(space, sparse.csr_matrix((data, (rows, cols)), (space.dim,) * 2))
 
 
 def annihilation(space: FockSpace, mode: int) -> LinearOperator:
     """a|.., n, ..> = sqrt(n)|.., n-1, ..>: one mode-``mode`` stride down the flattened index."""
     n = space.occupations[space.check_mode(mode)]
-    return _shifted_diagonal(space, np.sqrt(n), math.prod(space.cutoffs[mode + 1:]))
+    return _shifted_diagonal(space, [(np.sqrt(n), math.prod(space.cutoffs[mode + 1:]))])
 
 
 def number_operator(space: FockSpace, mode: int) -> LinearOperator:
-    return _shifted_diagonal(space, space.occupations[space.check_mode(mode)])
+    return _shifted_diagonal(space, [(space.occupations[space.check_mode(mode)], 0)])
 
 
 def total_number_operator(space: FockSpace) -> LinearOperator:
-    return _shifted_diagonal(space, space.occupations.sum(axis=0))
+    return _shifted_diagonal(space, [(space.occupations.sum(axis=0), 0)])
+
+
+def pair_operator(space: FockSpace, weights) -> LinearOperator:
+    """sum_ij weights_ij a_i a_j: each nonzero weight puts w_ij sqrt(n_i - delta_ij) sqrt(n_j)
+    at (j - stride_i - stride_j, j), so the (i, j) and (j, i) terms add at one place."""
+    n = space.occupations
+    stride = [math.prod(space.cutoffs[m + 1:]) for m in range(space.mode_count)]
+    return _shifted_diagonal(space, [
+        (weights[i, j] * (np.sqrt(np.maximum(n[i] - (i == j), 0)) * np.sqrt(n[j])),
+         stride[i] + stride[j]) for i, j in zip(*np.nonzero(weights))
+    ])
 
 
 def fock_state(space: FockSpace, occupations) -> StateVector:

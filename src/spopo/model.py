@@ -98,48 +98,30 @@ def liouvillian_matrix(model: OpenSystemModel) -> sparse.csr_matrix:
     return gen.tocsr()
 
 
-def _squeezing_hamiltonian(P, drive: float, lam_ratio: np.ndarray) -> sparse.csr_matrix:
-    """(i * drive / 4) sum_i lam_ratio_i S_i^2 + h.c. from the pair products P[i][j] = S_i S_j."""
-    acc = sparse.csr_matrix(P[0][0].shape, dtype=complex)
-    for i, ratio in enumerate(lam_ratio):
-        acc = acc + P[i][i] * (1j * drive / 4.0 * ratio)
-    return acc + acc.conj().T
-
-
-def _pair_operator(P, weights: np.ndarray) -> sparse.csr_matrix:
-    """sum_ij weights_ij S_i S_j with a symmetric weight matrix, from P[i][j] = S_i S_j."""
-    acc = sparse.csr_matrix(P[0][0].shape, dtype=complex)
-    for i in range(len(P)):
-        for j in range(len(P)):
-            w = weights[i, j]
-            if w != 0.0:
-                acc = acc + w * P[i][j]
-    return acc
-
-
 def _build(sm: SupermodeSet, cutoffs, params: ModelParams, *, drive: float, scale: float,
            shift: float, linear_rate: float | None) -> OpenSystemModel:
-    """Squeezing H with pump ``drive``, optional linear loss sqrt(linear_rate) S_i, and
-    nonlinear Lindblads scale * sum_ij (G^(k)_ij / lam_1) S_i S_j + shift * delta_k1."""
+    """Squeezing H = A + A^dag, A = (i * drive / 4) sum_i (lam_i / lam_1) S_i^2, optional
+    linear loss sqrt(linear_rate) S_i, and nonlinear Lindblads
+    scale * sum_ij (G^(k)_ij / lam_1) S_i S_j + shift * delta_k1, each quadratic form built
+    by ``hilbert.pair_operator`` in one pass over the occupation table."""
     cutoffs = tuple(int(c) for c in cutoffs)
     if len(cutoffs) != sm.n_signal:
         raise ValueError(
             f"{len(cutoffs)} cutoffs for {sm.n_signal} retained signal supermodes"
         )
     space = FockSpace(cutoffs)
-    S = [hilbert.annihilation(space, i).matrix for i in range(space.mode_count)]
-    P = [[Si @ Sj for Sj in S] for Si in S]
     lam1 = sm.lambda1
-    H = LinearOperator(space, _squeezing_hamiltonian(P, drive, sm.eigenvalues / lam1))
+    A = hilbert.pair_operator(space, np.diag(1j * drive / 4.0 * (sm.eigenvalues / lam1))).matrix
+    H = LinearOperator(space, A + A.conj().T)
 
     lindblads = []
     if linear_rate is not None:
         lindblads = [
-            Lindblad(LinearOperator(space, math.sqrt(linear_rate) * S[i]), "linear", i + 1)
+            Lindblad(math.sqrt(linear_rate) * hilbert.annihilation(space, i), "linear", i + 1)
             for i in range(sm.n_signal)
         ]
     for label, G in zip(sm.pump_labels, sm.tensors):
-        op = scale * _pair_operator(P, G / lam1)
+        op = scale * hilbert.pair_operator(space, G / lam1).matrix
         if label == 1 and drive != 0.0:
             op = op + shift * sparse.identity(space.dim, dtype=complex)
         pumped = label == 1 and drive > 0

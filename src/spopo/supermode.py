@@ -59,8 +59,8 @@ def hermite_gaussian_basis(Np: float, pump_grid, count: int) -> np.ndarray:
     its raw sampled version.
 
     Raises :class:`ValueError` if ``count`` exceeds the grid size, and
-    :class:`SupermodeDataError` if the sampled rows are numerically dependent
-    (Np too small for the requested order).
+    :class:`SupermodeDataError` if a sampled row or its normalization is not finite or
+    the rows are numerically dependent (Np too small for the requested order).
     """
     grid = np.asarray(pump_grid, dtype=float)
     if Np <= 0:
@@ -69,11 +69,18 @@ def hermite_gaussian_basis(Np: float, pump_grid, count: int) -> np.ndarray:
         raise ValueError("count must be >= 1")
     if count > grid.size:
         raise ValueError(f"count {count} exceeds pump grid size {grid.size}")
-    x = grid / Np
     rows = np.empty((count, grid.size))
-    for order in range(count):
-        norm = (math.sqrt(math.pi) * Np * 2.0 ** order * math.factorial(order)) ** -0.5
-        rows[order] = norm * _hermite(order, x) * np.exp(-x * x / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught as non-finite
+        x = grid / Np
+        for order in range(count):
+            try:
+                norm = (math.sqrt(math.pi) * Np * 2.0 ** order * math.factorial(order)) ** -0.5
+            except OverflowError:  # 2^o o! beyond float range: a non-finite row
+                norm = math.nan
+            rows[order] = norm * _hermite(order, x) * np.exp(-x * x / 2.0)
+    if not np.isfinite(rows).all():
+        raise SupermodeDataError(f"sampled Hermite-Gaussian rows are not finite at count {count} "
+                                 f"(Np {Np}); lower `supermode.k_max` or raise `supermode.Np`")
     Q, Rtri = np.linalg.qr(rows.T)
     diag = np.diag(Rtri)
     if np.min(np.abs(diag)) < 1e-10 * np.max(np.abs(diag)):

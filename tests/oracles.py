@@ -7,8 +7,10 @@ from itertools import count
 import numpy as np
 from scipy import sparse
 
-from spopo import dynamics
+from spopo import dynamics, hilbert
 from spopo.dynamics import ConvergenceError, SimulationRecord, SpectrumResult
+from spopo.hilbert import FockSpace, LinearOperator
+from spopo.model import Lindblad, OpenSystemModel
 
 # RK45 tolerances of the mean field.
 MEAN_FIELD_RTOL, MEAN_FIELD_ATOL = 1e-10, 1e-12
@@ -87,6 +89,63 @@ def kron_number_operator(cutoffs, mode: int) -> sparse.csr_matrix:
     """a^dag a of :func:`kron_annihilation`, a sparse product."""
     a = kron_annihilation(cutoffs, mode)
     return (a.conj().T @ a).tocsr()
+
+
+def same_csr(a, b) -> bool:
+    """Whether two CSR matrices hold the same indptr, indices and data, dtype and bytes."""
+    return all(getattr(a, k).dtype == getattr(b, k).dtype
+               and getattr(a, k).tobytes() == getattr(b, k).tobytes()
+               for k in ("indptr", "indices", "data"))
+
+
+def _squeezing_hamiltonian(P, drive: float, lam_ratio: np.ndarray) -> sparse.csr_matrix:
+    """(i * drive / 4) sum_i lam_ratio_i S_i^2 + h.c. from the pair products P[i][j] = S_i S_j."""
+    acc = sparse.csr_matrix(P[0][0].shape, dtype=complex)
+    for i, ratio in enumerate(lam_ratio):
+        acc = acc + P[i][i] * (1j * drive / 4.0 * ratio)
+    return acc + acc.conj().T
+
+
+def _pair_operator(P, weights: np.ndarray) -> sparse.csr_matrix:
+    """sum_ij weights_ij S_i S_j with a symmetric weight matrix, from P[i][j] = S_i S_j."""
+    acc = sparse.csr_matrix(P[0][0].shape, dtype=complex)
+    for i in range(len(P)):
+        for j in range(len(P)):
+            w = weights[i, j]
+            if w != 0.0:
+                acc = acc + w * P[i][j]
+    return acc
+
+
+def pair_table_build(sm, cutoffs, params, *, drive: float, scale: float,
+                     shift: float, linear_rate: float | None) -> OpenSystemModel:
+    """``model._build`` from the table P[i][j] = S_i S_j of sparse products, each quadratic
+    form summed by one sparse add per nonzero weight: the reference of the one-pass assembly
+    by ``hilbert.pair_operator``."""
+    cutoffs = tuple(int(c) for c in cutoffs)
+    if len(cutoffs) != sm.n_signal:
+        raise ValueError(
+            f"{len(cutoffs)} cutoffs for {sm.n_signal} retained signal supermodes"
+        )
+    space = FockSpace(cutoffs)
+    S = [hilbert.annihilation(space, i).matrix for i in range(space.mode_count)]
+    P = [[Si @ Sj for Sj in S] for Si in S]
+    lam1 = sm.lambda1
+    H = LinearOperator(space, _squeezing_hamiltonian(P, drive, sm.eigenvalues / lam1))
+
+    lindblads = []
+    if linear_rate is not None:
+        lindblads = [
+            Lindblad(LinearOperator(space, math.sqrt(linear_rate) * S[i]), "linear", i + 1)
+            for i in range(sm.n_signal)
+        ]
+    for label, G in zip(sm.pump_labels, sm.tensors):
+        op = scale * _pair_operator(P, G / lam1)
+        if label == 1 and drive != 0.0:
+            op = op + shift * sparse.identity(space.dim, dtype=complex)
+        pumped = label == 1 and drive > 0
+        lindblads.append(Lindblad(LinearOperator(space, op), "nonlinear", label, pumped))
+    return OpenSystemModel(space, H, tuple(lindblads), params)
 
 
 def noise_streams(seed: int, n_trajectories: int, n_channels: int, n_steps: int, dt: float):

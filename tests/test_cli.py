@@ -232,6 +232,11 @@ def rule(name, value, *more, field=None):
     # the desk's 21 signal rows hold 9 of definite even parity, not M + 1 = 11
     rule("supermode.n_signal", 10, "model.cutoffs", [2] * 10),
     rule("dispersion.beta2p", 1.0),  # the label-1 coupling's leading eigenvalue is negative
+    # the sampled pump basis is not finite: overflow times a vanishing Gaussian, and a
+    # normalization beyond float range
+    rule("dispersion.M", 100, "supermode.k_max", 160, field="supermode.k_max"),
+    rule("supermode.Np", 1e-300),
+    rule("dispersion.M", 43, "supermode.k_max", 172, field="supermode.k_max"),
 ])
 def test_each_config_rule_exits_3_naming_its_field(tmp_path, capsys, edits, field):
     assert main(["build", "--config", config_with(tmp_path, edits)]) == 3

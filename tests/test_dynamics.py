@@ -658,6 +658,12 @@ def test_steady_state_krylov_nonconvergence_raises(monkeypatch, solver):
         solve()
 
 
+def test_gmres_breakdown_on_a_zero_hessenberg_column_raises():
+    # a singular Krylov space gives a column whose rotation would divide by zero
+    with pytest.raises(ConvergenceError, match="broke down"):
+        dynamics._HessenbergLstsq(1.0, 0.0).add(np.zeros(2))
+
+
 @pytest.mark.parametrize("method", ["null-space", "long-time"])
 def test_steady_state_rejects_negative_eigenvalue(monkeypatch, method):
     # pure dephasing (H = 0, L = n): every diagonal matrix is stationary, so a

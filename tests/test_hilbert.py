@@ -85,22 +85,16 @@ def test_commutators_below_truncation_boundary():
             assert np.allclose(comm[sub], target[sub], atol=1e-14)
 
 
-def _same_csr(a, b) -> bool:
-    return all(getattr(a, k).dtype == getattr(b, k).dtype
-               and getattr(a, k).tobytes() == getattr(b, k).tobytes()
-               for k in ("indptr", "indices", "data"))
-
-
 @pytest.mark.parametrize("cutoffs", [(2,), (6, 4, 3), (10, 5, 3), (12, 6, 4), (16, 8, 6, 3)])
 def test_operators_from_the_occupation_table_match_the_kronecker_reference(cutoffs):
-    # the ladders bit for bit; the number operators exact integers where the reference's
-    # a^dag a carries round-off, on the reference's sparsity
+    # the ladders and the pair operators bit for bit; the number operators exact integers
+    # where the reference's a^dag a carries round-off, on the reference's sparsity
     s = FockSpace(cutoffs)
     assert s.occupations.T.tolist() == [list(n) for n in np.ndindex(*cutoffs)]
     assert not s.occupations.flags.writeable
     ref_total = 0
     for i in range(len(cutoffs)):
-        assert _same_csr(annihilation(s, i).matrix, oracles.kron_annihilation(cutoffs, i))
+        assert oracles.same_csr(annihilation(s, i).matrix, oracles.kron_annihilation(cutoffs, i))
         n, ref = number_operator(s, i).matrix, oracles.kron_number_operator(cutoffs, i)
         assert np.array_equal(n.indptr, ref.indptr) and np.array_equal(n.indices, ref.indices)
         assert np.array_equal(n.diagonal(), s.occupations[i])
@@ -109,6 +103,19 @@ def test_operators_from_the_occupation_table_match_the_kronecker_reference(cutof
     assert np.array_equal(n.indptr, ref_total.indptr)
     assert np.array_equal(n.indices, ref_total.indices)
     assert np.array_equal(n.diagonal(), s.occupations.sum(axis=0))
+    kron = [oracles.kron_annihilation(cutoffs, i) for i in range(len(cutoffs))]
+    for i, j in np.ndindex(len(cutoffs), len(cutoffs)):
+        unit = np.zeros((len(cutoffs),) * 2)
+        unit[i, j] = 1.0
+        assert oracles.same_csr(hilbert.pair_operator(s, unit).matrix, kron[i] @ kron[j])
+    # a weighted sum, each product weighted and added in row-major order
+    weights = np.random.default_rng(1).normal(size=(len(cutoffs),) * 2)
+    weights[0, -1] = 0.0
+    ref = sparse.csr_matrix((s.dim, s.dim), dtype=complex)
+    for i, j in np.ndindex(weights.shape):
+        if weights[i, j] != 0.0:
+            ref = ref + weights[i, j] * (kron[i] @ kron[j])
+    assert oracles.same_csr(hilbert.pair_operator(s, weights).matrix, ref)
 
 
 def test_expectation_trivial_cases():

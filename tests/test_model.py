@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from spopo import dynamics
+from spopo import dynamics, model
 from spopo.hilbert import FockSpace, LinearOperator, annihilation
 from spopo.model import (
     Lindblad,
@@ -17,6 +17,7 @@ from spopo.model import (
 from spopo.phasematch import DispersionParams
 from spopo.supermode import build_supermodes, single_mode_set
 
+import oracles
 from oracles import linearized_spectrum
 
 DESK = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
@@ -41,7 +42,7 @@ def test_single_supermode_nonlinear_lindblad_form():
     mdl = build_spopo(single_mode_set(1.0), r=1.0, eta=1.0, cutoffs=(6,))
     s = FockSpace((6,))
     a = annihilation(s, 0)
-    expected = (a @ a).matrix.toarray() + 0.5 * np.eye(6)
+    expected = (a.matrix @ a.matrix).toarray() + 0.5 * np.eye(6)
     assert np.allclose(mdl.nonlinear_lindblads()[0].op.matrix.toarray(), expected, atol=1e-15)
 
 
@@ -53,7 +54,7 @@ def test_hamiltonian_squeezing_coefficients():
     H = mdl.H.matrix.toarray()
     for i in range(3):
         a = annihilation(s, i)
-        sq = (a @ a).matrix.toarray()
+        sq = (a.matrix @ a.matrix).toarray()
         # coefficient of S_i^2 extracted against the vacuum-row matrix element
         row, col = np.argwhere(sq == sq.max())[0]
         coeff = H[row, col] / sq[row, col]
@@ -94,7 +95,8 @@ def test_lossless_unpumped_single_mode():
     s = FockSpace((6,))
     a = annihilation(s, 0)
     assert mdl.H.norm() == 0.0
-    assert np.allclose(mdl.nonlinear_lindblads()[0].op.matrix.toarray(), (a @ a).matrix.toarray())
+    assert np.allclose(mdl.nonlinear_lindblads()[0].op.matrix.toarray(),
+                       (a.matrix @ a.matrix).toarray())
     assert mdl.linear_lindblads() == []
 
 
@@ -121,9 +123,9 @@ def test_restrict_single_mode_lossless_p2():
     assert single.space.cutoffs == (8,)
     s = single.space
     a = annihilation(s, 0)
-    expected_L = (a @ a).matrix.toarray() + np.eye(8)
+    expected_L = (a.matrix @ a.matrix).toarray() + np.eye(8)
     assert np.allclose(single.nonlinear_lindblads()[0].op.matrix.toarray(), expected_L)
-    a2 = (a @ a).matrix.toarray()
+    a2 = (a.matrix @ a.matrix).toarray()
     expected_H = 0.5j * (a2 - a2.conj().T)
     assert np.allclose(single.H.matrix.toarray(), expected_H)
 
@@ -132,7 +134,7 @@ def test_restrict_single_mode_lossy():
     single = build_spopo(single_mode_set(1.0), r=1.0, eta=1.0, cutoffs=(10,))
     s = single.space
     a = annihilation(s, 0)
-    expected = (a @ a).matrix.toarray() + 0.5 * np.eye(10)
+    expected = (a.matrix @ a.matrix).toarray() + 0.5 * np.eye(10)
     assert np.allclose(single.nonlinear_lindblads()[0].op.matrix.toarray(), expected)
     assert len(single.linear_lindblads()) == 1
 
@@ -217,12 +219,33 @@ def test_generator_stores_no_round_off_entries(build):
         assert np.all(size >= 1e-12 * size.max(initial=0.0))
 
 
+@pytest.mark.parametrize("build", BUILDS, ids=BUILD_IDS)
+def test_operators_match_the_pair_product_table_bit_for_bit(monkeypatch, build):
+    # H and every Lindblad of the one-pass assembly equal those summed from the sparse
+    # products S_i S_j, one sparse add per nonzero weight, in every CSR array
+    calls, one_pass_build = [], model._build
+
+    def recording_build(*args, **kwargs):
+        calls.append((args, kwargs))
+        return one_pass_build(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_build", recording_build)
+    mdl = build()
+    [(args, kwargs)] = calls
+    ref = oracles.pair_table_build(*args, **kwargs)
+    assert [(l.kind, l.index, l.pumped) for l in mdl.lindblads] == \
+        [(l.kind, l.index, l.pumped) for l in ref.lindblads]
+    for op, ref_op in zip([mdl.H, *(l.op for l in mdl.lindblads)],
+                          [ref.H, *(l.op for l in ref.lindblads)]):
+        assert oracles.same_csr(op.matrix, ref_op.matrix)
+
+
 def test_displacement_equivalence_of_liouvillians():
     # D[L + alpha] with no Hamiltonian equals D[L] plus the squeezing drive
     # H = (i/2)(conj(alpha) L - alpha L^dag) at the superoperator level
     s = FockSpace((5,))
     a = annihilation(s, 0)
-    L = a @ a
+    L = LinearOperator(s, a.matrix @ a.matrix)
     alpha = 0.37
     H0 = LinearOperator(s, sparse.csr_matrix((5, 5), dtype=complex))
     displaced = OpenSystemModel(
