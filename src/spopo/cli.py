@@ -215,6 +215,10 @@ def cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter):
 
 
 def cmd_trajectories(cfg: RunConfig, writer: ArtifactWriter):
+    if cfg.dynamics.t_max / cfg.dynamics.dt > sys.maxsize:  # the step counts are numpy ints
+        raise ConfigValidationError(
+            f"field `dynamics.dt` splits `dynamics.t_max` into over {sys.maxsize} steps"
+        )
     _sm, mdl = _build_model(cfg)
     t = dynamics.step_grid(_time_grid(cfg), cfg.dynamics.dt)
     if t.size < 2:

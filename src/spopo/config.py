@@ -1,12 +1,14 @@
 """Run configuration: JSON ingestion, strict validation, canonical hashing.
 
-The config file is a single JSON document of nested sections.  Each section is
-read by ``_read`` into its dataclass (``phasematch.DispersionParams`` for
-``dispersion``, then ``SupermodeConfig`` .. ``OutputConfig``), whose annotations declare
-each field's whole rule: its type, a ``Literal`` for an enum, ``Annotated[X, "> 0"]`` or
-``Annotated[X, ">= 2"]`` for a lower bound.  ``_parse_model`` adds the rules that depend
-on the model family and ``validate_config`` those between sections.  Unknown keys
-anywhere are rejected; error messages name the offending field by dotted path.
+The config file is a single JSON document of nested sections, and each section is a
+field of ``RunConfig``.  ``_read`` reads the document into ``RunConfig`` and each section
+into its dataclass (``phasematch.DispersionParams`` for ``dispersion``, then
+``SupermodeConfig`` .. ``OutputConfig``), whose annotations declare each field's whole
+rule: its type, a ``Literal`` for an enum, ``Annotated[X, "> 0"]`` or
+``Annotated[X, ">= 2"]`` for a lower bound.  A rule between fields sits in the
+``__post_init__`` of the dataclass that holds them: the model family's in ``ModelConfig``,
+those between sections in ``RunConfig``.  Unknown keys anywhere, and a key repeated within
+one object, are rejected; error messages name the offending field by dotted path.
 
 Whether the dispersion admits the requested supermodes is decided once, by
 ``supermode.build_supermodes`` when a command builds them.
@@ -17,9 +19,9 @@ import json
 import operator
 import sys
 import warnings
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Annotated, Literal, get_args, get_origin, get_type_hints
+from typing import Annotated, ClassVar, Literal, get_args, get_origin, get_type_hints
 
 from .phasematch import DispersionParams
 
@@ -44,9 +46,14 @@ _BOUNDS = {">=": operator.ge, ">": operator.gt}
 def _value(value, kind, name: str):
     """The JSON ``value`` of field ``name`` as ``kind``: float (any finite number), int (up to
     the largest numpy index), bool, str, a ``Literal`` of strings, ``X | None`` (read as X),
-    ``tuple[X, ...]`` or ``Annotated[X, "<op> <bound>"]`` (X with ``op`` one of ``>=`` ``>``)."""
+    ``tuple[X, ...]``, ``Annotated[X, "<op> <bound>"]`` (X with ``op`` one of ``>=`` ``>``)
+    or a dataclass (a section: an object read by ``_read``)."""
     if type(None) in get_args(kind):
         (kind,) = [k for k in get_args(kind) if k is not type(None)]
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ConfigValidationError(f"section `{name}` must be an object")
+        return _read(kind, value, name)
     if get_origin(kind) is Annotated:
         kind, rule = get_args(kind)
         value = _value(value, kind, name)
@@ -74,17 +81,22 @@ def _value(value, kind, name: str):
     return value
 
 
-def _read(cls, section: dict, path: str):
-    """Dataclass ``cls`` with its fields read from ``section`` by their annotations; a field
-    with a default may be left out, and any other key is rejected."""
-    kinds, values = get_type_hints(cls, include_extras=True), {}
+def _read(cls, section: dict, path: str = ""):
+    """Dataclass ``cls`` with its fields read from ``section`` by their annotations, each
+    named ``path.field``; a field with a default may be left out, a key in ``cls.deprecated``
+    is dropped with a ``FutureWarning``, and any other key is rejected."""
+    kinds, values, section = get_type_hints(cls, include_extras=True), {}, dict(section)
+    prefix = f"{path}." if path else ""
+    for key in getattr(cls, "deprecated", ()):
+        if section.pop(key, MISSING) is not MISSING:
+            warnings.warn(f"field `{prefix}{key}` is deprecated and ignored", FutureWarning)
     for f in fields(cls):
-        if f.name in section:
-            values[f.name] = _value(section.pop(f.name), kinds[f.name], f"{path}.{f.name}")
-        elif f.default is MISSING:
-            raise ConfigValidationError(f"missing required field `{path}.{f.name}`")
+        if f.name in section and f.metadata.get("schema", True):
+            values[f.name] = _value(section.pop(f.name), kinds[f.name], prefix + f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigValidationError(f"missing required field `{prefix}{f.name}`")
     if section:
-        raise ConfigValidationError(f"unknown field `{path}.{sorted(section)[0]}`")
+        raise ConfigValidationError(f"unknown field `{prefix}{sorted(section)[0]}`")
     return cls(**values)
 
 
@@ -105,6 +117,23 @@ class ModelConfig:
     eta: Annotated[float, "> 0"] | None = None
     p: Annotated[float, ">= 0"] | None = None
 
+    def __post_init__(self):
+        """The family's rules: lossy reads r and eta, the other two p; cw-single has one mode."""
+        family = self.family
+        if not self.cutoffs:
+            raise ConfigValidationError("field `model.cutoffs` must not be empty")
+        read, unread = (("r", "eta"), ("p",)) if family == "lossy" else (("p",), ("r", "eta"))
+        for name in read:
+            if getattr(self, name) is None:
+                raise ConfigValidationError(
+                    f"missing required field `model.{name}` for family {family}"
+                )
+        if family == "cw-single" and len(self.cutoffs) != 1:
+            raise ConfigValidationError("field `model.cutoffs` must have one entry for cw-single")
+        for name in unread:
+            if getattr(self, name) is not None:
+                raise ConfigValidationError(f"field `model.{name}` is not read by family {family}")
+
 
 @dataclass(frozen=True)
 class DynamicsConfig:
@@ -117,6 +146,8 @@ class DynamicsConfig:
     omega_grid: tuple[float, ...] = ()
     channel_index: int = 1
     channel_phase_deg: float = -90.0
+    # the spectrum no longer integrates over a tau grid, and the steady state has one method
+    deprecated: ClassVar[tuple[str, ...]] = ("tau_max", "method")
 
 
 @dataclass(frozen=True)
@@ -130,15 +161,31 @@ class OutputConfig:
     directory: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    dispersion: DispersionParams | None
-    supermode: SupermodeConfig | None
-    model: ModelConfig | None
-    dynamics: DynamicsConfig
-    wigner: WignerConfig
+    dispersion: DispersionParams | None = None
+    supermode: SupermodeConfig | None = None
+    model: ModelConfig | None = None
+    dynamics: DynamicsConfig = DynamicsConfig()
+    wigner: WignerConfig = WignerConfig()
     outputs: OutputConfig
-    raw: dict = field(compare=False, default_factory=dict)
+    # the file's config as read, for the manifest and the hash; it is not a section
+    raw: dict = field(compare=False, default_factory=dict, metadata={"schema": False})
+
+    def __post_init__(self):
+        """A multimode family builds its supermodes from ``dispersion`` and ``supermode``, and
+        takes one cutoff per signal supermode."""
+        if self.model is None or self.model.family == "cw-single":
+            return
+        for name in ("dispersion", "supermode"):
+            if getattr(self, name) is None:
+                raise ConfigValidationError(
+                    f"missing required section `{name}` for multimode model families"
+                )
+        if len(self.model.cutoffs) != self.supermode.n_signal:
+            raise ConfigValidationError(
+                "field `model.cutoffs` length must equal `supermode.n_signal`"
+            )
 
     def content_hash(self) -> str:
         return hashlib.sha256(canonical_json(self.raw).encode()).hexdigest()
@@ -148,32 +195,14 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _parse_model(section: dict) -> ModelConfig:
-    cfg = _read(ModelConfig, section, "model")
-    family = cfg.family
-    if not cfg.cutoffs:
-        raise ConfigValidationError("field `model.cutoffs` must not be empty")
-    read, unread = (("r", "eta"), ("p",)) if family == "lossy" else (("p",), ("r", "eta"))
-    for name in read:
-        if getattr(cfg, name) is None:
-            raise ConfigValidationError(
-                f"missing required field `model.{name}` for family {family}"
-            )
-    if family == "cw-single" and len(cfg.cutoffs) != 1:
-        raise ConfigValidationError("field `model.cutoffs` must have one entry for cw-single")
-    for name in unread:
-        if getattr(cfg, name) is not None:
-            raise ConfigValidationError(f"field `model.{name}` is not read by family {family}")
-    return cfg
-
-
-def _parse_dynamics(section: dict) -> DynamicsConfig:
-    # the spectrum no longer integrates over a tau grid, and the steady state has one method
-    for key in ("tau_max", "method"):
-        if key in section:
-            del section[key]
-            warnings.warn(f"field `dynamics.{key}` is deprecated and ignored", FutureWarning)
-    return _read(DynamicsConfig, section, "dynamics")
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object's (key, value) pairs as a dict; a repeated key is a parse error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key `{key}` is repeated")
+        obj[key] = value
+    return obj
 
 
 def load_config(path) -> RunConfig:
@@ -183,8 +212,8 @@ def load_config(path) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config file {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # a JSONDecodeError, a repeated key or an over-long integer
         raise ConfigParseError(f"config file {path} is not valid JSON: {exc}") from exc
     return validate_config(raw)
 
@@ -192,47 +221,4 @@ def load_config(path) -> RunConfig:
 def validate_config(raw) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigValidationError("top-level config must be a JSON object")
-    data = {k: (dict(v) if isinstance(v, dict) else v) for k, v in raw.items()}
-
-    sections = ("dispersion", "supermode", "model", "dynamics", "wigner", "outputs")
-    for key in sorted(data):
-        if key not in sections:
-            raise ConfigValidationError(f"unknown section `{key}`")
-
-    if "outputs" not in data:
-        raise ConfigValidationError("missing required section `outputs`")
-    for name in sections:
-        if name in data and not isinstance(data[name], dict):
-            raise ConfigValidationError(f"section `{name}` must be an object")
-
-    dispersion = (_read(DispersionParams, data["dispersion"], "dispersion")
-                  if "dispersion" in data else None)
-    supermode = (_read(SupermodeConfig, data["supermode"], "supermode")
-                 if "supermode" in data else None)
-    model = _parse_model(data["model"]) if "model" in data else None
-    dynamics = _parse_dynamics(data.get("dynamics", {}))
-    wigner = _read(WignerConfig, data.get("wigner", {}), "wigner")
-    outputs = _read(OutputConfig, data["outputs"], "outputs")
-
-    if model is not None and model.family != "cw-single":
-        if dispersion is None:
-            raise ConfigValidationError(
-                "missing required section `dispersion` for multimode model families"
-            )
-        if supermode is None:
-            raise ConfigValidationError(
-                "missing required section `supermode` for multimode model families"
-            )
-        if len(model.cutoffs) != supermode.n_signal:
-            raise ConfigValidationError(
-                "field `model.cutoffs` length must equal `supermode.n_signal`"
-            )
-    return RunConfig(
-        dispersion=dispersion,
-        supermode=supermode,
-        model=model,
-        dynamics=dynamics,
-        wigner=wigner,
-        outputs=outputs,
-        raw=raw,
-    )
+    return replace(_read(RunConfig, raw), raw=raw)

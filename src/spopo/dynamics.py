@@ -689,14 +689,14 @@ def _sse_steps(stacked: sparse.csr_matrix, psi: np.ndarray, dW: np.ndarray, dt: 
 def step_grid(t_grid, dt: float) -> np.ndarray:
     """``t_grid`` moved onto the dt step lattice that :func:`sse_ensemble` requires.
 
-    A grid already on the lattice is returned unchanged; otherwise every point
-    is rounded to the nearest step and repeated steps are dropped.
+    A grid already on the lattice keeps its points; otherwise every point is rounded
+    to the nearest step.  Either way, a point on the step of an earlier one is dropped.
     """
     t = np.asarray(t_grid, dtype=float)
     steps = np.rint(t / dt)
-    if np.max(np.abs(t / dt - steps)) <= GRID_ALIGN_TOL:
-        return t
-    return np.unique(steps) * dt
+    if np.max(np.abs(t / dt - steps)) > GRID_ALIGN_TOL:
+        t = steps * dt
+    return t[np.unique(steps, return_index=True)[1]]
 
 
 def sse_ensemble(

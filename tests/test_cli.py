@@ -94,6 +94,22 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_repeated_key_is_a_parse_error_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "repeated.json"
+    cfg.write_text('{"model": {"family": "cw-single", "p": 2.0, "p": 0.5, "cutoffs": [8]}, '
+                   f'"outputs": {{"directory": {json.dumps(str(tmp_path / "out"))}}}}}')
+    assert main(["steady", "--config", str(cfg)]) == 2
+    assert "key `p` is repeated" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    # json raises a plain ValueError, not a JSONDecodeError, for an int over 4300 digits
+    cfg = lossy_config_text(tmp_path, "dynamics.seed", "1" * 5000)
+    assert main(["steady", "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_config_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     bad = tmp_path / "latin1.json"
     bad.write_bytes(b'{"outputs": {"directory": "x\xff"}}')
@@ -160,6 +176,13 @@ def rule(name, value, *more, field=None):
     rule("model", [1]),
     rule("dispersion", DROP),
     rule("supermode", DROP),
+    rule("dispersion", 1),
+    rule("supermode", "x"),
+    rule("dynamics", [1]),
+    rule("wigner", 3),
+    rule("outputs", None),
+    rule("model", None),
+    rule("raw", {}),  # `RunConfig.raw` holds the file's config; it is not a section
     # missing required fields
     *(rule(f"dispersion.{key}", DROP) for key in BASE_DISPERSION),
     rule("supermode.Np", DROP),
@@ -486,6 +509,22 @@ def test_trajectories_snap_output_times_to_dt(tmp_path):
     rows = (tmp_path / "snapped" / "trajectories_photon.csv").read_text().splitlines()[1:]
     times = np.array([float(r.split(",")[0]) for r in rows])
     assert np.allclose(times, [0.0, 0.17, 0.33, 0.5, 0.67, 0.83, 1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("t_max, dt, field", [
+    (1e-4, 1e-3, "dynamics.t_max"),
+    (1e-9, 1e-3, "dynamics.t_max"),  # every point within GRID_ALIGN_TOL of step 0
+    (1.0, 1e-300, "dynamics.dt"),  # more steps than an int holds
+])
+def test_trajectories_with_too_few_or_too_many_steps_exit_3(tmp_path, capsys, t_max, dt, field):
+    payload = {
+        "model": {"family": "cw-single", "p": 2.0, "cutoffs": [8]},
+        "dynamics": {"t_max": t_max, "dt": dt, "n_points": 3},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }
+    assert main(["trajectories", "--config", write_config(tmp_path, payload)]) == 3
+    assert f"`{field}`" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_build_artifacts_and_manifest(tmp_path):
