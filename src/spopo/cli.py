@@ -8,6 +8,8 @@ import argparse
 import csv
 import hashlib
 import json
+import math
+import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -95,7 +97,17 @@ def _build_model(cfg: RunConfig):
     return sm, model_mod.build_lossless(sm, m.p, m.cutoffs)
 
 
+def _fits(name: str, *shape: int, itemsize: int = 8):
+    """Raise ConfigValidationError naming field ``name`` when an array of ``shape`` and
+    ``itemsize`` would exceed this machine's memory; nothing is allocated."""
+    size = itemsize * math.prod(shape)
+    if size > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigValidationError(f"field `{name}` sizes an array of {size:.3g} B, more than "
+                                    "this machine's memory")
+
+
 def _time_grid(cfg: RunConfig) -> np.ndarray:
+    _fits("dynamics.n_points", cfg.dynamics.n_points)
     return np.linspace(0.0, cfg.dynamics.t_max, cfg.dynamics.n_points)
 
 
@@ -223,6 +235,7 @@ def cmd_trajectories(cfg: RunConfig, writer: ArtifactWriter):
     t = dynamics.step_grid(_time_grid(cfg), cfg.dynamics.dt)
     if t.size < 2:
         raise ConfigValidationError("field `dynamics.t_max` rounds to zero steps of `dynamics.dt`")
+    _fits("dynamics.n_trajectories", mdl.space.dim, cfg.dynamics.n_trajectories, itemsize=16)
     n_total = hilbert.total_number_operator(mdl.space)
     rec = dynamics.sse_ensemble(
         mdl, hilbert.vacuum_state(mdl.space), t,
@@ -245,6 +258,7 @@ def cmd_trajectories(cfg: RunConfig, writer: ArtifactWriter):
 
 
 def cmd_wigner(cfg: RunConfig, writer: ArtifactWriter):
+    _fits("wigner.points", cfg.wigner.points, cfg.wigner.points)
     _sm, mdl = _build_model(cfg)
     t = _time_grid(cfg)
     rec = dynamics.evolve_master(

@@ -16,6 +16,9 @@ Solvers:
   frequency domain: the resolvent (G - i w) X = -A0' at every frequency, G
   being the generator, from one Arnoldi basis grown from A0', the seed
   L rho_ss + rho_ss L^dag of channel L without its stationary part.
+  Both Krylov solvers grow their bases by one kernel, ``_arnoldi``, into pages of
+  ``KRYLOV_PAGE_ROWS`` vectors allocated as the basis fills (``_Basis``), so a solve holds
+  the pages its vectors need, not the cap.
 * ``sse_ensemble`` integrates the unnormalized stochastic Schroedinger
   equation by Euler-Maruyama with per-step normalization, all trajectories as
   one block and every channel through one stacked sparse product per step, into
@@ -63,11 +66,14 @@ from .model import OpenSystemModel
 
 # Krylov solves stop at a residual estimate near round-off, so the exit checks have ample
 # margin, and no basis grows past the cap.  Every basis vector is a half-layout state
-# (``_MasterRHS.pack``): GMRES reserves KRYLOV_MAX_DIM + 1 of them, 67 MB on the d=288 blocks,
-# and fills those it builds, 34 MB at r=4; a spectrum part fills m + 1, 43.6 MB at d=288
-# with m=130.
+# (``_MasterRHS.pack``), and a basis is allocated KRYLOV_PAGE_ROWS vectors at a time
+# (``_Basis``): 0.68 MB on the d=72 blocks, under numpy's 4 MiB huge-page threshold, so a
+# steady state there that builds fewer than 64 vectors holds one page and faults in only the
+# rows it writes; 10.7 MB on the d=288 blocks, where GMRES at r=4 fills 201 vectors, 34 MB,
+# and 21.3 MB on the d=288 d x d block, where a spectrum part fills m + 1, 43.6 MB at m=130.
 KRYLOV_RTOL = 1e-12
 KRYLOV_MAX_DIM = 400
+KRYLOV_PAGE_ROWS = 64
 
 # Output times of an SSE trajectory may sit this many steps off the dt lattice.
 GRID_ALIGN_TOL = 1e-6
@@ -271,8 +277,14 @@ class _MasterRHS:
         return out
 
 
-def _norm(v: np.ndarray) -> float:  # numpy's own sum, not BLAS: no thread count moves it
-    return float(np.sqrt(np.sum(np.square(np.abs(v)))))
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 by numpy's own sums, not BLAS: no thread count moves it.  A sum of squares that
+    overflows is taken again over v / max|v|, so a representable norm is returned."""
+    with np.errstate(over="ignore"):
+        total = np.sum(np.square(np.abs(v)))
+    if np.isinf(total) and np.isfinite(peak := np.abs(v).max()):
+        return float(peak * _norm(v / peak))
+    return float(np.sqrt(total))
 
 
 def _bessel_weights(z: np.ndarray, n: int) -> np.ndarray:
@@ -406,25 +418,58 @@ def evolve_master(
     return SimulationRecord(t, series, state, extras=extras)
 
 
+class _Basis:
+    """A Krylov basis, its vectors the rows of pages of ``KRYLOV_PAGE_ROWS`` rows: each page
+    is one ``np.empty``, made once the last one is full, so the basis holds the pages its
+    vectors fill and never copies a row.  ``project`` and ``combine`` read it page by page;
+    einsum, not BLAS: no thread count moves either."""
+
+    def __init__(self):
+        self.pages, self.rows = [], 0
+
+    def append(self, v: np.ndarray):
+        if self.rows % KRYLOV_PAGE_ROWS == 0:
+            self.pages.append(np.empty((KRYLOV_PAGE_ROWS, v.size), v.dtype))
+        self.pages[-1][self.rows % KRYLOV_PAGE_ROWS] = v
+        self.rows += 1
+
+    def _head(self, n: int) -> list:
+        """(index of its first row, its rows) for each page the first ``n`` rows touch."""
+        return [(start, page[:n - start])
+                for start, page in zip(range(0, n, KRYLOV_PAGE_ROWS), self.pages)]
+
+    def project(self, w: np.ndarray) -> np.ndarray:
+        """v_i^H w for every row v_i."""
+        return np.concatenate([np.einsum("ij,j->i", rows, w.conj()).conj()
+                               for _, rows in self._head(self.rows)])
+
+    def combine(self, c: np.ndarray) -> np.ndarray:
+        """sum_i c_i v_i over the first len(c) rows, one page's sum after another."""
+        sums = (np.einsum("i,ij->j", c[start:start + len(rows)], rows)
+                for start, rows in self._head(c.size))
+        return sum(sums, next(sums))
+
+
 def _arnoldi(matvec, v0: np.ndarray, m: int):
-    """Yield (V, h) after each of at most ``m`` Arnoldi steps j from the unit ``v0``: V's rows
-    are the j + 2 orthonormal basis vectors, h column j of the Hessenberg matrix,
-    matvec(V[j]) = h @ V.  Two classical Gram-Schmidt passes, "twice is enough" (Giraud,
-    Langou & Rozloznik, Comput. Math. Appl. 50, 1069 (2005)): with one, orthogonality is
-    lost as the two-photon loss grows, and at eta=30 the spectrum basis stalled short of its
-    residual.  A zero new vector ends V."""
-    V = np.empty((m + 1, v0.size), dtype=v0.dtype)
-    V[0] = v0
+    """Yield (V, h) after each of at most ``m`` Arnoldi steps j from the unit ``v0``: the
+    :class:`_Basis` V holds the j + 2 orthonormal basis vectors v_i, h is column j of the
+    Hessenberg matrix, matvec(v_j) = sum_i h_i v_i.  Two classical Gram-Schmidt passes,
+    "twice is enough" (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 1069 (2005)):
+    with one, orthogonality is lost as the two-photon loss grows, and at eta=30 the spectrum
+    basis stalled short of its residual.  A zero new vector ends V."""
+    V, v = _Basis(), v0
+    V.append(v)
     for j in range(m):
-        w = matvec(V[j])
+        w = matvec(v)
         h = np.zeros(j + 1, dtype=w.dtype)
-        for _ in range(2):  # einsum and _norm, not BLAS: no thread count moves the basis
-            dh = np.einsum("ij,j->i", V[:j + 1], w.conj()).conj()
-            w -= np.einsum("i,ij->j", dh, V[:j + 1])
+        for _ in range(2):
+            dh = V.project(w)
+            w -= V.combine(dh)
             h += dh
         norm = _norm(w)
-        V[j + 1] = w / norm if norm else w
-        yield V[:j + 2], np.append(h, norm)
+        v = w / norm if norm else w
+        V.append(v)
+        yield V, np.append(h, norm)
         if not norm:
             return
 
@@ -496,7 +541,7 @@ def _krylov_solve(rhs: _MasterRHS):
             built += 1
             if lstsq.add(h) <= target:
                 break
-        x += np.einsum("i,ij->j", lstsq.solve(), V[:-1]) / jacobi
+        x += V.combine(lstsq.solve()) / jacobi
     return rhs.unpack(x), built
 
 
@@ -609,9 +654,9 @@ def homodyne_spectrum(
         else:
             raise ConvergenceError(f"Krylov spectrum basis reached {KRYLOV_MAX_DIM} iterations "
                                    f"(KRYLOV_MAX_DIM): residual estimate {estimate:.3e}")
-        V, dimension = V[:-1], dimension + V.shape[0] - 1
+        dimension += V.rows - 1
         for k, y in enumerate(lstsq.solve()):  # two real products, no complex copy of V
-            Xr, Xi = (-np.einsum("i,ij->j", c, V) for c in (y.real, y.imag))
+            Xr, Xi = (-V.combine(c) for c in (y.real, y.imag))
             GX = action(Xr) + 1j * action(Xi)  # G on each real piece
             residuals[k] += rhs.norm(GX - 1j * w[k] * (Xr + 1j * Xi) + seed) / scale
             X = rhs.unpack(Xr, sign) + 1j * rhs.unpack(Xi, sign)

@@ -527,6 +527,27 @@ def test_trajectories_with_too_few_or_too_many_steps_exit_3(tmp_path, capsys, t_
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("evolve", "dynamics", "n_points", 10**18),  # 8 EB of output times
+    ("evolve", "dynamics", "n_points", sys.maxsize),  # more bytes than an index holds
+    ("wigner", "wigner", "points", 10**18),
+    ("trajectories", "dynamics", "n_trajectories", 10**18),
+], ids=["evolve-n_points", "evolve-n_points-maxsize", "wigner-points", "trajectories-count"])
+def test_grid_no_array_holds_exits_3_naming_its_field(tmp_path, capsys, command, section, key,
+                                                       value):
+    # each grid's bytes are checked against the machine's memory before any solve, allocating
+    # nothing
+    payload = {
+        "model": {"family": "cw-single", "p": 2.0, "cutoffs": [2]},
+        "dynamics": {"t_max": 1.0, "n_points": 3},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }
+    payload.setdefault(section, {})[key] = value
+    assert main([command, "--config", write_config(tmp_path, payload)]) == 3
+    assert f"`{section}.{key}`" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_build_artifacts_and_manifest(tmp_path):
     out = tmp_path / "build_out"
     cfg = write_config(tmp_path, {

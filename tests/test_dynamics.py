@@ -160,10 +160,11 @@ def test_generator_action_matches_liouvillian_matrix(family, sizes, sign, dtype)
         assert np.array_equal(got, sign * got.conj().T)
 
 
-def desk_comb(cutoffs):
-    """A rung of the desk ladder: DESK dispersion, three supermodes, r=1.19, eta=1."""
+def desk_comb(cutoffs, r=1.19):
+    """A rung of the desk ladder: DESK dispersion, three supermodes, r=1.19 unless given,
+    eta=1."""
     desk = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
-    return build_spopo(build_supermodes(desk, Np=4.0, n_signal=3, k_max=9), r=1.19, eta=1.0,
+    return build_spopo(build_supermodes(desk, Np=4.0, n_signal=3, k_max=9), r=r, eta=1.0,
                        cutoffs=cutoffs)
 
 
@@ -279,13 +280,45 @@ def test_master_half_sums_cut_the_propagator_peak(monkeypatch):
     assert half <= 0.7 * peak()
 
 
-def test_steady_state_half_layout_matches_full_layout_oracle():
-    # GMRES minimizes the half vector's norm, which counts each off-diagonal pair once
-    rhs = vacuum_generator(desk_comb((10, 5, 3)))
+@pytest.mark.parametrize("cutoffs, r", [((10, 5, 3), 1.19), ((6, 4, 3), 4.0)],
+                         ids=["10-5-3", "6-4-3-r4"])
+def test_steady_state_half_layout_matches_full_layout_oracle(cutoffs, r):
+    # GMRES minimizes the half vector's norm, which counts each off-diagonal pair once.  Far
+    # above threshold the basis grows to about 135 vectors, over three pages
+    rhs = vacuum_generator(desk_comb(cutoffs, r))
     got, built = dynamics._krylov_solve(rhs)
     want, built_full = oracles.krylov_solve_full(rhs)
     assert np.max(np.abs(got - want)) <= 1e-12
     assert abs(built - built_full) <= 2
+
+
+def test_krylov_solve_holds_one_basis_page():
+    # the 41-vector solve on (6,4,3), r=0.63 fits one page of KRYLOV_PAGE_ROWS half vectors,
+    # 0.68 MB; beside it the solve's vectors and the generator's whole blocks took 17 half
+    # vectors, where a reservation of KRYLOV_MAX_DIM + 1 rows took 4.27 MB
+    rhs = vacuum_generator(desk_comb((6, 4, 3), r=0.63))
+    dynamics._krylov_solve(rhs)  # the generator's index arrays, built on first use
+    tracemalloc.start()
+    try:
+        _, built = dynamics._krylov_solve(rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    half = 8 * sum(n * (n + 1) // 2 for n in rhs.sizes)  # bytes of one half vector
+    assert built < dynamics.KRYLOV_PAGE_ROWS
+    assert peak <= (dynamics.KRYLOV_PAGE_ROWS + 32) * half
+
+
+def test_norm_rescales_only_a_sum_of_squares_that_overflows():
+    # 1e200 squared overflows, its norm does not; every other norm keeps its bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dynamics._norm(np.array([1e200, 1e200])) == pytest.approx(math.sqrt(2) * 1e200,
+                                                                         rel=1e-15)
+    v = np.random.default_rng(3).standard_normal(1000) * 1e150
+    assert dynamics._norm(v) == float(np.sqrt(np.sum(np.square(np.abs(v)))))
+    assert dynamics._norm(np.array([np.inf, 1.0])) == np.inf
+    assert np.isnan(dynamics._norm(np.array([np.nan, 1e200])))
 
 
 @pytest.mark.parametrize("phase", [-90.0, -30.0])
