@@ -7,7 +7,8 @@ and the vacuum is W(x, p) = (1/pi) exp(-x^2 - p^2).
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,8 +23,7 @@ class WignerGrid:
     x: np.ndarray
     p: np.ndarray
     W: np.ndarray  # shape (len(p), len(x))
-    convention: str = "vacuum W(x,p) = exp(-x^2-p^2)/pi, integral 1"
-    metadata: dict = field(default_factory=dict)
+    convention: ClassVar[str] = "vacuum W(x,p) = exp(-x^2-p^2)/pi, integral 1"
 
     def integral(self) -> float:
         inner = np.trapezoid(self.W, self.x, axis=1)
@@ -77,7 +77,6 @@ def wigner(rho: DensityOperator, x_grid, p_grid) -> WignerGrid:
     W = acc.real * np.exp(-B / 2.0) / math.pi
     grid = WignerGrid(x=x, p=p, W=W)
     total = grid.integral()
-    grid.metadata["integral"] = total
     if abs(total - 1.0) > 1e-3:
         warnings.warn(
             f"Wigner grid integral {total:.5f} deviates from 1; enlarge/refine the grid",

@@ -84,10 +84,18 @@ def _build_supermodes(cfg: RunConfig) -> supermode.SupermodeSet:
     return supermode.build_supermodes(cfg.dispersion, **asdict(cfg.supermode))
 
 
+def _state_fits(cfg: RunConfig):
+    """Check, before the model is built, that its d x d float64 state fits in memory."""
+    if cfg.model is not None:  # a missing section is named by _build_model
+        d = math.prod(cfg.model.cutoffs)
+        _fits("model.cutoffs", d, d)
+
+
 def _build_model(cfg: RunConfig):
     m = cfg.model
     if m is None:
         raise ConfigValidationError("missing required section `model` for this command")
+    _fits("model.cutoffs", len(m.cutoffs), math.prod(m.cutoffs))  # the occupation table
     if m.family == "cw-single":
         sm = supermode.single_mode_set(1.0)
         return sm, model_mod.build_lossless(sm, m.p, m.cutoffs)
@@ -160,6 +168,7 @@ def cmd_build(cfg: RunConfig, writer: ArtifactWriter):
 
 
 def cmd_evolve(cfg: RunConfig, writer: ArtifactWriter):
+    _state_fits(cfg)
     _sm, mdl = _build_model(cfg)
     t = _time_grid(cfg)
     obs = _photon_observables(mdl.space)
@@ -177,6 +186,7 @@ def cmd_evolve(cfg: RunConfig, writer: ArtifactWriter):
 
 
 def cmd_steady(cfg: RunConfig, writer: ArtifactWriter):
+    _state_fits(cfg)
     _sm, mdl = _build_model(cfg)
     rho = dynamics.steady_state(mdl, tol=cfg.dynamics.tolerance)
     obs = _photon_observables(mdl.space)
@@ -211,6 +221,7 @@ def _spectrum_channel(cfg: RunConfig, mdl) -> hilbert.LinearOperator:
 
 
 def cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter):
+    _state_fits(cfg)
     _sm, mdl = _build_model(cfg)
     if not cfg.dynamics.omega_grid:
         raise ConfigValidationError("missing required field `dynamics.omega_grid` for spectrum")
@@ -259,6 +270,7 @@ def cmd_trajectories(cfg: RunConfig, writer: ArtifactWriter):
 
 def cmd_wigner(cfg: RunConfig, writer: ArtifactWriter):
     _fits("wigner.points", cfg.wigner.points, cfg.wigner.points)
+    _state_fits(cfg)
     _sm, mdl = _build_model(cfg)
     t = _time_grid(cfg)
     rec = dynamics.evolve_master(
@@ -276,13 +288,14 @@ def cmd_wigner(cfg: RunConfig, writer: ArtifactWriter):
                      ((j, grid[j], grid[j]) for j in range(grid.size)))
     writer.write_json("wigner_meta.json", {
         "convention": wg.convention,
-        "integral": wg.metadata["integral"],
+        "integral": wg.integral(),
         "min_value": wg.min_value(),
         "time": float(t[-1]),
     })
 
 
 def cmd_fluxes(cfg: RunConfig, writer: ArtifactWriter):
+    _state_fits(cfg)
     sm, mdl = _build_model(cfg)
     if cfg.model.family == "cw-single":
         raise ConfigValidationError("fluxes requires a comb model (family lossy or lossless)")

@@ -146,8 +146,8 @@ class DynamicsConfig:
     omega_grid: tuple[float, ...] = ()
     channel_index: int = 1
     channel_phase_deg: float = -90.0
-    # the spectrum no longer integrates over a tau grid, and the steady state has one method
-    deprecated: ClassVar[tuple[str, ...]] = ("tau_max", "method")
+    # the spectrum no longer integrates over a tau grid
+    deprecated: ClassVar[tuple[str, ...]] = ("tau_max",)
 
 
 @dataclass(frozen=True)

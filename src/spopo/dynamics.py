@@ -12,10 +12,10 @@ Solvers:
   vacuum's blocks (which pin one state where a symmetry leaves several), or by
   propagating the d x d state from the vacuum as an independent reference;
   either way the residual is verified against the full generator.
-* ``homodyne_spectrum`` applies the quantum regression theorem in the
-  frequency domain: the resolvent (G - i w) X = -A0' at every frequency, G
-  being the generator, from one Arnoldi basis grown from A0', the seed
-  L rho_ss + rho_ss L^dag of channel L without its stationary part.
+* ``homodyne_spectrum`` applies the quantum regression theorem in the frequency domain:
+  the resolvent (G - i w) X = -A0' at every frequency, G being the generator, from one real
+  Arnoldi basis per part of A0', the seed L rho_ss + rho_ss L^dag of channel L without its
+  stationary part: symmetric from Re L, antisymmetric from Im L, and S in real arithmetic.
   Both Krylov solvers grow their bases by one kernel, ``_arnoldi``, into pages of
   ``KRYLOV_PAGE_ROWS`` vectors allocated as the basis fills (``_Basis``), so a solve holds
   the pages its vectors need, not the cap.
@@ -56,6 +56,7 @@ LAPACK, so no solver's state depends on the thread count.
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import count
+from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
@@ -124,8 +125,8 @@ class SimulationRecord:
 class SpectrumResult:
     omega: np.ndarray
     S: np.ndarray
-    normalization: str = "vacuum = 1"
     metadata: dict = field(default_factory=dict)
+    normalization: ClassVar[str] = "vacuum = 1"
 
 
 def _blocks(C: sparse.csr_matrix, Ls: list, rho0: np.ndarray) -> tuple[list, list]:
@@ -258,9 +259,14 @@ class _MasterRHS:
 
     def norm(self, h: np.ndarray) -> float:
         """||rho||_F of the state whose half is ``h``: an entry off a block's diagonal stands for
-        two of its magnitude.  numpy's own sums, not BLAS: no thread count moves it."""
-        squares = np.square(np.abs(h))
-        return float(np.sqrt(2.0 * np.sum(squares) - np.sum(squares[self._triangle[3]])))
+        two of its magnitude.  numpy's own sums, not BLAS: no thread count moves it.  A sum that
+        is not finite is taken again over h / max|h|, as :func:`_norm` does."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = np.square(np.abs(h))
+            total = 2.0 * np.sum(squares) - np.sum(squares[self._triangle[3]])
+        if not np.isfinite(total) and np.isfinite(peak := np.abs(h).max()):
+            return float(peak * self.norm(h / peak))
+        return float(np.sqrt(total))
 
     def apply(self, h: np.ndarray, sign: int = 1) -> np.ndarray:
         self.evaluations += 1
@@ -610,39 +616,46 @@ def homodyne_spectrum(
     """Steady-state homodyne (squeezing) spectrum of one output channel.
 
     S(w) = 1 + 2 Re tr[(L + L^dag) X] for channel L, (G - i w) X = -A0', G the generator,
-    A0' = A0 - tr(A0) rho_ss, A0 = L rho_ss + rho_ss L^dag; 1 is the vacuum level.  With
-    rho_ss symmetrized, A0' is exactly Hermitian, and one real Krylov basis per part of A0',
-    symmetric real and antisymmetric imaginary, serves every w (Frommer & Glaessner, SIAM J.
-    Sci. Comput. 19, 15 (1998)).  Each basis vector is the half of a state on the d x d block
-    (:class:`_MasterRHS`), whose Euclidean norm counts each mirrored pair once, and the basis
-    grows to an estimated residual of ``KRYLOV_RTOL`` ||A0'|| in that norm.
+    A0' = A0 - tr(A0) rho_ss, A0 = L rho_ss + rho_ss L^dag; 1 is the vacuum level.  G and
+    rho_ss are real, so with L = L_1 + i L_-1, L_s real, A0' = A_1 + i A_-1 splits into real
+    parts A_s = L_s rho + s (L_s rho)^T - tr(.) rho of symmetry s.  One real Krylov basis per
+    part serves every w (Frommer & Glaessner, SIAM J. Sci. Comput. 19, 15 (1998)), and S
+    takes 2 s tr[(L_s + s L_s^T) Re X_s] from its solution X_s: each other term pairs a
+    symmetric with an antisymmetric matrix, so the spectrum is real arithmetic.  Each basis
+    vector is the half of a state on the d x d block (:class:`_MasterRHS`), whose Euclidean
+    norm counts each mirrored pair once, and the basis grows to an estimated residual of
+    ``KRYLOV_RTOL`` ||A0'|| in that norm.
     A part at most ``KRYLOV_RTOL`` ||L||_F ||rho_ss||_F, the scale A0' is rounded at, needs
     none.  No trace pin: A0' is traceless.
     A basis of ``KRYLOV_MAX_DIM`` vectors, or a residual against G (summed over the parts)
-    above ``SPECTRUM_RESIDUAL_TOL`` ||A0'||, raises :class:`ConvergenceError`.  ``metadata``
-    holds the basis vectors built (``krylov_dimension``) and ``max_relative_residual``.
+    above ``SPECTRUM_RESIDUAL_TOL`` ||A0'||, raises :class:`ConvergenceError`, and a
+    ``rho_ss`` with a nonzero imaginary entry :class:`ValueError`.  ``metadata`` holds the
+    basis vectors built (``krylov_dimension``) and ``max_relative_residual``.
     """
     if channel.space != model.space:
         raise ValueError("channel lives on a different space")
     if rho_ss.space != model.space:
         raise ValueError("steady state lives on a different space")
     w = np.asarray(omega_grid, dtype=float)
-
     rho = rho_ss.matrix
-    rho = (rho + rho.conj().T) / 2.0
+    if np.imag(rho).any():
+        raise ValueError("steady state has a nonzero imaginary entry; the generator is real")
+    rho = (rho.real + rho.real.T) / 2.0
     L = channel.matrix
-    A0 = L @ rho
-    A0 = A0 + A0.conj().T  # L rho + rho L^dag
-    A0 = A0 - np.trace(A0).real * rho
-    quad = (L + L.conj().T).tocsr()
-    scale = _norm(A0)
     floor = KRYLOV_RTOL * _norm(L.data) * _norm(rho)
 
+    seeds, quads = [], []  # A_s and L_s + s L_s^T
+    for sign, part in ((1, L.real), (-1, L.imag)):
+        A = part @ rho
+        A = A + sign * A.T
+        seeds.append(A - np.trace(A) * rho)  # the antisymmetric part's trace is exactly 0
+        quads.append((part + sign * part.T).tocsr())
+    scale = float(np.hypot(*map(_norm, seeds)))  # ||A0'||_F
     rhs = _MasterRHS(model)
     S, residuals, dimension = np.ones(w.size), np.zeros(w.size), 0
-    seeds = [rhs.pack(part) for part in (A0.real, A0.imag)]  # A0' in the half layout
+    seeds = [rhs.pack(A) for A in seeds]  # A0' in the half layout
     half_scale = float(np.hypot(*map(_norm, seeds)))  # ||A0'|| in the half layout
-    for phase, sign, seed in zip((1.0, 1j), (1, -1), seeds):
+    for sign, seed, quad in zip((1, -1), seeds, quads):
         beta = _norm(seed)
         if beta <= floor:
             continue
@@ -659,8 +672,7 @@ def homodyne_spectrum(
             Xr, Xi = (-V.combine(c) for c in (y.real, y.imag))
             GX = action(Xr) + 1j * action(Xi)  # G on each real piece
             residuals[k] += rhs.norm(GX - 1j * w[k] * (Xr + 1j * Xi) + seed) / scale
-            X = rhs.unpack(Xr, sign) + 1j * rhs.unpack(Xi, sign)
-            S[k] += 2.0 * (phase * trace_product(quad, X)).real
+            S[k] += 2.0 * sign * trace_product(quad, rhs.unpack(Xr, sign)).real
     worst = float(residuals.max(initial=0.0))
     if not worst <= SPECTRUM_RESIDUAL_TOL:
         raise ConvergenceError(f"Krylov spectrum at w={w[np.argmax(residuals)]:.4g}: relative "
@@ -810,7 +822,7 @@ def sse_ensemble(
             homodyne[:, idx] += np.add.reduceat(dW, [0], axis=1)[:, 0]
         record(idx + 1)
     homodyne /= np.diff(t)[:, None]
-    return SimulationRecord(t, series, psi, extras={"homodyne_currents": homodyne, "dt": dt})
+    return SimulationRecord(t, series, psi, extras={"homodyne_currents": homodyne})
 
 
 def sse_trajectory(

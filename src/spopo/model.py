@@ -37,7 +37,6 @@ class ModelParams:
     r: float | None = None
     eta: float | None = None
     p: float | None = None
-    kappa: float | None = None  # 1.0 in lossy units, None for lossless
     lambda1: float = 1.0
 
 
@@ -69,7 +68,7 @@ class OpenSystemModel:
             "r": p.r,
             "eta": p.eta,
             "p": p.p,
-            "kappa": p.kappa,
+            "kappa": 1.0 if p.family == "lossy" else None,  # the lossy time unit is 1/kappa
             "lambda1": p.lambda1,
             "cutoffs": list(self.space.cutoffs),
             "hamiltonian_norm": self.H.norm(),
@@ -99,11 +98,11 @@ def liouvillian_matrix(model: OpenSystemModel) -> sparse.csr_matrix:
 
 
 def _build(sm: SupermodeSet, cutoffs, params: ModelParams, *, drive: float, scale: float,
-           shift: float, linear_rate: float | None) -> OpenSystemModel:
+           linear_rate: float | None) -> OpenSystemModel:
     """Squeezing H = A + A^dag, A = (i * drive / 4) sum_i (lam_i / lam_1) S_i^2, optional
-    linear loss sqrt(linear_rate) S_i, and nonlinear Lindblads
-    scale * sum_ij (G^(k)_ij / lam_1) S_i S_j + shift * delta_k1, each quadratic form built
-    by ``hilbert.pair_operator`` in one pass over the occupation table."""
+    linear loss sqrt(linear_rate) S_i, and nonlinear Lindblads scale * sum_ij (G^(k)_ij /
+    lam_1) S_i S_j + drive / (2 scale) delta_k1 (r / 2 sqrt(eta) lossy, p / 2 lossless), each
+    quadratic form built by ``hilbert.pair_operator`` in one pass over the occupation table."""
     cutoffs = tuple(int(c) for c in cutoffs)
     if len(cutoffs) != sm.n_signal:
         raise ValueError(
@@ -123,7 +122,7 @@ def _build(sm: SupermodeSet, cutoffs, params: ModelParams, *, drive: float, scal
     for label, G in zip(sm.pump_labels, sm.tensors):
         op = scale * hilbert.pair_operator(space, G / lam1).matrix
         if label == 1 and drive != 0.0:
-            op = op + shift * sparse.identity(space.dim, dtype=complex)
+            op = op + drive / (2.0 * scale) * sparse.identity(space.dim, dtype=complex)
         pumped = label == 1 and drive > 0
         lindblads.append(Lindblad(LinearOperator(space, op), "nonlinear", label, pumped))
     return OpenSystemModel(space, H, tuple(lindblads), params)
@@ -135,10 +134,8 @@ def build_spopo(sm: SupermodeSet, r: float, eta: float, cutoffs) -> OpenSystemMo
         raise ValueError("pump parameter r must be >= 0")
     if eta <= 0:
         raise ValueError("nonlinearity eta must be positive")
-    root_eta = math.sqrt(eta)
-    params = ModelParams(family="lossy", r=r, eta=eta, kappa=1.0, lambda1=sm.lambda1)
-    return _build(sm, cutoffs, params, drive=r, scale=root_eta, shift=r / (2.0 * root_eta),
-                  linear_rate=2.0)
+    params = ModelParams(family="lossy", r=r, eta=eta, lambda1=sm.lambda1)
+    return _build(sm, cutoffs, params, drive=r, scale=math.sqrt(eta), linear_rate=2.0)
 
 
 def build_lossless(sm: SupermodeSet, p: float, cutoffs) -> OpenSystemModel:
@@ -146,5 +143,5 @@ def build_lossless(sm: SupermodeSet, p: float, cutoffs) -> OpenSystemModel:
     if p < 0:
         raise ValueError("pump parameter p must be >= 0")
     params = ModelParams(family="lossless", p=p, lambda1=sm.lambda1)
-    return _build(sm, cutoffs, params, drive=p, scale=1.0, shift=p / 2.0, linear_rate=None)
+    return _build(sm, cutoffs, params, drive=p, scale=1.0, linear_rate=None)
 

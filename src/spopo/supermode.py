@@ -138,13 +138,12 @@ def diagonalize_signal(Fp1: np.ndarray):
     return T, lam
 
 
-def coupling_tensors(Fp: list[np.ndarray], T: np.ndarray):
-    """Transformed tensors G^(k) = conj(T) F'^(k) conj(T)^T and their label-1 diagonal.
+def coupling_tensors(Fp: list[np.ndarray], T: np.ndarray) -> list[np.ndarray]:
+    """Transformed tensors G^(k) = T F'^(k) T^T, real as T and the pump rows are.
 
-    The rows of T diagonalize F'^(1) (:func:`diagonalize_signal`), so G^(1) keeps its
-    diagonal as computed and its off-diagonal round-off is set to exactly 0."""
+    The rows of T diagonalize F'^(1) (:func:`diagonalize_signal`), so G^(1) keeps its diagonal,
+    the eigenvalues, as computed and its off-diagonal round-off is set to exactly 0."""
     T = np.asarray(T)
-    Tc = T.conj()
     G = []
     for k, mat in enumerate(Fp):
         mat = np.asarray(mat)
@@ -152,10 +151,9 @@ def coupling_tensors(Fp: list[np.ndarray], T: np.ndarray):
             raise ValueError(
                 f"tensor {k} has shape {mat.shape}, expected {(T.shape[1], T.shape[1])}"
             )
-        G.append(Tc @ mat @ Tc.T)
+        G.append(T @ mat @ T.T)
     G[0] = np.diag(np.diag(G[0]))
-    lam = np.real(np.diag(G[0])).copy()
-    return G, lam
+    return G
 
 
 def parity_signature(vector: np.ndarray) -> int:
@@ -173,19 +171,17 @@ def parity_signature(vector: np.ndarray) -> int:
 class SupermodeSet:
     """Retained pump/signal bases and coupling tensors of one SPOPO configuration.
 
-    ``pump_basis`` rows align with ``pump_labels`` (1-based labels); the signal
-    rows of ``signal_basis`` align with ``eigenvalues`` and ``parities``; they are
-    orthonormal, so uniform loss on the comb lines is uniform loss on the supermodes.
-    ``tensors[j]`` is G^(k) for k = pump_labels[j] on the retained signal block,
-    and ``eigenvalues[i]`` equals tensors-of-label-1 diagonal entry i.
+    Stored: ``pump_basis`` rows align with ``pump_labels`` (1-based, label 1 first), and the
+    orthonormal rows of ``signal_basis`` make uniform comb-line loss uniform supermode loss;
+    ``tensors[j]`` is G^(k), k = pump_labels[j], on the retained signal block.  Derived, per
+    signal row: ``eigenvalues``, the label-1 tensor's diagonal (descending |.|), and
+    ``parities``, its :func:`parity_signature`.
     """
 
     pump_basis: np.ndarray          # (n_pump, 4M+1)
     pump_labels: tuple[int, ...]    # 1-based labels of retained pump rows
     signal_basis: np.ndarray        # (n_signal, 2M+1)
     tensors: tuple[np.ndarray, ...]  # each (n_signal, n_signal)
-    eigenvalues: np.ndarray         # retained label-1 diagonal, descending |.|
-    parities: tuple[int, ...]
     params: DispersionParams | None
 
     @property
@@ -193,8 +189,16 @@ class SupermodeSet:
         return self.signal_basis.shape[0]
 
     @property
+    def eigenvalues(self) -> np.ndarray:
+        return np.diag(self.tensors[0])
+
+    @property
+    def parities(self) -> tuple[int, ...]:
+        return tuple(parity_signature(row) for row in self.signal_basis)
+
+    @property
     def lambda1(self) -> float:
-        return float(self.eigenvalues[0])
+        return float(self.tensors[0][0, 0])
 
 
 def single_mode_set(lambda1: float = 1.0) -> SupermodeSet:
@@ -206,8 +210,6 @@ def single_mode_set(lambda1: float = 1.0) -> SupermodeSet:
         pump_labels=(1,),
         signal_basis=np.array([[1.0]]),
         tensors=(np.array([[lambda1]]),),
-        eigenvalues=np.array([lambda1]),
-        parities=(1,),
         params=None,
     )
 
@@ -276,26 +278,22 @@ def build_supermodes(
         )
     selected = retainable[:n_signal]
     T = T_full[selected]
-    parities = tuple(pars[i] for i in selected)
 
     labels = tuple(k for k in range(1, k_max + 1) if not odd_only or k % 2 == 1)
-    G_all, lam = coupling_tensors([Fp_all[k - 1] for k in labels], T)  # labels[0] is 1
-    if lam[0] <= 0:
+    tensors = coupling_tensors([Fp_all[k - 1] for k in labels], T)  # labels[0] is 1
+    if tensors[0][0, 0] <= 0:
         raise SupermodeDataError(
             "retained leading eigenvalue is not positive; adjust `supermode.Np` or "
             "`supermode.k_max`"
         )
 
-    tensors = tuple(np.real_if_close(g, tol=1000).astype(float) for g in G_all)
-    p = np.array(parities)
+    p = np.array([pars[i] for i in selected])
     for k, g in zip(labels, tensors):  # the selection rule's zeros, exactly (module docstring)
         g[(-1) ** (k - 1) * np.outer(p, p) == -1] = 0.0
     return SupermodeSet(
         pump_basis=R_all[[k - 1 for k in labels]],
         pump_labels=labels,
         signal_basis=T,
-        tensors=tensors,
-        eigenvalues=lam,
-        parities=parities,
+        tensors=tuple(tensors),
         params=params,
     )

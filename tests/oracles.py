@@ -118,7 +118,7 @@ def _pair_operator(P, weights: np.ndarray) -> sparse.csr_matrix:
 
 
 def pair_table_build(sm, cutoffs, params, *, drive: float, scale: float,
-                     shift: float, linear_rate: float | None) -> OpenSystemModel:
+                     linear_rate: float | None) -> OpenSystemModel:
     """``model._build`` from the table P[i][j] = S_i S_j of sparse products, each quadratic
     form summed by one sparse add per nonzero weight: the reference of the one-pass assembly
     by ``hilbert.pair_operator``."""
@@ -142,7 +142,7 @@ def pair_table_build(sm, cutoffs, params, *, drive: float, scale: float,
     for label, G in zip(sm.pump_labels, sm.tensors):
         op = scale * _pair_operator(P, G / lam1)
         if label == 1 and drive != 0.0:
-            op = op + shift * sparse.identity(space.dim, dtype=complex)
+            op = op + drive / (2.0 * scale) * sparse.identity(space.dim, dtype=complex)
         pumped = label == 1 and drive > 0
         lindblads.append(Lindblad(LinearOperator(space, op), "nonlinear", label, pumped))
     return OpenSystemModel(space, H, tuple(lindblads), params)
@@ -203,7 +203,7 @@ def sse_ensemble_at_once(model, psi0, t, n_trajectories: int, seed: int, dt: flo
             out_idx += 1
 
     homodyne = np.add.reduceat(dW, out_steps[:-1], axis=1) / np.diff(t)[:, None]
-    return SimulationRecord(t, series, psi, extras={"homodyne_currents": homodyne, "dt": dt})
+    return SimulationRecord(t, series, psi, extras={"homodyne_currents": homodyne})
 
 
 def trace_product(op, rho) -> complex:

@@ -344,9 +344,8 @@ def test_omitted_dynamics_and_wigner_load_their_defaults(tmp_path):
     assert cfg.wigner == WignerConfig()
 
 
-@pytest.mark.parametrize("key, value", [("tau_max", 20.0), ("method", "bogus")])
+@pytest.mark.parametrize("key, value", [("tau_max", 20.0)])
 def test_deprecated_dynamics_field_loads_with_one_future_warning(tmp_path, capsys, key, value):
-    # "method": "bogus" once failed the enum check; the steady state now has one method
     payload = {
         "model": {"family": "cw-single", "p": 2.0, "cutoffs": [16]},
         "dynamics": {key: value, "omega_grid": [0.0]},
@@ -362,6 +361,18 @@ def test_deprecated_dynamics_field_loads_with_one_future_warning(tmp_path, capsy
     with pytest.warns(FutureWarning, match=f"dynamics.{key}"):
         assert main(["evolve", "--config", write_config(tmp_path, payload)]) == 3
     assert "unknown field `dynamics.bogus`" in capsys.readouterr().err
+
+
+def test_removed_dynamics_method_exits_3_naming_it(tmp_path, capsys):
+    # the steady state has one method, so `method` is no longer read, not even to be dropped
+    payload = {
+        "model": {"family": "cw-single", "p": 2.0, "cutoffs": [16]},
+        "dynamics": {"method": "null-space"},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }
+    assert main(["steady", "--config", write_config(tmp_path, payload)]) == 3
+    assert "unknown field `dynamics.method`" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field, literal", [
@@ -532,11 +543,19 @@ def test_trajectories_with_too_few_or_too_many_steps_exit_3(tmp_path, capsys, t_
     ("evolve", "dynamics", "n_points", sys.maxsize),  # more bytes than an index holds
     ("wigner", "wigner", "points", 10**18),
     ("trajectories", "dynamics", "n_trajectories", 10**18),
-], ids=["evolve-n_points", "evolve-n_points-maxsize", "wigner-points", "trajectories-count"])
+    ("steady", "model", "cutoffs", [10**6]),  # a 7.3 TiB d x d state
+    ("evolve", "model", "cutoffs", [10**6]),
+    ("wigner", "model", "cutoffs", [10**6]),
+    ("trajectories", "model", "cutoffs", [10**18]),  # an 8 EB occupation table
+    ("spectrum", "model", "cutoffs", [10**18]),
+    ("fluxes", "model", "cutoffs", [10**18]),
+], ids=["evolve-n_points", "evolve-n_points-maxsize", "wigner-points", "trajectories-count",
+        "steady-cutoffs", "evolve-cutoffs", "wigner-cutoffs", "trajectories-cutoffs",
+        "spectrum-cutoffs", "fluxes-cutoffs"])
 def test_grid_no_array_holds_exits_3_naming_its_field(tmp_path, capsys, command, section, key,
                                                        value):
-    # each grid's bytes are checked against the machine's memory before any solve, allocating
-    # nothing
+    # each grid's bytes, and the model's occupation table and d x d state, are checked against
+    # the machine's memory before any solve or model build, allocating nothing
     payload = {
         "model": {"family": "cw-single", "p": 2.0, "cutoffs": [2]},
         "dynamics": {"t_max": 1.0, "n_points": 3},
@@ -732,8 +751,7 @@ def test_supermode_data_failures_exit_3_naming_np_and_k_max(tmp_path, capsys, mo
     assert "supermode.Np" in err and "supermode.k_max" in err
 
     def negated(Fp, T):
-        G, lam = coupling_tensors(Fp, T)
-        return [-g for g in G], -lam
+        return [-g for g in coupling_tensors(Fp, T)]
 
     coupling_tensors = supermode.coupling_tensors
     monkeypatch.setattr(supermode, "coupling_tensors", negated)

@@ -59,7 +59,7 @@ def damped_cavity(cutoff=12, kappa=1.0):
     a = annihilation(space, 0)
     L = math.sqrt(2.0 * kappa) * a
     return OpenSystemModel(
-        space, zero_op(space), (Lindblad(L, "linear", 1),), ModelParams("lossy", kappa=kappa)
+        space, zero_op(space), (Lindblad(L, "linear", 1),), ModelParams("lossy")
     )
 
 
@@ -74,7 +74,7 @@ def driven_cavity(cutoff=12):
     a = annihilation(space, 0)
     drive = LinearOperator(space, 0.5j * (a.matrix.conj().T - a.matrix))
     return OpenSystemModel(
-        space, drive, (Lindblad(math.sqrt(2.0) * a, "linear", 1),), ModelParams("lossy", kappa=1.0)
+        space, drive, (Lindblad(math.sqrt(2.0) * a, "linear", 1),), ModelParams("lossy")
     )
 
 
@@ -321,6 +321,21 @@ def test_norm_rescales_only_a_sum_of_squares_that_overflows():
     assert np.isnan(dynamics._norm(np.array([np.nan, 1e200])))
 
 
+def test_half_norm_rescales_only_a_sum_of_squares_that_overflows():
+    # a 3 x 3 state of entries 1e200 has norm 3e200, where 2 inf - inf once gave nan
+    rhs = dynamics._MasterRHS(build_lossless(single_mode_set(1.0), 2.0, (3,)))
+    big = rhs.pack(np.full((3, 3), 1e200))
+    with np.errstate(all="ignore"):
+        assert rhs.norm(big) == pytest.approx(3e200, rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and the overflow is not reported
+        rhs.norm(big)
+    h = rhs.pack(np.random.default_rng(3).standard_normal((3, 3)) * 1e150)
+    squares = np.square(np.abs(h))
+    assert rhs.norm(h) == float(np.sqrt(2.0 * np.sum(squares) - np.sum(squares[[0, 3, 5]])))
+    assert np.isnan(rhs.norm(np.array([np.nan, 1e200, 0.0, 0.0, 0.0, 0.0])))
+
+
 @pytest.mark.parametrize("phase", [-90.0, -30.0])
 def test_spectrum_half_layout_matches_full_layout_oracle(phase):
     # at -90 degrees A0' is one antisymmetric part, at -30 degrees both parts
@@ -334,13 +349,39 @@ def test_spectrum_half_layout_matches_full_layout_oracle(phase):
     assert abs(got.metadata["krylov_dimension"] - want.metadata["krylov_dimension"]) <= 2
 
 
+def test_spectrum_at_any_phase_mixes_the_two_quadratures():
+    # the generator, L and rho_ss are real: S(phi) = cos^2 phi S(0) + sin^2 phi S(90 degrees)
+    mdl = desk_comb((6, 4, 3))
+    rho = steady_state(mdl)
+    op = mdl.linear_lindblads()[0].op
+    w = np.linspace(0.0, 6.0, 31)
+    S0, S90 = (homodyne_spectrum(mdl, rotated_channel(op, phase), w, rho).S
+               for phase in (0.0, 90.0))
+    for phase in (-30.0, 45.0, -90.0):
+        S = homodyne_spectrum(mdl, rotated_channel(op, phase), w, rho).S
+        c, s = math.cos(math.radians(phase)), math.sin(math.radians(phase))
+        assert np.max(np.abs(S / (c * c * S0 + s * s * S90) - 1.0)) <= 1e-12
+
+
+def test_spectrum_rejects_a_complex_steady_state():
+    mdl = desk_comb((3, 2, 2))
+    rho = steady_state(mdl)
+    chan = mdl.linear_lindblads()[0].op
+    tilted = DensityOperator(mdl.space, rho.matrix + 1e-3j * np.eye(mdl.space.dim))
+    with pytest.raises(ValueError, match="imaginary"):
+        homodyne_spectrum(mdl, chan, [0.0], tilted)
+    complex_real = DensityOperator(mdl.space, rho.matrix.astype(complex))
+    assert np.array_equal(homodyne_spectrum(mdl, chan, [0.0, 1.0], complex_real).S,
+                          homodyne_spectrum(mdl, chan, [0.0, 1.0], rho).S)
+
+
 def detuned_cavity(cutoff=8, detuning=0.7):
     # H = detuning * n is real and Hermitian, so -iH is imaginary
     space = FockSpace((cutoff,))
     return OpenSystemModel(
         space, detuning * number_operator(space, 0),
         (Lindblad(math.sqrt(2.0) * annihilation(space, 0), "linear", 1),),
-        ModelParams("lossy", kappa=1.0),
+        ModelParams("lossy"),
     )
 
 

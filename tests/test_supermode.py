@@ -178,7 +178,7 @@ def test_parity_selection_rule_full_basis():
     R = hermite_gaussian_basis(4.0, DESK.pump_indices, 6)
     Fp = transform_pump(F, R)
     T, lam = diagonalize_signal(Fp[0])
-    G, _ = coupling_tensors(Fp, T)
+    G = coupling_tensors(Fp, T)
     pars = [parity_signature(T[i]) for i in range(T.shape[0])]
     assert all(p != 0 for p in pars[:8])
     for k0, Gk in enumerate(G):  # k0 = label-1 = Hermite order
@@ -195,7 +195,7 @@ def test_single_mode_restriction_tensor():
     Fp = transform_pump(F, R)
     # T selecting the center line m = 0 (array index M) reduces the tensor to
     # the center element of F'
-    G, lam = coupling_tensors(Fp, np.array([[0.0, 1.0, 0.0]]))
+    G = coupling_tensors(Fp, np.array([[0.0, 1.0, 0.0]]))
     assert G[0][0, 0] == pytest.approx(Fp[0][1, 1])
 
 
