@@ -28,15 +28,6 @@ EXIT_VALIDATION = 3
 EXIT_CONVERGENCE = 4
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats; plain str otherwise."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 class ArtifactWriter:
     """Writes CSV/JSON artifacts into one directory and records their checksums."""
 
@@ -53,13 +44,18 @@ class ArtifactWriter:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         self.files[path.name] = digest
 
-    def write_csv(self, name: str, header: list[str], rows):
+    def write_csv(self, name: str, columns: dict):
+        """Artifact ``name``: one column per entry of ``columns``, its key the header, and the
+        ``repr`` of each element of ``np.asarray(column).tolist()`` in its cells, so a float
+        reads as its shortest round-trip decimal and an int as its digits.  Columns of unequal
+        length raise ``ValueError`` before anything is written."""
+        cells = [map(repr, np.asarray(column).tolist()) for column in columns.values()]
+        rows = list(zip(*cells, strict=True))
         path = self._path(name)
         with open(path, "w", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerow(columns)
+            writer.writerows(rows)
         self._register(path)
 
     def write_json(self, name: str, payload):
@@ -132,33 +128,22 @@ def cmd_build(cfg: RunConfig, writer: ArtifactWriter):
     F = coupling_matrix(params)
     sm = _build_supermodes(cfg)
 
-    idx = params.indices
-    writer.write_csv(
-        "coupling_matrix.csv", ["m", "n", "value"],
-        ((int(m), int(n), F[i, j])
-         for i, m in enumerate(idx) for j, n in enumerate(idx)),
-    )
-    writer.write_csv(
-        "pump_basis.csv", ["k", "q", "value"],
-        ((label, int(q), sm.pump_basis[row, col])
-         for row, label in enumerate(sm.pump_labels)
-         for col, q in enumerate(params.pump_indices)),
-    )
-    writer.write_csv(
-        "signal_basis.csv", ["i", "m", "value"],
-        ((i + 1, int(m), sm.signal_basis[i, j])
-         for i in range(sm.n_signal) for j, m in enumerate(idx)),
-    )
-    writer.write_csv(
-        "tensors.csv", ["k", "i", "j", "value"],
-        ((label, i + 1, j + 1, sm.tensors[a][i, j])
-         for a, label in enumerate(sm.pump_labels)
-         for i in range(sm.n_signal) for j in range(sm.n_signal)),
-    )
-    writer.write_csv(
-        "eigenvalues.csv", ["i", "lambda", "parity"],
-        ((i + 1, sm.eigenvalues[i], sm.parities[i]) for i in range(sm.n_signal)),
-    )
+    idx, q, labels = params.indices, params.pump_indices, np.asarray(sm.pump_labels)
+    modes = np.arange(1, sm.n_signal + 1)  # 1-based signal supermode labels
+    writer.write_csv("coupling_matrix.csv", {
+        "m": np.repeat(idx, idx.size), "n": np.tile(idx, idx.size), "value": F.ravel()})
+    writer.write_csv("pump_basis.csv", {
+        "k": np.repeat(labels, q.size), "q": np.tile(q, labels.size),
+        "value": sm.pump_basis.ravel()})
+    writer.write_csv("signal_basis.csv", {
+        "i": np.repeat(modes, idx.size), "m": np.tile(idx, modes.size),
+        "value": sm.signal_basis.ravel()})
+    tensors = np.asarray(sm.tensors)  # [label, i, j]
+    a, i, j = np.indices(tensors.shape).reshape(3, -1)
+    writer.write_csv("tensors.csv", {
+        "k": labels[a], "i": modes[i], "j": modes[j], "value": tensors.ravel()})
+    writer.write_csv("eigenvalues.csv", {
+        "i": modes, "lambda": sm.eigenvalues, "parity": sm.parities})
     writer.write_json("supermode_summary.json", {
         "pump_labels": list(sm.pump_labels),
         "eigenvalues": [float(v) for v in sm.eigenvalues],
@@ -176,12 +161,8 @@ def cmd_evolve(cfg: RunConfig, writer: ArtifactWriter):
         mdl, hilbert.vacuum_state(mdl.space).to_density(), t, obs,
         trace_tol=cfg.dynamics.tolerance,
     )
-    names = sorted(obs)
-    writer.write_csv(
-        "timeseries.csv", ["t"] + names,
-        ((rec.times[i], *(rec.observables[n][i].real for n in names))
-         for i in range(rec.times.size)),
-    )
+    writer.write_csv("timeseries.csv", {
+        "t": rec.times, **{name: rec.observables[name].real for name in sorted(obs)}})
     writer.write_json("model_summary.json", mdl.summary())
 
 
@@ -201,10 +182,8 @@ def cmd_steady(cfg: RunConfig, writer: ArtifactWriter):
     if cfg.model.family == "cw-single":
         summary["cat_fidelity"] = analysis.cat_fidelity(rho, cfg.model.p)
     writer.write_json("steady_summary.json", summary)
-    writer.write_csv(
-        "steady_diag.csv", ["index", "population"],
-        ((i, rho.matrix[i, i].real) for i in range(mdl.space.dim)),
-    )
+    writer.write_csv("steady_diag.csv", {
+        "index": np.arange(mdl.space.dim), "population": rho.matrix.diagonal().real})
 
 
 def _spectrum_channel(cfg: RunConfig, mdl) -> hilbert.LinearOperator:
@@ -228,10 +207,7 @@ def cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter):
     channel = _spectrum_channel(cfg, mdl)
     rho = dynamics.steady_state(mdl, tol=cfg.dynamics.tolerance)
     result = dynamics.homodyne_spectrum(mdl, channel, cfg.dynamics.omega_grid, rho_ss=rho)
-    writer.write_csv(
-        "spectrum.csv", ["omega", "S"],
-        ((result.omega[i], result.S[i]) for i in range(result.omega.size)),
-    )
+    writer.write_csv("spectrum.csv", {"omega": result.omega, "S": result.S})
     writer.write_json("spectrum_meta.json", {
         "normalization": result.normalization, **result.metadata,
     })
@@ -255,42 +231,35 @@ def cmd_trajectories(cfg: RunConfig, writer: ArtifactWriter):
     )
     photons = rec.observables["n_total"]  # [time, trajectory]
     labels = [f"traj_{k}" for k in range(photons.shape[1])]
-    writer.write_csv("trajectories_photon.csv", ["t"] + labels,
-                     ((ti, *row) for ti, row in zip(t, photons.real)))
+    writer.write_csv("trajectories_photon.csv", {"t": t, **dict(zip(labels, photons.real.T))})
     pumped = [j for j, l in enumerate(mdl.lindblads) if l.pumped]
     if pumped:
-        mid = (t[:-1] + t[1:]) / 2.0
         currents = rec.extras["homodyne_currents"][pumped[0]]  # [interval, trajectory]
-        writer.write_csv("homodyne_pumped_channel.csv", ["t_mid"] + labels,
-                         ((ti, *row) for ti, row in zip(mid, currents)))
+        writer.write_csv("homodyne_pumped_channel.csv",
+                         {"t_mid": (t[:-1] + t[1:]) / 2.0, **dict(zip(labels, currents.T))})
     mean, stderr = dynamics.ensemble_mean(photons)
-    writer.write_csv("ensemble.csv", ["t", "mean_n_total", "stderr_n_total"],
-                     zip(t, mean, stderr))
+    writer.write_csv("ensemble.csv", {"t": t, "mean_n_total": mean, "stderr_n_total": stderr})
 
 
 def cmd_wigner(cfg: RunConfig, writer: ArtifactWriter):
     _fits("wigner.points", cfg.wigner.points, cfg.wigner.points)
     _state_fits(cfg)
     _sm, mdl = _build_model(cfg)
-    t = _time_grid(cfg)
+    # only the state at t_max is written, so no earlier output time is propagated
     rec = dynamics.evolve_master(
-        mdl, hilbert.vacuum_state(mdl.space).to_density(), t,
+        mdl, hilbert.vacuum_state(mdl.space).to_density(), [0.0, cfg.dynamics.t_max],
         trace_tol=cfg.dynamics.tolerance,
     )
     rho1 = hilbert.partial_trace(rec.final_state, {0})
     grid = np.linspace(-cfg.wigner.x_max, cfg.wigner.x_max, cfg.wigner.points)
     wg = analysis.wigner(rho1, grid, grid)
-    writer.write_csv(
-        "wigner.csv", [f"x_{j}" for j in range(grid.size)],
-        (wg.W[i, :] for i in range(grid.size)),
-    )
-    writer.write_csv("wigner_axes.csv", ["index", "x", "p"],
-                     ((j, grid[j], grid[j]) for j in range(grid.size)))
+    writer.write_csv("wigner.csv", {f"x_{j}": column for j, column in enumerate(wg.W.T)})
+    writer.write_csv("wigner_axes.csv", {"index": np.arange(grid.size), "x": grid, "p": grid})
     writer.write_json("wigner_meta.json", {
         "convention": wg.convention,
         "integral": wg.integral(),
         "min_value": wg.min_value(),
-        "time": float(t[-1]),
+        "time": float(rec.times[-1]),
     })
 
 
@@ -300,18 +269,11 @@ def cmd_fluxes(cfg: RunConfig, writer: ArtifactWriter):
     if cfg.model.family == "cw-single":
         raise ConfigValidationError("fluxes requires a comb model (family lossy or lossless)")
     rho = dynamics.steady_state(mdl, tol=cfg.dynamics.tolerance)
-    sig = analysis.flux_spectrum_signal(rho, sm)
-    writer.write_csv(
-        "flux_signal.csv", ["m", "flux"],
-        ((int(sig["m"][i]), sig["flux"][i]) for i in range(sig["m"].size)),
-    )
-    pump = analysis.flux_spectrum_pump(rho, mdl, sm)
-    header = ["q", "flux", "completeness"]
-    columns = [pump[name] for name in header]
+    writer.write_csv("flux_signal.csv", analysis.flux_spectrum_signal(rho, sm))
+    pump = analysis.flux_spectrum_pump(rho, mdl, sm)  # columns q, flux, completeness
     if cfg.model.family == "lossy":
-        header.append("input_profile")
-        columns.append(analysis.pump_input_profile(sm, cfg.model.r, cfg.model.eta))
-    writer.write_csv("flux_pump.csv", header, zip(*columns))
+        pump["input_profile"] = analysis.pump_input_profile(sm, cfg.model.r, cfg.model.eta)
+    writer.write_csv("flux_pump.csv", pump)
 
 
 COMMANDS = {

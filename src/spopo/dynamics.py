@@ -327,8 +327,10 @@ def _chebyshev_sums(rhs: _MasterRHS, y: np.ndarray, z: np.ndarray, scale: float)
         terms = a[k, closed:] * rhs.norm(v)
         if not terms.max() <= CHEBYSHEV_GROWTH * y_norm:
             return sums[:closed]
-        for s, c in zip(sums[closed:], a[k, closed:]):  # no temporary of outputs x state
-            s += c * v
+        # the term joins the open sums 8 at a time, through a temporary of at most 8 half
+        # states: 365 KB at d=150, 1.3 MB at d=288
+        for lo in range(closed, z.size, 8):
+            sums[lo:lo + 8] += np.multiply.outer(a[k, lo:lo + 8], v)
         quiet[closed:] = np.where(terms <= CHEBYSHEV_TOL * y_norm, quiet[closed:] + 1, 0)
         closed += int(np.logical_and.accumulate(quiet[closed:] >= 3).sum())
         if closed == z.size:

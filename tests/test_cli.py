@@ -586,6 +586,22 @@ def test_build_artifacts_and_manifest(tmp_path):
         assert hashlib.sha256((out / fname).read_bytes()).hexdigest() == digest
 
 
+def test_write_csv_cells_are_the_repr_of_each_value(tmp_path):
+    writer = cli.ArtifactWriter(tmp_path / "out")
+    writer.write_csv("table.csv", {
+        "count": np.array([3, -7], dtype=np.int64),
+        "value": np.array([0.1, 1.0 / 3.0]),
+        "tiny": np.array([5e-324, np.nan]),
+        "listed": [2, 0.5],
+    })
+    assert (tmp_path / "out" / "table.csv").read_text().splitlines() == [
+        "count,value,tiny,listed", "3,0.1,5e-324,2.0", "-7,0.3333333333333333,nan,0.5"]
+    with pytest.raises(ValueError):
+        writer.write_csv("short.csv", {"a": [1, 2], "b": [1.0]})
+    assert not (tmp_path / "out" / "short.csv").exists()
+    assert set(writer.files) == {"table.csv"}
+
+
 def test_trajectories_and_wigner_deterministic(tmp_path):
     cfg_a = cw_config(tmp_path, "run_a", n_trajectories=3)
     cfg_b = cw_config(tmp_path, "run_b", n_trajectories=3)
@@ -600,6 +616,26 @@ def test_trajectories_and_wigner_deterministic(tmp_path):
         a = (tmp_path / "run_a" / name).read_bytes()
         b = (tmp_path / "run_b" / name).read_bytes()
         assert a == b, f"{name} not byte-identical"
+
+
+def test_wigner_artifacts_do_not_depend_on_the_output_count(tmp_path):
+    # wigner writes the state at t_max alone; 101 output times would take the propagator
+    # through two expansions, 3 through one
+    written = []
+    for n_points in (3, 101):
+        out = tmp_path / str(n_points)
+        payload = {
+            "dispersion": BASE_DISPERSION,
+            "supermode": {**BASE_SUPERMODE, "n_signal": 3},
+            "model": {"family": "lossy", "r": 1.19, "eta": 1.0, "cutoffs": [6, 4, 3]},
+            "dynamics": {"t_max": 5.0, "n_points": n_points},
+            "wigner": {"x_max": 4.5, "points": 41},
+            "outputs": {"directory": str(out)},
+        }
+        assert main(["wigner", "--config", write_config(tmp_path, payload)]) == 0
+        written.append({name: (out / name).read_bytes()
+                        for name in ("wigner.csv", "wigner_meta.json")})
+    assert written[0] == written[1]
 
 
 def test_seed_override_changes_trajectories(tmp_path):
