@@ -222,7 +222,10 @@ def cmd_trajectories(cfg: RunConfig, writer: ArtifactWriter):
     t = dynamics.step_grid(_time_grid(cfg), cfg.dynamics.dt)
     if t.size < 2:
         raise ConfigValidationError("field `dynamics.t_max` rounds to zero steps of `dynamics.dt`")
-    _fits("dynamics.n_trajectories", mdl.space.dim, cfg.dynamics.n_trajectories, itemsize=16)
+    d, channels, steps = mdl.space.dim, len(mdl.lindblads), round(t[-1] / cfg.dynamics.dt)
+    # per trajectory, in floats: complex amplitudes and series, stacked product, noise, currents
+    _fits("dynamics.n_trajectories", cfg.dynamics.n_trajectories, 2 * (d + t.size)
+          + (channels + 1) * d + channels * (min(steps, dynamics.SSE_CHUNK_STEPS) + t.size - 1))
     n_total = hilbert.total_number_operator(mdl.space)
     rec = dynamics.sse_ensemble(
         mdl, hilbert.vacuum_state(mdl.space), t,

@@ -61,7 +61,8 @@ from typing import ClassVar
 import numpy as np
 from scipy import sparse
 
-from .hilbert import DensityOperator, LinearOperator, StateVector, trace_product, vacuum_state
+from .hilbert import (DensityOperator, LinearOperator, StateVector, _norm, trace_product,
+                      vacuum_state)
 from .model import OpenSystemModel
 
 
@@ -110,15 +111,6 @@ class SimulationRecord:
     observables: dict[str, np.ndarray]
     final_state: object
     extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-        self.times = t
-        for name, series in self.observables.items():
-            if len(series) != t.size:
-                raise ValueError(f"observable {name!r} length does not match times")
 
 
 @dataclass
@@ -218,11 +210,12 @@ class _MasterRHS:
 
     def diagonal(self) -> np.ndarray:
         """The generator's superoperator diagonal D_ij = C_ii + C_jj + sum_L L_ii L_jj, a half."""
+        i, j = np.divmod(self._triangle[1], self.dim)  # each half entry's place in rho
         c = self.C.diagonal()
-        D = np.add.outer(c, c)
+        D = c[i] + c[j]
         for L in self.Ls:
-            D += np.multiply.outer(L.diagonal(), L.diagonal())
-        return self.pack(D)
+            D += L.diagonal()[i] * L.diagonal()[j]
+        return D
 
     @cached_property
     def _triangle(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
@@ -239,6 +232,13 @@ class _MasterRHS:
             start += i.size
         upper, mirror = np.concatenate(upper), np.concatenate(mirror)
         return blocks, upper, mirror, np.flatnonzero(upper == mirror)
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """sqrt(2) at each half entry off a block's diagonal, which stands for two, else 1."""
+        weights = np.full(self._triangle[1].size, np.sqrt(2.0))
+        weights[self._triangle[3]] = 1.0
+        return weights
 
     @staticmethod
     def _mirrored(h: np.ndarray, sign: int, upper, mirror, out: np.ndarray) -> np.ndarray:
@@ -258,15 +258,9 @@ class _MasterRHS:
         return self._mirrored(h, sign, *self._triangle[1:3], rho).reshape(self.dim, self.dim)
 
     def norm(self, h: np.ndarray) -> float:
-        """||rho||_F of the state whose half is ``h``: an entry off a block's diagonal stands for
-        two of its magnitude.  numpy's own sums, not BLAS: no thread count moves it.  A sum that
-        is not finite is taken again over h / max|h|, as :func:`_norm` does."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            squares = np.square(np.abs(h))
-            total = 2.0 * np.sum(squares) - np.sum(squares[self._triangle[3]])
-        if not np.isfinite(total) and np.isfinite(peak := np.abs(h).max()):
-            return float(peak * self.norm(h / peak))
-        return float(np.sqrt(total))
+        """||rho||_F of the state whose half is ``h``: :func:`_norm` of ``h`` weighted by
+        sqrt(2) off each block's diagonal, where an entry stands for two of its magnitude."""
+        return _norm(h * self._weights)
 
     def apply(self, h: np.ndarray, sign: int = 1) -> np.ndarray:
         self.evaluations += 1
@@ -281,16 +275,6 @@ class _MasterRHS:
         for (s, upper, mirror), m in zip(blocks, ms):
             add(m.ravel()[upper], m.ravel()[mirror].conj(), out=out[s])
         return out
-
-
-def _norm(v: np.ndarray) -> float:
-    """||v||_2 by numpy's own sums, not BLAS: no thread count moves it.  A sum of squares that
-    overflows is taken again over v / max|v|, so a representable norm is returned."""
-    with np.errstate(over="ignore"):
-        total = np.sum(np.square(np.abs(v)))
-    if np.isinf(total) and np.isfinite(peak := np.abs(v).max()):
-        return float(peak * _norm(v / peak))
-    return float(np.sqrt(total))
 
 
 def _bessel_weights(z: np.ndarray, n: int) -> np.ndarray:
@@ -530,9 +514,9 @@ def _krylov_solve(rhs: _MasterRHS):
     residual of ``KRYLOV_RTOL`` ||b|| in that norm or after ``KRYLOV_MAX_DIM`` vectors, and the
     vectors built.
     """
-    b = rhs.pack(np.eye(rhs.dim))  # I_s in the half layout
-    diag = np.flatnonzero(b)
-    b /= diag.size
+    diag = rhs._triangle[3]  # the half's entries on a block's diagonal, where I_s is 1
+    b = np.zeros(rhs._triangle[1].size)
+    b[diag] = 1.0 / diag.size
     jacobi = rhs.diagonal()
     jacobi[diag] += 1.0 / diag.size
     jacobi[jacobi == 0] = 1.0

@@ -72,6 +72,16 @@ class FockSpace:
         return mode
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 by numpy's own sums, not BLAS: no thread count moves it.  A sum of squares that
+    overflows is taken again over v / max|v|, so a representable norm is returned."""
+    with np.errstate(over="ignore"):
+        total = np.sum(np.square(np.abs(v)))
+    if np.isinf(total) and np.isfinite(peak := np.abs(v).max()):
+        return float(peak * _norm(v / peak))
+    return float(np.sqrt(total))
+
+
 class LinearOperator:
     """A complex operator on a FockSpace, stored as a sparse CSR matrix."""
 
@@ -87,9 +97,9 @@ class LinearOperator:
         self.matrix = matrix
 
     def norm(self) -> float:
-        """Frobenius norm; duplicate entries are summed first, as ``sparse.linalg.norm`` does."""
+        """Frobenius norm, by :func:`_norm` of the entries once duplicates are summed."""
         self.matrix.sum_duplicates()
-        return float(np.linalg.norm(self.matrix.data))
+        return _norm(self.matrix.data)
 
     def __mul__(self, scalar) -> "LinearOperator":
         return LinearOperator(self.space, self.matrix * complex(scalar))
@@ -117,7 +127,7 @@ class StateVector:
         self.amplitudes = amplitudes
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
 
     def normalized(self) -> "StateVector":
         n = self.norm()
@@ -257,21 +267,15 @@ def expectation(op: LinearOperator, rho: DensityOperator) -> complex:
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Reduced density operator on the kept modes (order preserved)."""
+    """Reduced density operator on the kept modes (order preserved), a new array: one einsum
+    over the (cutoffs + cutoffs) view, each traced mode's row and column axes one label."""
     keep = sorted({rho.space.check_mode(m) for m in keep})
     if not keep:
         raise ValueError("keep set must be nonempty")
-    n = rho.space.mode_count
-    if len(keep) == n:
-        return DensityOperator(rho.space, rho.matrix.copy())
-    dims = rho.space.cutoffs
-    arr = rho.matrix.reshape(dims + dims)
-    # trace out the complement, highest mode index first so axes stay valid
-    traced = arr
-    modes_left = n
-    for m in sorted(set(range(n)) - set(keep), reverse=True):
-        traced = np.trace(traced, axis1=m, axis2=m + modes_left)
-        modes_left -= 1
+    n, dims = rho.space.mode_count, rho.space.cutoffs
+    columns = [n + m if m in keep else m for m in range(n)]
+    reduced = np.einsum(rho.matrix.reshape(dims + dims), [*range(n), *columns],
+                        [*keep, *(n + m for m in keep)])
     d = math.prod(dims[m] for m in keep)
-    reduced_space = FockSpace(tuple(dims[m] for m in keep))
-    return DensityOperator(reduced_space, traced.reshape(d, d))
+    # with every mode kept nothing is summed, and einsum returns a view of rho
+    return DensityOperator(FockSpace(tuple(dims[m] for m in keep)), reduced.reshape(d, d).copy())

@@ -58,8 +58,7 @@ def coupling_matrix(params: DispersionParams) -> np.ndarray:
     mm, nn = np.meshgrid(m, m, indexing="ij")
     s = mm + nn
     phi = params.beta1 * s + params.beta2p * s * s - params.beta2s * (mm * mm + nn * nn)
-    F = np.sqrt(params.g0) * sinc(phi)
-    F = (F + F.T) / 2.0
+    F = np.sqrt(params.g0) * sinc(phi)  # Phi_mn = Phi_nm term by term, so F = F^T exactly
     F.flags.writeable = False
     return F
 

@@ -211,6 +211,51 @@ def trace_product(op, rho) -> complex:
     return complex(op.multiply(rho.T).sum())
 
 
+def gram_expectations_products(ops, rho) -> np.ndarray:
+    """M_ab = tr(A_a^dag A_b rho) from the n^2 sparse products A_a^dag A_b:
+    ``analysis._gram_expectations``' reference."""
+    return np.array([[hilbert.trace_product(a.conj().T @ b, rho.matrix) for b in ops]
+                     for a in ops])
+
+
+def partial_trace_loop(rho, keep) -> np.ndarray:
+    """The kept modes' reduced matrix by one ``np.trace`` per traced mode, the highest first:
+    ``hilbert.partial_trace``'s reference."""
+    n, dims = rho.space.mode_count, rho.space.cutoffs
+    traced, left = rho.matrix.reshape(dims + dims), n
+    for m in sorted(set(range(n)) - set(keep), reverse=True):
+        traced = np.trace(traced, axis1=m, axis2=m + left)
+        left -= 1
+    d = math.prod(dims[m] for m in keep)
+    return traced.reshape(d, d)
+
+
+def cat_two_branch(space, p: float):
+    """The normalized sum of the coherent states at +i sqrt(p) and -i sqrt(p), each built by
+    ``hilbert.coherent_state``: ``analysis.cat_state``'s reference."""
+    alpha = 1j * math.sqrt(p)
+    amps = hilbert.coherent_state(space, alpha).amplitudes
+    amps = amps + hilbert.coherent_state(space, -alpha).amplitudes
+    return hilbert.StateVector(space, amps).normalized()
+
+
+def diagonal_packed(rhs) -> np.ndarray:
+    """``rhs.diagonal()`` (a ``dynamics._MasterRHS``) as the packed d x d sum of outer
+    products C_ii + C_jj + sum_L L_ii L_jj."""
+    c = rhs.C.diagonal()
+    D = np.add.outer(c, c)
+    for L in rhs.Ls:
+        D += np.multiply.outer(L.diagonal(), L.diagonal())
+    return rhs.pack(D)
+
+
+def krylov_rhs_packed(rhs) -> np.ndarray:
+    """The steady-state GMRES right-hand side I_s/d_s of ``dynamics._krylov_solve`` as the
+    packed d x d identity over the count of its diagonal entries."""
+    b = rhs.pack(np.eye(rhs.dim))
+    return b / np.count_nonzero(b)
+
+
 class WholeBlocks:
     """The generator of ``rhs`` (a ``dynamics._MasterRHS``) on whole packed states: the
     diagonal blocks of rho, every entry, one block after another, each row-major, by the

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from spopo.dynamics import steady_state
 from spopo.hilbert import (
     DensityOperator,
     FockSpace,
+    TruncationWarning,
     annihilation,
     coherent_state,
     fock_state,
@@ -26,6 +28,8 @@ from spopo.hilbert import (
 from spopo.model import build_spopo
 from spopo.phasematch import DispersionParams
 from spopo.supermode import build_supermodes
+
+from oracles import cat_two_branch, gram_expectations_products
 
 DESK = DispersionParams(beta1=0.0, beta2s=0.01, beta2p=0.0025, g0=1.0, M=10)
 GRID = np.linspace(-4.5, 4.5, 121)
@@ -131,6 +135,23 @@ def test_cat_fidelity_pure_cat():
     assert cat_fidelity(cat_state(s, 2.0).to_density(), 2.0) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("p, cutoff", [(0.0, 10), (2.0, 25), (2.0, 6), (0.5, 2)])
+def test_cat_state_is_the_two_branch_sum(p, cutoff):
+    # one coherent recurrence gives every value of the two-branch cat, and a truncating
+    # cutoff warns once, where the two branches warned twice; the sign of a zero part can
+    # differ, as -alpha's recurrence rounds its zeros apart from +alpha's
+    s = FockSpace((cutoff,))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = cat_state(s, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        want = cat_two_branch(s, p)
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+    truncating = [w for w in caught if issubclass(w.category, TruncationWarning)]
+    assert len(truncating) == (cutoff < 10) and len(caught) == len(truncating)
+
+
 def test_cat_fidelity_p0_is_vacuum_overlap():
     s = FockSpace((10,))
     rho = fock_state(s, (1,)).to_density()
@@ -227,3 +248,18 @@ def test_pump_flux_depletion_below_threshold(lossy_pair):
     q0 = np.argwhere(out["q"] == 0)[0][0]
     assert out["flux"][q0] < profile[q0]
     assert np.all(out["completeness"] <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("r", [0.63, 1.19])
+def test_gram_expectations_match_the_operator_products_oracle(r):
+    # one sparse-dense product per operator, against the n^2 products A_a^dag A_b, on the
+    # desk d=72 steady state below and above threshold: signal ladders and pump channels
+    sm = build_supermodes(DESK, Np=4.0, n_signal=3, k_max=9)
+    mdl = build_spopo(sm, r=r, eta=1.0, cutoffs=(6, 4, 3))
+    rho = steady_state(mdl)
+    for ops in ([annihilation(mdl.space, i).matrix for i in range(3)],
+                [l.op.matrix for l in mdl.nonlinear_lindblads()]):
+        got = analysis._gram_expectations(ops, rho)
+        want = gram_expectations_products(ops, rho)
+        assert got.shape == want.shape == (len(ops), len(ops))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

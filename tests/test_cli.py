@@ -567,6 +567,23 @@ def test_grid_no_array_holds_exits_3_naming_its_field(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+def test_trajectories_size_check_counts_the_sse_working_set(tmp_path, capsys, monkeypatch):
+    # d=16, one channel, 4 trajectories and 100 steps: the amplitudes take 1 KB, and with the
+    # stacked product, the noise buffer, the currents and the series the SSE holds 5.5 KB; a
+    # memory of twice the amplitudes must refuse the run before it starts
+    payload = {
+        "model": {"family": "cw-single", "p": 2.0, "cutoffs": [16]},
+        "dynamics": {"t_max": 0.1, "dt": 1e-3, "n_points": 3, "n_trajectories": 4},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }
+    sysconf = os.sysconf
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 * 16 * 16 * 4}
+    monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
+    assert main(["trajectories", "--config", write_config(tmp_path, payload)]) == 3
+    assert "`dynamics.n_trajectories`" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_build_artifacts_and_manifest(tmp_path):
     out = tmp_path / "build_out"
     cfg = write_config(tmp_path, {

@@ -13,7 +13,6 @@ from scipy.sparse.linalg import LinearOperator as ScipyOperator, gmres, spsolve
 from spopo import analysis, dynamics
 from spopo.dynamics import (
     ConvergenceError,
-    SimulationRecord,
     ensemble_mean,
     evolve_master,
     homodyne_spectrum,
@@ -290,6 +289,32 @@ def test_steady_state_half_layout_matches_full_layout_oracle(cutoffs, r):
     want, built_full = oracles.krylov_solve_full(rhs)
     assert np.max(np.abs(got - want)) <= 1e-12
     assert abs(built - built_full) <= 2
+
+
+class _FirstApply(Exception):
+    pass
+
+
+@pytest.mark.parametrize("layout", ["parity-blocks", "d-by-d"])
+def test_diagonal_and_gmres_rhs_match_the_packed_constructions(layout):
+    # both are gathered at the half layout's own indices; the d x d outer products and the
+    # packed identity they replace give the same bits.  GMRES starts from x = b, so its first
+    # generator action takes b itself
+    mdl = desk_comb((6, 4, 3), r=0.63)
+    rhs = vacuum_generator(mdl) if layout == "parity-blocks" else dynamics._MasterRHS(mdl)
+    assert len(rhs.sizes) == (2 if layout == "parity-blocks" else 1)
+    assert rhs.diagonal().tobytes() == oracles.diagonal_packed(rhs).tobytes()
+    seen = []
+
+    def first_apply(h, sign=1):
+        seen.append(h.copy())
+        raise _FirstApply
+
+    rhs.apply = first_apply
+    with pytest.raises(_FirstApply):
+        dynamics._krylov_solve(rhs)
+    want = oracles.krylov_rhs_packed(rhs)
+    assert seen[0].dtype == want.dtype and seen[0].tobytes() == want.tobytes()
 
 
 def test_krylov_solve_holds_one_basis_page():
@@ -599,9 +624,14 @@ def test_master_rejects_a_non_hermitian_initial_state():
         evolve_master(mdl, DensityOperator(mdl.space, rho), [0.0, 1.0])
 
 
-def test_record_requires_increasing_times():
-    with pytest.raises(ValueError):
-        SimulationRecord(times=np.array([0.0, 0.0, 1.0]), observables={}, final_state=None)
+@pytest.mark.parametrize("t", [[0.0, 0.0, 1.0], [0.0, 1.0, 0.5], [[0.0, 1.0]]])
+def test_solvers_reject_output_times_that_do_not_increase(t):
+    # each solver checks its grid before it builds its record, which checks nothing
+    mdl = damped_cavity(cutoff=4)
+    with pytest.raises(ValueError, match="t_grid"):
+        evolve_master(mdl, vacuum_state(mdl.space).to_density(), t)
+    with pytest.raises(ValueError, match="t_grid"):
+        sse_ensemble(mdl, vacuum_state(mdl.space), np.asarray(t) * 1e-3, 2, seed=1)
 
 
 # ---------------------------------------------------------------- steady state
