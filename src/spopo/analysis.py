@@ -35,19 +35,12 @@ class WignerGrid:
 
 def _laguerre_diagonal_series(offset: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Clenshaw evaluation of sum_n c_n * (-1)^n sqrt(o! n! / (o+n)!) L_n^o(x)."""
-    if len(coeffs) == 1:
-        y0 = coeffs[0] * np.ones_like(x)
-        y1 = np.zeros_like(x)
-    else:
-        k = len(coeffs)
-        y0 = coeffs[-2] * np.ones_like(x)
-        y1 = coeffs[-1] * np.ones_like(x)
-        for i in range(3, len(coeffs) + 1):
-            k -= 1
-            y0, y1 = (
-                coeffs[-i] - y1 * math.sqrt((k - 1) * (offset + k - 1) / ((offset + k) * k)),
-                y0 - y1 * ((offset + 2 * k - 1) - x) / math.sqrt((offset + k) * k),
-            )
+    y0, y1 = coeffs[-1] * np.ones_like(x), np.zeros_like(x)
+    for k in range(len(coeffs), 1, -1):
+        y0, y1 = (
+            coeffs[k - 2] - y1 * math.sqrt((k - 1) * (offset + k - 1) / ((offset + k) * k)),
+            y0 - y1 * ((offset + 2 * k - 1) - x) / math.sqrt((offset + k) * k),
+        )
     return y0 - y1 * ((offset + 1) - x) / math.sqrt(offset + 1)
 
 
@@ -70,8 +63,8 @@ def wigner(rho: DensityOperator, x_grid, p_grid) -> WignerGrid:
 
     # doubled upper diagonals fold in the conjugate lower ones (real part below)
     mat = rho.matrix * (2.0 - np.eye(cutoff))
-    acc = _laguerre_diagonal_series(cutoff - 1, B, np.array([mat[0, cutoff - 1]]))
-    for off in range(cutoff - 2, -1, -1):
+    acc = 0.0
+    for off in range(cutoff - 1, -1, -1):
         acc = _laguerre_diagonal_series(off, B, np.diag(mat, off)) + acc * amp2 / math.sqrt(off + 1)
 
     W = acc.real * np.exp(-B / 2.0) / math.pi

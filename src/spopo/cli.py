@@ -27,6 +27,10 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_CONVERGENCE = 4
 
+# float64s' worth of memory that ``ArtifactWriter.write_csv`` holds per cell at once: the float
+# and its list slot (32 B), its repr (at most 73 B) and its row's slot (8 B)
+_CSV_CELL_FLOATS = 15
+
 
 class ArtifactWriter:
     """Writes CSV/JSON artifacts into one directory and records their checksums."""
@@ -101,18 +105,13 @@ def _build_model(cfg: RunConfig):
     return sm, model_mod.build_lossless(sm, m.p, m.cutoffs)
 
 
-def _fits(name: str, *shape: int, itemsize: int = 8):
-    """Raise ConfigValidationError naming field ``name`` when an array of ``shape`` and
-    ``itemsize`` would exceed this machine's memory; nothing is allocated."""
-    size = itemsize * math.prod(shape)
+def _fits(name: str, *shape: int):
+    """Raise ConfigValidationError naming field ``name`` when a float64 array of ``shape``
+    would exceed this machine's memory; nothing is allocated."""
+    size = 8 * math.prod(shape)
     if size > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise ConfigValidationError(f"field `{name}` sizes an array of {size:.3g} B, more than "
                                     "this machine's memory")
-
-
-def _time_grid(cfg: RunConfig) -> np.ndarray:
-    _fits("dynamics.n_points", cfg.dynamics.n_points)
-    return np.linspace(0.0, cfg.dynamics.t_max, cfg.dynamics.n_points)
 
 
 def _photon_observables(space) -> dict[str, hilbert.LinearOperator]:
@@ -155,8 +154,12 @@ def cmd_build(cfg: RunConfig, writer: ArtifactWriter):
 def cmd_evolve(cfg: RunConfig, writer: ArtifactWriter):
     _state_fits(cfg)
     _sm, mdl = _build_model(cfg)
-    t = _time_grid(cfg)
     obs = _photon_observables(mdl.space)
+    # per output time: its time, each observable's complex series and real copy, and the
+    # written cells of the time and of every series
+    _fits("dynamics.n_points", cfg.dynamics.n_points,
+          1 + 3 * len(obs) + _CSV_CELL_FLOATS * (1 + len(obs)))
+    t = np.linspace(0.0, cfg.dynamics.t_max, cfg.dynamics.n_points)
     rec = dynamics.evolve_master(
         mdl, hilbert.vacuum_state(mdl.space).to_density(), t, obs,
         trace_tol=cfg.dynamics.tolerance,
@@ -219,7 +222,9 @@ def cmd_trajectories(cfg: RunConfig, writer: ArtifactWriter):
             f"field `dynamics.dt` splits `dynamics.t_max` into over {sys.maxsize} steps"
         )
     _sm, mdl = _build_model(cfg)
-    t = dynamics.step_grid(_time_grid(cfg), cfg.dynamics.dt)
+    _fits("dynamics.n_points", cfg.dynamics.n_points)
+    t = np.linspace(0.0, cfg.dynamics.t_max, cfg.dynamics.n_points)
+    t = dynamics.step_grid(t, cfg.dynamics.dt)
     if t.size < 2:
         raise ConfigValidationError("field `dynamics.t_max` rounds to zero steps of `dynamics.dt`")
     d, channels, steps = mdl.space.dim, len(mdl.lindblads), round(t[-1] / cfg.dynamics.dt)
@@ -245,7 +250,9 @@ def cmd_trajectories(cfg: RunConfig, writer: ArtifactWriter):
 
 
 def cmd_wigner(cfg: RunConfig, writer: ArtifactWriter):
-    _fits("wigner.points", cfg.wigner.points, cfg.wigner.points)
+    # per grid point, the 17 float64s of ``analysis.wigner``'s grids and Clenshaw terms, then
+    # a written cell: the op holds one after the other, so their sum bounds both
+    _fits("wigner.points", cfg.wigner.points, cfg.wigner.points, 17 + _CSV_CELL_FLOATS)
     _state_fits(cfg)
     _sm, mdl = _build_model(cfg)
     # only the state at t_max is written, so no earlier output time is propagated

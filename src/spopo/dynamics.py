@@ -43,7 +43,7 @@ half: each block's upper triangle, diagonal included, n(n + 1)/2 of its n^2 entr
 ``_MasterRHS.pack`` and ``unpack`` convert a d x d state, ``apply`` takes and returns
 halves, and ``norm`` gives a half's Frobenius norm; only ``apply`` rebuilds whole blocks.
 The generator is real: every model operator makes -iH and each Lindblad operator real,
-and ``_MasterRHS`` refuses one that is not.  A state keeps the dtype of its input, so
+and ``_generator`` refuses one that is not.  A state keeps the dtype of its input, so
 the vacuum evolves, relaxes and unravels in float64.
 
 The solvers use numpy and ``scipy.sparse`` alone: none loads SciPy's ODE integrators
@@ -54,7 +54,7 @@ LAPACK, so no solver's state depends on the thread count.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import count
 from typing import ClassVar
 
@@ -154,15 +154,37 @@ def _blocks(C: sparse.csr_matrix, Ls: list, rho0: np.ndarray) -> tuple[list, lis
     return [np.flatnonzero(label == r) for r in np.flatnonzero(kept)], links
 
 
-class _MasterRHS:
-    """The Lindblad generator every solver shares, as real sparse operator action.
+def _generator(model: OpenSystemModel) -> tuple[sparse.csr_matrix, list]:
+    """The Lindblad generator every solver shares: ``C = -iH - 1/2 sum L^T L`` and the jump
+    operators ``Ls``, which drive both the master equation and the SSE drift.  Every model
+    operator makes -iH and each L real, so C and L are real CSR and L^dag = L^T; a nonzero
+    imaginary entry of -iH or of an L would be lost, so it raises :class:`ValueError` naming
+    the operator."""
+    named = [("-iH", -1j * model.H.matrix)] + [
+        (f"Lindblad {k} ({l.kind}, index {l.index})", l.op.matrix)
+        for k, l in enumerate(model.lindblads)
+    ]
+    for name, op in named:
+        if op.imag.count_nonzero():
+            raise ValueError(f"{name} has a nonzero imaginary entry; the generator is real")
+    drift, *Ls = [op.real.tocsr() for _, op in named]  # -iH, then every L
+    # every L stacked, so sum L^T L = jumps^T jumps; the empty first rows serve no L
+    jumps = sparse.vstack([drift[:0], *Ls], format="csr")
+    C = (drift - 0.5 * (jumps.T @ jumps)).tocoo()
+    # an entry within round-off of its terms' magnitude is a cancellation, such as the
+    # coherent drive's Hamiltonian half against its Lindblad half: exactly 0
+    size = (abs(drift) + 0.5 * (abs(jumps).T @ abs(jumps))).tocsr()
+    terms = np.asarray(size[C.row, C.col]).ravel()
+    C.data[np.abs(C.data) <= np.finfo(float).eps * terms] = 0.0
+    C = C.tocsr()  # drho = C rho + rho C^T + sum L rho L^T
+    C.eliminate_zeros()
+    return C, Ls
 
-    ``C = -iH - 1/2 sum L^T L`` and the jump operators ``Ls`` drive both the
-    master equation and the SSE drift.  Every model operator makes -iH and
-    each L real, so C and L are stored as real CSR and L^dag = L^T; a real
-    state stays real and a complex one goes through the same products.  A
-    nonzero imaginary entry of -iH or of an L would be lost, so it raises
-    :class:`ValueError` naming the operator.  ``evaluations`` counts the calls of ``apply``.
+
+class _MasterRHS:
+    """The generator of :func:`_generator` as real sparse operator action on a state: a real
+    state stays real and a complex one goes through the same products.  ``evaluations``
+    counts the calls of ``apply``.
 
     A state is held as diagonal blocks of rho: ``blocks`` lists disjoint index sets, and
     every entry of rho outside their diagonal blocks is zero.  Given the initial state
@@ -176,29 +198,11 @@ class _MasterRHS:
     conjugate of its mirror, so exactly sign-Hermitian, and ``norm(h)`` is ||rho||_F.
     ``apply(h, sign)`` returns the half of M + sign M^dag, M = C rho + sign sum L~ (L~ rho)^dag,
     L~ = L/sqrt(2): the generator's action with one sparse product per L and C on the whole
-    blocks it rebuilds.  The index arrays are built on first use, so the SSE, which uses C
-    and the Ls alone, does not pay for them.
+    blocks it rebuilds.
     """
 
     def __init__(self, model: OpenSystemModel, rho0: np.ndarray | None = None):
-        named = [("-iH", -1j * model.H.matrix)] + [
-            (f"Lindblad {k} ({l.kind}, index {l.index})", l.op.matrix)
-            for k, l in enumerate(model.lindblads)
-        ]
-        for name, op in named:
-            if op.imag.count_nonzero():
-                raise ValueError(f"{name} has a nonzero imaginary entry; the generator is real")
-        drift, *self.Ls = [op.real.tocsr() for _, op in named]  # -iH, then every L
-        # every L stacked, so sum L^T L = jumps^T jumps; the empty first rows serve no L
-        jumps = sparse.vstack([drift[:0], *self.Ls], format="csr")
-        C = (drift - 0.5 * (jumps.T @ jumps)).tocoo()
-        # an entry within round-off of its terms' magnitude is a cancellation, such as the
-        # coherent drive's Hamiltonian half against its Lindblad half: exactly 0
-        size = (abs(drift) + 0.5 * (abs(jumps).T @ abs(jumps))).tocsr()
-        terms = np.asarray(size[C.row, C.col]).ravel()
-        C.data[np.abs(C.data) <= np.finfo(float).eps * terms] = 0.0
-        self.C = C.tocsr()  # drho = C rho + rho C^T + sum L rho L^T
-        self.C.eliminate_zeros()
+        self.C, self.Ls = _generator(model)
         self.dim = d = model.space.dim
         self.evaluations = 0  # calls of ``apply``
         self.blocks, links = (([np.arange(d)], [[(0, 0)]] * len(self.Ls)) if rho0 is None
@@ -207,38 +211,30 @@ class _MasterRHS:
         self._C = [self.C[b][:, b] for b in self.blocks]
         self._half_Ls = [(a, b, np.sqrt(0.5) * L[self.blocks[a]][:, self.blocks[b]])
                          for L, pairs in zip(self.Ls, links) for a, b in pairs]
+        # the half layout: for each block of n indices, its slice of the half and where the
+        # slice's entries and their mirrors sit in the flattened n x n block (``_slices``);
+        # where each half entry and its mirror sit in the flattened d x d rho (``_upper``,
+        # ``_mirror``); the half entries on a block's diagonal (``_diagonal``); and sqrt(2) at
+        # each entry off it, which stands for two, else 1 (``_weights``)
+        self._slices, upper, mirror, start = [], [], [], 0
+        for b in self.blocks:
+            i, j = np.triu_indices(b.size)
+            self._slices.append((slice(start, start + i.size), b.size * i + j, b.size * j + i))
+            upper.append(d * b[i] + b[j])
+            mirror.append(d * b[j] + b[i])
+            start += i.size
+        self._upper, self._mirror = np.concatenate(upper), np.concatenate(mirror)
+        self._diagonal = np.flatnonzero(self._upper == self._mirror)
+        self._weights = np.where(self._upper == self._mirror, 1.0, np.sqrt(2.0))
 
     def diagonal(self) -> np.ndarray:
         """The generator's superoperator diagonal D_ij = C_ii + C_jj + sum_L L_ii L_jj, a half."""
-        i, j = np.divmod(self._triangle[1], self.dim)  # each half entry's place in rho
+        i, j = np.divmod(self._upper, self.dim)  # each half entry's place in rho
         c = self.C.diagonal()
         D = c[i] + c[j]
         for L in self.Ls:
             D += L.diagonal()[i] * L.diagonal()[j]
         return D
-
-    @cached_property
-    def _triangle(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-        """The half layout's index arrays, built on first use: for each block of n indices,
-        its slice of the half and where the slice's entries and their mirrors sit in the
-        flattened n x n block; where each half entry and its mirror sit in the flattened
-        d x d rho; and the half entries on a block's diagonal."""
-        blocks, upper, mirror, start = [], [], [], 0
-        for b in self.blocks:
-            i, j = np.triu_indices(b.size)
-            blocks.append((slice(start, start + i.size), b.size * i + j, b.size * j + i))
-            upper.append(self.dim * b[i] + b[j])
-            mirror.append(self.dim * b[j] + b[i])
-            start += i.size
-        upper, mirror = np.concatenate(upper), np.concatenate(mirror)
-        return blocks, upper, mirror, np.flatnonzero(upper == mirror)
-
-    @cached_property
-    def _weights(self) -> np.ndarray:
-        """sqrt(2) at each half entry off a block's diagonal, which stands for two, else 1."""
-        weights = np.full(self._triangle[1].size, np.sqrt(2.0))
-        weights[self._triangle[3]] = 1.0
-        return weights
 
     @staticmethod
     def _mirrored(h: np.ndarray, sign: int, upper, mirror, out: np.ndarray) -> np.ndarray:
@@ -250,12 +246,12 @@ class _MasterRHS:
     def pack(self, rho: np.ndarray) -> np.ndarray:
         """The half of the d x d ``rho``; entries below a block's diagonal or off the blocks are
         dropped."""
-        return rho.ravel()[self._triangle[1]]
+        return rho.ravel()[self._upper]
 
     def unpack(self, h: np.ndarray, sign: int = 1) -> np.ndarray:
         """The d x d state with rho^dag = sign rho whose half is ``h``, zero off the blocks."""
         rho = np.zeros(self.dim * self.dim, dtype=h.dtype)
-        return self._mirrored(h, sign, *self._triangle[1:3], rho).reshape(self.dim, self.dim)
+        return self._mirrored(h, sign, self._upper, self._mirror, rho).reshape(self.dim, self.dim)
 
     def norm(self, h: np.ndarray) -> float:
         """||rho||_F of the state whose half is ``h``: :func:`_norm` of ``h`` weighted by
@@ -265,14 +261,13 @@ class _MasterRHS:
     def apply(self, h: np.ndarray, sign: int = 1) -> np.ndarray:
         self.evaluations += 1
         add = np.add if sign > 0 else np.subtract
-        blocks = self._triangle[0]
         xs = [self._mirrored(h[s], sign, upper, mirror, np.empty(n * n, h.dtype)).reshape(n, n)
-              for (s, upper, mirror), n in zip(blocks, self.sizes)]
+              for (s, upper, mirror), n in zip(self._slices, self.sizes)]
         ms = [C @ x for C, x in zip(self._C, xs)]
         for a, b, L in self._half_Ls:
             add(ms[a], L @ (L @ xs[b]).conj().T, out=ms[a])
         out = np.empty_like(h)
-        for (s, upper, mirror), m in zip(blocks, ms):
+        for (s, upper, mirror), m in zip(self._slices, ms):
             add(m.ravel()[upper], m.ravel()[mirror].conj(), out=out[s])
         return out
 
@@ -514,8 +509,8 @@ def _krylov_solve(rhs: _MasterRHS):
     residual of ``KRYLOV_RTOL`` ||b|| in that norm or after ``KRYLOV_MAX_DIM`` vectors, and the
     vectors built.
     """
-    diag = rhs._triangle[3]  # the half's entries on a block's diagonal, where I_s is 1
-    b = np.zeros(rhs._triangle[1].size)
+    diag = rhs._diagonal  # the half's entries on a block's diagonal, where I_s is 1
+    b = np.zeros(rhs._upper.size)
     b[diag] = 1.0 / diag.size
     jacobi = rhs.diagonal()
     jacobi[diag] += 1.0 / diag.size
@@ -779,17 +774,17 @@ def sse_ensemble(
         raise ValueError("t_grid must start at 0 and increase strictly")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    out_steps = np.rint(t / dt).astype(int)
-    if not np.array_equal(step_grid(t, dt), t) or np.any(np.diff(out_steps) == 0):
+    if not np.array_equal(step_grid(t, dt), t):
         raise ValueError("every t_grid point must be an integer multiple of dt")
+    out_steps = np.rint(t / dt).astype(int)
     observables = observables or {}
     for name, op in observables.items():
         if op.space != model.space:
             raise ValueError(f"observable {name!r} lives on a different space")
 
-    gen = _MasterRHS(model)
-    n_channels = len(gen.Ls)
-    stacked = sparse.vstack([dt * gen.C, *gen.Ls], format="csr")
+    C, Ls = _generator(model)
+    n_channels = len(Ls)
+    stacked = sparse.vstack([dt * C, *Ls], format="csr")
     psi = np.repeat(psi0.normalized().amplitudes[:, None], n_trajectories, axis=1)
     series = {name: np.empty((t.size, n_trajectories), dtype=complex) for name in observables}
     homodyne = np.zeros((n_channels, t.size - 1, n_trajectories))

@@ -250,11 +250,8 @@ def coherent_state(space: FockSpace, alpha: complex) -> StateVector:
 
 def trace_product(op: sparse.spmatrix, rho: np.ndarray) -> complex:
     """tr(op rho) = sum_ij op_ij rho_ji for a sparse op and a dense matrix rho: rho read at
-    op's stored entries, summed in row-major order, with no sparse product."""
+    op's stored entries, duplicates included, summed in CSR order, with no sparse product."""
     op = op.tocsr()
-    if not op.has_canonical_format:  # row-major order, each entry once
-        op = op.copy()
-        op.sum_duplicates()
     rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
     return complex(np.sum(op.data * rho[op.indices, rows]))
 

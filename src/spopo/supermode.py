@@ -88,9 +88,7 @@ def hermite_gaussian_basis(Np: float, pump_grid, count: int) -> np.ndarray:
             f"sampled Hermite-Gaussian rows are numerically dependent at count {count} "
             f"(Np {Np} too small for the grid); adjust `supermode.Np` or `supermode.k_max`"
         )
-    signs = np.sign(diag)
-    signs[signs == 0] = 1.0
-    return (Q * signs).T
+    return (Q * np.sign(diag)).T
 
 
 def transform_pump(F: np.ndarray, R: np.ndarray) -> list[np.ndarray]:

@@ -308,6 +308,24 @@ def test_command_failing_validation_leaves_no_output_directory(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, edits, message", [
+    ("evolve", {"model": DROP}, "missing required section `model`"),
+    ("build", {"dispersion": DROP, "supermode": DROP, "model": DROP},
+     "`build` requires sections `dispersion` and `supermode`"),
+    ("spectrum", {"supermode.n_signal": 3, "model.cutoffs": [2, 2, 2],
+                  "dynamics.channel_index": 7}, "no linear channel with index 7"),
+    ("evolve", None, "top-level config must be a JSON object"),
+], ids=["evolve-without-model", "build-without-dispersion-and-supermode",
+        "spectrum-channel-7-of-3", "top-level-list"])
+def test_command_missing_what_it_reads_exits_3_with_its_message(tmp_path, capsys, command,
+                                                                 edits, message):
+    # ``edits`` None writes the whole valid config inside a JSON list
+    payload = [payload_with(tmp_path, {})] if edits is None else payload_with(tmp_path, edits)
+    assert main([command, "--config", write_config(tmp_path, payload)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 SUPERMODE_GRID = list(itertools.product(
     (1, 10),  # dispersion.M
     (0.0, 0.05),  # dispersion.beta1
@@ -581,6 +599,30 @@ def test_trajectories_size_check_counts_the_sse_working_set(tmp_path, capsys, mo
     monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
     assert main(["trajectories", "--config", write_config(tmp_path, payload)]) == 3
     assert "`dynamics.n_trajectories`" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, section, key, value, memory", [
+    ("evolve", "dynamics", "n_points", 1000, 100_000),
+    ("wigner", "wigner", "points", 101, 1_000_000),
+], ids=["evolve-n_points", "wigner-points"])
+def test_grid_size_check_counts_what_the_op_holds(tmp_path, capsys, monkeypatch, command,
+                                                   section, key, value, memory):
+    # a memory between one float64 per grid point and what the op holds: evolve's 1000 times
+    # take 8 KB as one grid, but 52 float64s each with the two photon-number series and their
+    # written cells (416 KB); wigner's 101^2 points 82 KB as one grid, but 32 float64s each
+    # with its grids and written cells (2.6 MB)
+    payload = {
+        "model": {"family": "cw-single", "p": 2.0, "cutoffs": [2]},
+        "dynamics": {"t_max": 1.0, "n_points": 3},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }
+    payload.setdefault(section, {})[key] = value
+    sysconf = os.sysconf
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
+    assert main([command, "--config", write_config(tmp_path, payload)]) == 3
+    assert f"`{section}.{key}`" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -217,25 +217,6 @@ def test_half_layout_round_trips(layout, sign, dtype):
     assert abs(rhs.norm(h) - np.linalg.norm(rho)) <= 4 * np.spacing(np.linalg.norm(rho))
 
 
-def test_half_layout_indices_are_built_on_first_use(monkeypatch):
-    # the SSE uses C and the Ls alone and never the half layout, whose index arrays on the
-    # d x d block take about d^2 integers
-    built = []
-
-    class RecordingRHS(dynamics._MasterRHS):
-        def __init__(self, model):
-            super().__init__(model)
-            built.append(self)
-
-    monkeypatch.setattr(dynamics, "_MasterRHS", RecordingRHS)
-    mdl = sse_comb_model()
-    sse_ensemble(mdl, vacuum_state(mdl.space), np.linspace(0.0, 0.01, 2), 2, seed=4)
-    [rhs] = built
-    assert "_triangle" not in vars(rhs)
-    rhs.apply(rhs.pack(np.eye(mdl.space.dim)))
-    assert "_triangle" in vars(rhs)
-
-
 @pytest.mark.parametrize("case", ["desk-d150", "desk-d72-complex", "cw-complex"])
 def test_master_half_sums_match_full_sums_oracle(monkeypatch, case):
     # every Chebyshev term is exactly Hermitian, so the sums held as halves give the whole
@@ -624,6 +605,20 @@ def test_master_rejects_a_non_hermitian_initial_state():
         evolve_master(mdl, DensityOperator(mdl.space, rho), [0.0, 1.0])
 
 
+@pytest.mark.parametrize("diagonal, message", [
+    ([1.1, -0.1, 0.0], r"negative eigenvalue -1\.000e-01 at t=1$"),
+    ([1.1, 0.0, 0.0], r"trace drift 1\.000e-01 at t=1 exceeds 1e-08$"),
+], ids=["negative-eigenvalue", "trace-drift"])
+def test_master_certifies_each_output_state(monkeypatch, diagonal, message):
+    # a propagator that yields a state with a negative eigenvalue, or with trace 1.1, at t=1;
+    # the driven cavity's vacuum evolves as one block of every index
+    mdl = driven_cavity(cutoff=3)
+    bad = np.diag(diagonal)
+    monkeypatch.setattr(dynamics, "_chebyshev", lambda rhs, y0, t: iter([y0, rhs.pack(bad)]))
+    with pytest.raises(ConvergenceError, match=message):
+        evolve_master(mdl, vacuum_state(mdl.space).to_density(), [0.0, 1.0])
+
+
 @pytest.mark.parametrize("t", [[0.0, 0.0, 1.0], [0.0, 1.0, 0.5], [[0.0, 1.0]]])
 def test_solvers_reject_output_times_that_do_not_increase(t):
     # each solver checks its grid before it builds its record, which checks nothing
@@ -760,6 +755,22 @@ def test_steady_state_krylov_nonconvergence_raises(monkeypatch, solver):
     monkeypatch.setattr(dynamics, "KRYLOV_MAX_DIM", 2)
     with pytest.raises(ConvergenceError, match="iterations.*residual"):
         solve()
+
+
+def test_spectrum_checks_its_true_residual(monkeypatch):
+    # every Hessenberg column scaled by 1 + 1e-6: the residual estimate converges on that
+    # wrong H, and the true residual against G, about 1e-6, exceeds SPECTRUM_RESIDUAL_TOL
+    mdl = build_spopo(single_mode_set(1.0), r=0.5, eta=1e-3, cutoffs=(12,))
+    rho_ss = steady_state(mdl)
+    arnoldi = dynamics._arnoldi
+
+    def skewed(matvec, v0, m):
+        for V, h in arnoldi(matvec, v0, m):
+            yield V, h * (1.0 + 1e-6)
+
+    monkeypatch.setattr(dynamics, "_arnoldi", skewed)
+    with pytest.raises(ConvergenceError, match=r"relative residual .*, tol 1\.0e-08$"):
+        homodyne_spectrum(mdl, mdl.lindblads[0].op, [0.0, 1.0], rho_ss)
 
 
 def test_gmres_breakdown_on_a_zero_hessenberg_column_raises():
@@ -1051,20 +1062,24 @@ def test_sse_trajectory_independent_of_ensemble_size():
 
 
 def test_sse_ensemble_builds_generator_and_noise_once(monkeypatch):
+    # the SSE uses C and the Ls alone, so it builds no half layout, no _MasterRHS at all
     calls = {"generator": 0, "noise": 0}
 
-    class CountingRHS(dynamics._MasterRHS):
-        def __init__(self, model):
-            calls["generator"] += 1
-            super().__init__(model)
+    def counting_generator(model):
+        calls["generator"] += 1
+        return generator(model)
 
     def counting_noise(*args):
         calls["noise"] += 1
         return noise(*args)
 
-    noise = dynamics._noise_streams
-    monkeypatch.setattr(dynamics, "_MasterRHS", CountingRHS)
+    def no_layout(*args):
+        raise AssertionError("the SSE built a _MasterRHS")
+
+    generator, noise = dynamics._generator, dynamics._noise_streams
+    monkeypatch.setattr(dynamics, "_generator", counting_generator)
     monkeypatch.setattr(dynamics, "_noise_streams", counting_noise)
+    monkeypatch.setattr(dynamics, "_MasterRHS", no_layout)
     mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(12,))
     rec = sse_ensemble(mdl, vacuum_state(mdl.space), np.linspace(0, 0.1, 3), 5, seed=2)
     assert rec.final_state.shape == (mdl.space.dim, 5)
