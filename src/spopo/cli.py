@@ -27,10 +27,6 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_CONVERGENCE = 4
 
-# float64s' worth of memory that ``ArtifactWriter.write_csv`` holds per cell at once: the float
-# and its list slot (32 B), its repr (at most 73 B) and its row's slot (8 B)
-_CSV_CELL_FLOATS = 15
-
 
 class ArtifactWriter:
     """Writes CSV/JSON artifacts into one directory and records their checksums."""
@@ -45,21 +41,26 @@ class ArtifactWriter:
         return self.directory / name
 
     def _register(self, path: Path):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        self.files[path.name] = digest
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while block := fh.read(1 << 16):
+                digest.update(block)
+        self.files[path.name] = digest.hexdigest()
 
     def write_csv(self, name: str, columns: dict):
         """Artifact ``name``: one column per entry of ``columns``, its key the header, and the
-        ``repr`` of each element of ``np.asarray(column).tolist()`` in its cells, so a float
-        reads as its shortest round-trip decimal and an int as its digits.  Columns of unequal
-        length raise ``ValueError`` before anything is written."""
-        cells = [map(repr, np.asarray(column).tolist()) for column in columns.values()]
-        rows = list(zip(*cells, strict=True))
+        ``repr`` of each element of ``np.asarray(column)`` in its cells, so a float reads as
+        its shortest round-trip decimal and an int as its digits.  Rows are written one at a
+        time from the columns' buffers.  Columns of unequal length raise ``ValueError`` before
+        anything is written."""
+        arrays = [np.asarray(column) for column in columns.values()]
+        if len({len(a) for a in arrays}) > 1:
+            raise ValueError(f"columns of {name} differ in length")
         path = self._path(name)
         with open(path, "w", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            writer.writerows(rows)
+            writer.writerows(zip(*(map(repr, memoryview(a)) for a in arrays)))
         self._register(path)
 
     def write_json(self, name: str, payload):
@@ -155,10 +156,8 @@ def cmd_evolve(cfg: RunConfig, writer: ArtifactWriter):
     _state_fits(cfg)
     _sm, mdl = _build_model(cfg)
     obs = _photon_observables(mdl.space)
-    # per output time: its time, each observable's complex series and real copy, and the
-    # written cells of the time and of every series
-    _fits("dynamics.n_points", cfg.dynamics.n_points,
-          1 + 3 * len(obs) + _CSV_CELL_FLOATS * (1 + len(obs)))
+    # per output time: its time and each observable's complex series
+    _fits("dynamics.n_points", cfg.dynamics.n_points, 1 + 2 * len(obs))
     t = np.linspace(0.0, cfg.dynamics.t_max, cfg.dynamics.n_points)
     rec = dynamics.evolve_master(
         mdl, hilbert.vacuum_state(mdl.space).to_density(), t, obs,
@@ -228,8 +227,9 @@ def cmd_trajectories(cfg: RunConfig, writer: ArtifactWriter):
     if t.size < 2:
         raise ConfigValidationError("field `dynamics.t_max` rounds to zero steps of `dynamics.dt`")
     d, channels, steps = mdl.space.dim, len(mdl.lindblads), round(t[-1] / cfg.dynamics.dt)
-    # per trajectory, in floats: complex amplitudes and series, stacked product, noise, currents
-    _fits("dynamics.n_trajectories", cfg.dynamics.n_trajectories, 2 * (d + t.size)
+    # per trajectory, in floats: complex amplitudes, complex series with ensemble_mean's copy
+    # and deviations, stacked product, noise, currents
+    _fits("dynamics.n_trajectories", cfg.dynamics.n_trajectories, 2 * d + 4 * t.size
           + (channels + 1) * d + channels * (min(steps, dynamics.SSE_CHUNK_STEPS) + t.size - 1))
     n_total = hilbert.total_number_operator(mdl.space)
     rec = dynamics.sse_ensemble(
@@ -250,9 +250,8 @@ def cmd_trajectories(cfg: RunConfig, writer: ArtifactWriter):
 
 
 def cmd_wigner(cfg: RunConfig, writer: ArtifactWriter):
-    # per grid point, the 17 float64s of ``analysis.wigner``'s grids and Clenshaw terms, then
-    # a written cell: the op holds one after the other, so their sum bounds both
-    _fits("wigner.points", cfg.wigner.points, cfg.wigner.points, 17 + _CSV_CELL_FLOATS)
+    # per grid point, the 17 float64s of ``analysis.wigner``'s grids and Clenshaw terms
+    _fits("wigner.points", cfg.wigner.points, cfg.wigner.points, 17)
     _state_fits(cfg)
     _sm, mdl = _build_model(cfg)
     # only the state at t_max is written, so no earlier output time is propagated

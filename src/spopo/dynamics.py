@@ -443,7 +443,8 @@ def _arnoldi(matvec, v0: np.ndarray, m: int):
     Hessenberg matrix, matvec(v_j) = sum_i h_i v_i.  Two classical Gram-Schmidt passes,
     "twice is enough" (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 1069 (2005)):
     with one, orthogonality is lost as the two-photon loss grows, and at eta=30 the spectrum
-    basis stalled short of its residual.  A zero new vector ends V."""
+    basis stalled short of its residual.  A zero new vector gives h a zero last entry, at which
+    both callers stop."""
     V, v = _Basis(), v0
     V.append(v)
     for j in range(m):
@@ -457,8 +458,6 @@ def _arnoldi(matvec, v0: np.ndarray, m: int):
         v = w / norm if norm else w
         V.append(v)
         yield V, np.append(h, norm)
-        if not norm:
-            return
 
 
 class _HessenbergLstsq:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -603,15 +604,15 @@ def test_trajectories_size_check_counts_the_sse_working_set(tmp_path, capsys, mo
 
 
 @pytest.mark.parametrize("command, section, key, value, memory", [
-    ("evolve", "dynamics", "n_points", 1000, 100_000),
+    ("evolve", "dynamics", "n_points", 1000, 20_000),
     ("wigner", "wigner", "points", 101, 1_000_000),
 ], ids=["evolve-n_points", "wigner-points"])
 def test_grid_size_check_counts_what_the_op_holds(tmp_path, capsys, monkeypatch, command,
                                                    section, key, value, memory):
     # a memory between one float64 per grid point and what the op holds: evolve's 1000 times
-    # take 8 KB as one grid, but 52 float64s each with the two photon-number series and their
-    # written cells (416 KB); wigner's 101^2 points 82 KB as one grid, but 32 float64s each
-    # with its grids and written cells (2.6 MB)
+    # take 8 KB as one grid, but 5 float64s each with the two complex photon-number series
+    # (40 KB); wigner's 101^2 points 82 KB as one grid, but 17 float64s each with its grids
+    # (1.4 MB)
     payload = {
         "model": {"family": "cw-single", "p": 2.0, "cutoffs": [2]},
         "dynamics": {"t_max": 1.0, "n_points": 3},
@@ -624,6 +625,41 @@ def test_grid_size_check_counts_what_the_op_holds(tmp_path, capsys, monkeypatch,
     assert main([command, "--config", write_config(tmp_path, payload)]) == 3
     assert f"`{section}.{key}`" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_trajectories_size_check_counts_the_series_and_their_ensemble_statistics(
+        tmp_path, capsys, monkeypatch):
+    # 50 trajectories of 2001 output times on d=4: the complex series, ensemble_mean's copy of
+    # their real parts and its deviations outweigh the amplitudes; the run peaks at about
+    # 4.2 MB under tracemalloc, the count is 4.4 MB, and a 3.5 MB machine must refuse it
+    payload = {
+        "model": {"family": "cw-single", "p": 2.0, "cutoffs": [4]},
+        "dynamics": {"t_max": 2.0, "dt": 1e-3, "n_points": 2001, "n_trajectories": 50},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }
+    config = write_config(tmp_path, payload)
+    counted, fits = {}, cli._fits
+
+    def counting_fits(name, *shape):
+        counted[name] = 8 * math.prod(shape)
+        fits(name, *shape)
+
+    monkeypatch.setattr(cli, "_fits", counting_fits)
+    tracemalloc.start()
+    try:
+        assert main(["trajectories", "--config", config]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted["dynamics.n_trajectories"]
+
+    sysconf = os.sysconf
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 3_500_000}
+    monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
+    payload["outputs"]["directory"] = str(tmp_path / "refused")
+    assert main(["trajectories", "--config", write_config(tmp_path, payload)]) == 3
+    assert "`dynamics.n_trajectories`" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
 
 
 def test_build_artifacts_and_manifest(tmp_path):
@@ -659,6 +695,26 @@ def test_write_csv_cells_are_the_repr_of_each_value(tmp_path):
         writer.write_csv("short.csv", {"a": [1, 2], "b": [1.0]})
     assert not (tmp_path / "out" / "short.csv").exists()
     assert set(writer.files) == {"table.csv"}
+
+
+def test_write_csv_holds_one_row_at_a_time(tmp_path):
+    # a 300 x 300 float table and its int index column, as strided views the way the CLI
+    # passes them: the writer streams rows from the column buffers, so its peak stays below
+    # one float64 per cell
+    table = np.random.default_rng(0).standard_normal((300, 600)).view(complex).real
+    columns = {"index": np.arange(300)[::-1],
+               **{f"x_{j}": column for j, column in enumerate(table.T)}}
+    writer = cli.ArtifactWriter(tmp_path)
+    tracemalloc.start()
+    try:
+        writer.write_csv("table.csv", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 300 * 301
+    rows = (tmp_path / "table.csv").read_text().splitlines()
+    assert rows[1:] == [",".join(map(repr, [299 - k, *row]))
+                        for k, row in enumerate(table.tolist())]
 
 
 def test_trajectories_and_wigner_deterministic(tmp_path):
@@ -766,6 +822,34 @@ def test_fluxes_command(tmp_path):
     signal_rows = (out / "flux_signal.csv").read_text().strip().splitlines()
     assert signal_rows[0] == "m,flux"
     assert len(signal_rows) == 22
+
+
+def test_fluxes_on_a_lossless_comb_writes_no_input_profile(tmp_path):
+    out = tmp_path / "flux_out"
+    cfg = write_config(tmp_path, {
+        "dispersion": BASE_DISPERSION,
+        "supermode": BASE_SUPERMODE,
+        "model": {"family": "lossless", "p": 0.5, "cutoffs": [5, 3]},
+        "outputs": {"directory": str(out)},
+    })
+    assert main(["fluxes", "--config", cfg]) == 0
+    assert (out / "flux_pump.csv").read_text().splitlines()[0] == "q,flux,completeness"
+
+
+def test_trajectories_without_a_pumped_channel_write_no_homodyne_current(tmp_path):
+    # at r=0 no pump channel is driven, so there is no pumped current to write
+    out = tmp_path / "traj_out"
+    cfg = write_config(tmp_path, {
+        "dispersion": BASE_DISPERSION,
+        "supermode": BASE_SUPERMODE,
+        "model": {"family": "lossy", "r": 0.0, "eta": 1.0, "cutoffs": [4, 3]},
+        "dynamics": {"t_max": 0.1, "dt": 0.01, "n_points": 3, "n_trajectories": 2},
+        "outputs": {"directory": str(out)},
+    })
+    assert main(["trajectories", "--config", cfg]) == 0
+    written = {"trajectories_photon.csv", "ensemble.csv"}
+    assert {p.name for p in out.iterdir()} == written | {"manifest.json"}
+    assert set(json.loads((out / "manifest.json").read_text())["artifacts"]) == written
 
 
 def test_evolve_and_steady_commands(tmp_path):

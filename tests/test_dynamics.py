@@ -798,6 +798,20 @@ def test_steady_state_requires_lindblads():
         steady_state(free_model())
 
 
+def test_steady_state_rejects_an_unknown_method():
+    mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(8,))
+    with pytest.raises(ValueError, match="unknown steady-state method 'bogus'"):
+        steady_state(mdl, method="bogus")
+
+
+def test_long_time_steady_state_raises_when_its_horizon_ends_first(monkeypatch):
+    # one chunk of propagation, and a residual target that no float64 state meets
+    mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(8,))
+    monkeypatch.setattr(dynamics, "LONG_TIME_MAX", dynamics.LONG_TIME_CHUNK)
+    with pytest.raises(ConvergenceError, match=r"not reached within t=10\.0 \(residual "):
+        steady_state(mdl, method="long-time", tol=1e-300)
+
+
 # -------------------------------------------------------------------- spectrum
 
 def test_spectrum_vacuum_level():
