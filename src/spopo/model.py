@@ -18,10 +18,13 @@ Displacing a Lindblad by a constant and adding the corresponding quadratic
 Hamiltonian are two halves of the same coherent drive; both appear above.
 Lindblad ordering (linear ascending, then nonlinear ascending label) is a
 fixed contract so trajectory noise channels are reproducible under a seed.
+Each built Lindblad carries the quadratic form its matrix is built from
+(``QuadraticForm``), so a solver can act through the form's monomials S_i and
+S_i S_j and its constant.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -40,12 +43,51 @@ class ModelParams:
     lambda1: float = 1.0
 
 
+@dataclass(frozen=True, eq=False)
+class QuadraticForm:
+    """The operator scale (sum_i b_i S_i + sum_ij Q_ij S_i S_j) + c on the signal supermodes.
+    ``scale`` multiplies after the (i, j) and (j, i) terms are summed, as :meth:`operator`
+    builds the matrix, so it is a factor of its own."""
+    scale: float
+    b: np.ndarray    # ladder weights, one per supermode
+    Q: np.ndarray    # pair weights, supermode x supermode
+    c: float = 0.0
+
+    def operator(self, space: FockSpace) -> LinearOperator:
+        """The Fock matrix: the ladder terms (``hilbert.annihilation``) and the pair terms
+        (``hilbert.pair_operator``) summed, times ``scale``, plus c I."""
+        ladder = [b * hilbert.annihilation(space, i).matrix for i, b in enumerate(self.b) if b]
+        op = self.scale * sum(ladder, hilbert.pair_operator(space, self.Q).matrix)
+        if self.c:
+            op = op + self.c * sparse.identity(space.dim, dtype=complex)
+        return LinearOperator(space, op)
+
+    def monomials(self) -> dict[tuple, float]:
+        """Each monomial's nonzero weight, keyed as :func:`monomial` reads it: (i,) for S_i,
+        (i, j) with i <= j for S_i S_j = S_j S_i.  The constant c is not among them."""
+        n = len(self.b)
+        weights = {(i,): self.scale * self.b[i] for i in range(n)}
+        weights |= {(i, j): self.scale * (self.Q[i, j] + self.Q[j, i] if i < j else self.Q[i, i])
+                    for i in range(n) for j in range(i, n)}
+        return {key: w for key, w in weights.items() if w != 0.0}
+
+
+def monomial(space: FockSpace, key: tuple) -> LinearOperator:
+    """The monomial of a :meth:`QuadraticForm.monomials` key: S_i or S_i S_j."""
+    if len(key) == 1:
+        return hilbert.annihilation(space, *key)
+    pair = np.zeros((space.mode_count,) * 2)
+    pair[key] = 1.0
+    return hilbert.pair_operator(space, pair)
+
+
 @dataclass(frozen=True)
 class Lindblad:
     op: LinearOperator
     kind: str        # "linear" | "nonlinear"
     index: int       # supermode index i or pump label k (1-based)
     pumped: bool = False
+    form: QuadraticForm | None = field(default=None, compare=False)  # None: op alone
 
 
 @dataclass(frozen=True)
@@ -78,6 +120,20 @@ class OpenSystemModel:
             ],
         }
 
+    def lindblad_weights(self) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+        """The keys of the monomials that the Lindblads' forms use, S_i then S_i S_j (i <= j),
+        each once however many Lindblads share it, and the n_L x m real weights W and n_L
+        constants c with L_k = sum_m W_km B_m + c_k I.  B is the keys' monomials
+        (:func:`monomial`), then each formless Lindblad's own operator, in Lindblad order."""
+        weights = [l.form.monomials() if l.form else {} for l in self.lindblads]
+        keys = sorted(set().union(*weights), key=lambda key: (len(key), key))
+        formless = [k for k, l in enumerate(self.lindblads) if l.form is None]
+        W = np.zeros((len(self.lindblads), len(keys) + len(formless)))
+        for k, row in enumerate(weights):
+            W[k, [keys.index(key) for key in row]] = list(row.values())
+        W[formless, len(keys) + np.arange(len(formless))] = 1.0
+        return keys, W, np.array([l.form.c if l.form else 0.0 for l in self.lindblads])
+
 
 def liouvillian_matrix(model: OpenSystemModel) -> sparse.csr_matrix:
     """Sparse superoperator generating d(vec rho)/dt, C-order (row-major) vec.
@@ -102,29 +158,28 @@ def _build(sm: SupermodeSet, cutoffs, params: ModelParams, *, drive: float, scal
     """Squeezing H = A + A^dag, A = (i * drive / 4) sum_i (lam_i / lam_1) S_i^2, optional
     linear loss sqrt(linear_rate) S_i, and nonlinear Lindblads scale * sum_ij (G^(k)_ij /
     lam_1) S_i S_j + drive / (2 scale) delta_k1 (r / 2 sqrt(eta) lossy, p / 2 lossless), each
-    quadratic form built by ``hilbert.pair_operator`` in one pass over the occupation table."""
+    Lindblad held as its :class:`QuadraticForm` and built from it by
+    :meth:`QuadraticForm.operator`."""
     cutoffs = tuple(int(c) for c in cutoffs)
     if len(cutoffs) != sm.n_signal:
         raise ValueError(
             f"{len(cutoffs)} cutoffs for {sm.n_signal} retained signal supermodes"
         )
     space = FockSpace(cutoffs)
-    lam1 = sm.lambda1
+    lam1, n = sm.lambda1, sm.n_signal
     A = hilbert.pair_operator(space, np.diag(1j * drive / 4.0 * (sm.eigenvalues / lam1))).matrix
     H = LinearOperator(space, A + A.conj().T)
 
     lindblads = []
     if linear_rate is not None:
-        lindblads = [
-            Lindblad(math.sqrt(linear_rate) * hilbert.annihilation(space, i), "linear", i + 1)
-            for i in range(sm.n_signal)
-        ]
+        for i in range(n):
+            form = QuadraticForm(math.sqrt(linear_rate), np.eye(n)[i], np.zeros((n, n)))
+            lindblads.append(Lindblad(form.operator(space), "linear", i + 1, form=form))
     for label, G in zip(sm.pump_labels, sm.tensors):
-        op = scale * hilbert.pair_operator(space, G / lam1).matrix
-        if label == 1 and drive != 0.0:
-            op = op + drive / (2.0 * scale) * sparse.identity(space.dim, dtype=complex)
+        c = drive / (2.0 * scale) if label == 1 else 0.0
+        form = QuadraticForm(scale, np.zeros(n), G / lam1, c)
         pumped = label == 1 and drive > 0
-        lindblads.append(Lindblad(LinearOperator(space, op), "nonlinear", label, pumped))
+        lindblads.append(Lindblad(form.operator(space), "nonlinear", label, pumped, form))
     return OpenSystemModel(space, H, tuple(lindblads), params)
 
 

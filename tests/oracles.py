@@ -165,17 +165,17 @@ def sse_ensemble_at_once(model, psi0, t, n_trajectories: int, seed: int, dt: flo
     """``dynamics.sse_ensemble`` with the noise of the whole run drawn before the first step
     and the homodyne currents reduced after the last: the streamed integrator's reference,
     returned as the same one record of [time, trajectory] observables, d x n_trajectories
-    amplitudes and [channel, interval, trajectory] currents.
+    amplitudes and [channel, interval, trajectory] currents.  It steps with
+    ``dynamics._sse_stack`` and ``_sse_steps``, one call per output interval, so it tests
+    the noise streaming alone.
 
     ``t`` must be on the dt lattice and start at 0; inputs are not checked."""
     t = np.asarray(t, dtype=float)
     observables = observables or {}
     out_steps = np.rint(t / dt).astype(int)
-    gen = dynamics._MasterRHS(model)
-    n_channels = len(gen.Ls)
-    stacked = sparse.vstack([dt * gen.C, *gen.Ls], format="csr")
+    stacked, W, c = dynamics._sse_stack(model, dt)
     # dW[:, step] becomes that step's homodyne increment <L + L^dag> dt + dW in place
-    dW = noise_streams(seed, n_trajectories, n_channels, out_steps[-1], dt)
+    dW = noise_streams(seed, n_trajectories, len(W), out_steps[-1], dt)
     psi = np.repeat(psi0.normalized().amplitudes[:, None], n_trajectories, axis=1)
     series = {name: np.empty((t.size, n_trajectories), dtype=complex) for name in observables}
 
@@ -184,23 +184,9 @@ def sse_ensemble_at_once(model, psi0, t, n_trajectories: int, seed: int, dt: flo
             series[name][out_idx] = np.einsum("ij,ij->j", psi.conj(), op.matrix @ psi)
 
     record(0)
-    out_idx = 1
-    for step in range(out_steps[-1]):
-        Y = (stacked @ psi).reshape(n_channels + 1, -1, n_trajectories)  # dt C psi, L_c psi
-        increment = dW[:, step]
-        increment += 2.0 * dt * np.einsum("ij,cij->cj", psi.conj(), Y[1:]).real
-        psi = psi + Y[0] + np.einsum("cj,cij->ij", increment, Y[1:])
-        nrm = np.sqrt(np.einsum("ij,ij->j", psi.conj(), psi).real)
-        unstable = ~(np.abs(nrm - 1.0) <= dynamics.SSE_NORM_DRIFT_MAX)
-        if unstable.any():
-            k = int(np.argmax(unstable))
-            raise ConvergenceError(
-                f"norm drift {abs(nrm[k] - 1.0):.3g} in trajectory {k} at step {step}; reduce dt"
-            )
-        psi /= nrm
-        if step + 1 == out_steps[out_idx]:
-            record(out_idx)
-            out_idx += 1
+    for out_idx, (lo, hi) in enumerate(zip(out_steps[:-1], out_steps[1:]), start=1):
+        psi = dynamics._sse_steps(stacked, W, c, psi, dW[:, lo:hi], dt, lo)
+        record(out_idx)
 
     homodyne = np.add.reduceat(dW, out_steps[:-1], axis=1) / np.diff(t)[:, None]
     return SimulationRecord(t, series, psi, extras={"homodyne_currents": homodyne})

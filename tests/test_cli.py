@@ -588,8 +588,10 @@ def test_grid_no_array_holds_exits_3_naming_its_field(tmp_path, capsys, command,
 
 def test_trajectories_size_check_counts_the_sse_working_set(tmp_path, capsys, monkeypatch):
     # d=16, one channel, 4 trajectories and 100 steps: the amplitudes take 1 KB, and with the
-    # stacked product, the noise buffer, the currents and the series the SSE holds 5.5 KB; a
-    # memory of twice the amplitudes must refuse the run before it starts
+    # stacked product's two complex blocks (I + dt C and S^2), the step's sum, the noise
+    # buffer, the currents and the series the check counts 7.7 KB (tracemalloc reads the
+    # SSE's peak at 19 KB, its noise generators and the stack's build among it); a memory of
+    # twice the amplitudes must refuse the run before it starts
     payload = {
         "model": {"family": "cw-single", "p": 2.0, "cutoffs": [16]},
         "dynamics": {"t_max": 0.1, "dt": 1e-3, "n_points": 3, "n_trajectories": 4},

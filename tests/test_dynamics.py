@@ -1143,16 +1143,19 @@ def sse_per_channel(mdl, psi0, t, n_traj, seed, dt, observables):
     return series, currents, psi
 
 
+def sse_start(space, start):
+    """The vacuum, or a complex state drawn from a fixed seed."""
+    if start == "vacuum":
+        return vacuum_state(space)
+    rng = np.random.default_rng(23)
+    return StateVector(space, rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim))
+
+
 @pytest.mark.parametrize("start", ["vacuum", "complex"])
 def test_sse_stacked_step_matches_per_channel_loop(start):
     # eight channels, d = 24: one stacked product per step against a loop over channels
     mdl = sse_comb_model()
-    if start == "vacuum":
-        psi0 = vacuum_state(mdl.space)
-    else:
-        rng = np.random.default_rng(23)
-        psi0 = StateVector(mdl.space, rng.normal(size=mdl.space.dim)
-                           + 1j * rng.normal(size=mdl.space.dim))
+    psi0 = sse_start(mdl.space, start)
     t = np.linspace(0, 0.2, 5)
     obs = {"n": total_number_operator(mdl.space), "a1": annihilation(mdl.space, 0)}
     rec = sse_ensemble(mdl, psi0, t, 3, seed=17, observables=obs)
@@ -1161,6 +1164,40 @@ def test_sse_stacked_step_matches_per_channel_loop(start):
         assert np.max(np.abs(rec.observables[name] - series[name])) <= 1e-12
     assert np.max(np.abs(rec.extras["homodyne_currents"] - currents)) <= 1e-12
     assert np.max(np.abs(rec.final_state - psi)) <= 1e-12
+
+
+@pytest.mark.parametrize("start", ["vacuum", "complex"])
+def test_sse_steps_a_formless_lindblad_through_its_own_matrix(start):
+    # the comb's eight formed Lindblads beside a hand-built dephasing n_1, which has no form:
+    # its matrix is one more basis row, with weight 1 from its Lindblad alone
+    comb = sse_comb_model()
+    dephasing = Lindblad(number_operator(comb.space, 0), "dephasing", 1)
+    mdl = OpenSystemModel(comb.space, comb.H, comb.lindblads + (dephasing,), comb.params)
+    keys, W, c = mdl.lindblad_weights()
+    assert W.shape == (9, len(keys) + 1) and c[-1] == 0.0
+    assert W[-1, -1] == 1.0 and not W[-1, :-1].any() and not W[:-1, -1].any()
+    psi0 = sse_start(mdl.space, start)
+    t = np.linspace(0, 0.2, 5)
+    obs = {"n": total_number_operator(mdl.space), "a1": annihilation(mdl.space, 0)}
+    rec = sse_ensemble(mdl, psi0, t, 3, seed=17, observables=obs)
+    series, currents, psi = sse_per_channel(mdl, psi0, t, 3, 17, 1e-3, obs)
+    for name in obs:
+        assert np.max(np.abs(rec.observables[name] - series[name])) <= 1e-12
+    assert np.max(np.abs(rec.extras["homodyne_currents"] - currents)) <= 1e-12
+    assert np.max(np.abs(rec.final_state - psi)) <= 1e-12
+
+
+def test_sse_stack_of_the_desk_comb():
+    # (12, 6, 4), d=288: I + dt C, S_1..S_3 and the six S_i S_j (i <= j) make 10 row blocks
+    # of 5484 stored entries, where dt C and the eight assembled Lindblads held 9870 in 9; the
+    # pump's constant r / 2 rides in c, not in a block
+    mdl = desk_comb((12, 6, 4), r=1.2)
+    stacked, W, c = dynamics._sse_stack(mdl, 1e-3)
+    assert stacked.shape == (10 * 288, 288) and W.shape == (8, 9)
+    assert stacked.nnz == 5484
+    assert np.array_equal(c, [0.0] * 3 + [0.6] + [0.0] * 4)
+    C, Ls = dynamics._generator(mdl)
+    assert sparse.vstack([1e-3 * C, *Ls]).nnz == 9870
 
 
 @pytest.mark.parametrize("chunk", [None, 30, 7])

@@ -13,6 +13,7 @@ from spopo.model import (
     build_lossless,
     build_spopo,
     liouvillian_matrix,
+    monomial,
 )
 from spopo.phasematch import DispersionParams
 from spopo.supermode import build_supermodes, single_mode_set
@@ -238,6 +239,27 @@ def test_operators_match_the_pair_product_table_bit_for_bit(monkeypatch, build):
     for op, ref_op in zip([mdl.H, *(l.op for l in mdl.lindblads)],
                           [ref.H, *(l.op for l in ref.lindblads)]):
         assert oracles.same_csr(op.matrix, ref_op.matrix)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_spopo(desk_sm(), r=1.2, eta=1.0, cutoffs=(12, 6, 4)),
+    lambda: build_spopo(desk_sm(), r=1.2, eta=1.0, cutoffs=(4, 3, 2)),
+    lambda: build_lossless(desk_sm(), p=2.0, cutoffs=(4, 3, 2)),
+    lambda: build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(16,)),
+], ids=["desk-lossy", "lossy-comb", "lossless-comb", "cw-cat"])
+def test_each_lindblad_is_the_sum_of_its_forms_monomials(build):
+    # the forms come from _build itself: on (4, 3, 2) the strides are (6, 2, 1), so S_2 and
+    # S_3^2 both shift the index by 2, and matching a matrix's diagonals to monomials cannot
+    # tell them apart
+    mdl = build()
+    keys, W, c = mdl.lindblad_weights()
+    basis = [monomial(mdl.space, key).matrix for key in keys]
+    identity = sparse.identity(mdl.space.dim)
+    for l, weights, constant in zip(mdl.lindblads, W, c):
+        assert oracles.same_csr(l.form.operator(mdl.space).matrix, l.op.matrix)
+        rebuilt = sum(w * B for w, B in zip(weights, basis) if w) + constant * identity
+        size = np.abs(l.op.matrix).max()
+        assert abs(rebuilt - l.op.matrix).max() <= 1e-15 * size
 
 
 def test_displacement_equivalence_of_liouvillians():
