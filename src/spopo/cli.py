@@ -226,13 +226,8 @@ def cmd_trajectories(cfg: RunConfig, writer: ArtifactWriter):
     t = dynamics.step_grid(t, cfg.dynamics.dt)
     if t.size < 2:
         raise ConfigValidationError("field `dynamics.t_max` rounds to zero steps of `dynamics.dt`")
-    d, steps = mdl.space.dim, round(t[-1] / cfg.dynamics.dt)
-    channels, rows = mdl.lindblad_weights()[1].shape
-    # per trajectory, in floats: complex amplitudes, complex series with ensemble_mean's copy
-    # and deviations, the stacked product's rows + 1 complex blocks and the step's complex
-    # sum, noise, currents
-    _fits("dynamics.n_trajectories", cfg.dynamics.n_trajectories, 2 * d + 4 * t.size
-          + 2 * (rows + 2) * d + channels * (min(steps, dynamics.SSE_CHUNK_STEPS) + t.size - 1))
+    _fits("dynamics.n_trajectories",
+          dynamics.sse_floats(mdl, t, cfg.dynamics.dt, cfg.dynamics.n_trajectories))
     n_total = hilbert.total_number_operator(mdl.space)
     rec = dynamics.sse_ensemble(
         mdl, hilbert.vacuum_state(mdl.space), t,

@@ -19,17 +19,16 @@ Solvers:
   Both Krylov solvers grow their bases by one kernel, ``_arnoldi``, into pages of
   ``KRYLOV_PAGE_ROWS`` vectors allocated as the basis fills (``_Basis``), so a solve holds
   the pages its vectors need, not the cap.
-* ``sse_ensemble`` integrates the unnormalized stochastic Schroedinger
-  equation by Euler-Maruyama with per-step normalization, all trajectories as
-  one block, into one record of blocks, each observable [time, trajectory];
-  ``sse_trajectory`` is its ensemble of one.  Each step is one sparse product with the stack
-  [I + dt C; S_i ...; S_i S_j (i <= j) ...] of the monomials that the Lindblads' quadratic
-  forms use (``OpenSystemModel.lindblad_weights``), each once however many Lindblads share
-  it, and every channel's <L> and share of the update come through the weights W and the
-  constants c.  Noise streams are keyed per (seed, trajectory, channel), so neither the
-  channel nor the trajectory count reshuffles existing streams; each output interval takes
-  its noise, at most ``SSE_CHUNK_STEPS`` steps at a time, from one buffer of at most that
-  many steps, so memory does not grow with run length.
+* ``sse_ensemble`` integrates the unnormalized stochastic Schroedinger equation by
+  Euler-Maruyama with per-step normalization, all trajectories as one block, into one record of
+  blocks, each observable [time, trajectory]; ``sse_trajectory`` is its ensemble of one.  Each
+  step is one sparse product with the stack [I + dt C; S_i ...; S_i S_j (i <= j) ...] of the
+  monomials that the Lindblads' quadratic forms weigh (``_sse_weights``), each once, so it is
+  smaller than the Lindblads where they share monomials, and every channel's <L> and share of
+  the update come through the weights W and the constants c.  Noise streams are keyed per (seed,
+  trajectory, channel), so neither the channel nor the trajectory count reshuffles existing
+  streams; each output interval takes its noise, at most ``SSE_CHUNK_STEPS`` steps at a time,
+  from one buffer of at most that many steps, so memory does not grow with run length.
 
 ``_MasterRHS`` holds a state as the diagonal blocks of rho that evolution from the initial
 state leaves nonzero, found by one rule from the nonzeros of the operators and of that state
@@ -64,9 +63,9 @@ from typing import ClassVar
 import numpy as np
 from scipy import sparse
 
-from .hilbert import (DensityOperator, LinearOperator, StateVector, _norm, trace_product,
-                      vacuum_state)
-from .model import OpenSystemModel, monomial
+from .hilbert import (DensityOperator, LinearOperator, StateVector, _norm, annihilation,
+                      pair_operator, trace_product, vacuum_state)
+from .model import OpenSystemModel
 
 
 # Krylov solves stop at a residual estimate near round-off, so the exit checks have ample
@@ -700,14 +699,38 @@ def _noise_streams(seed: int, n_trajectories: int, n_channels: int, dt: float, o
     return draw
 
 
+def _sse_weights(model: OpenSystemModel) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """The SSE's basis B, read from the Lindblads' forms without a matrix: the keys (i,) of S_i,
+    then (i, j) of S_i S_j (i <= j), of the monomials that some Lindblad weighs and that hold an
+    entry (S_i^2 holds none at a cutoff of 2), then each formless Lindblad's own operator; with
+    the n_L x m real weights W and n_L constants c of L_k = sum_m W_km B_m + c_k I.  A form
+    weighs S_i by scale b_i, S_i S_j by scale (Q_ij + Q_ji) and S_i^2 by scale Q_ii."""
+    n, cutoffs = model.space.mode_count, model.space.cutoffs
+    keys = [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i, n)]
+    keys = [key for key in keys if all(key.count(i) < cutoffs[i] for i in key)]
+
+    def weight(f, key) -> float:
+        i, j = key[0], key[-1]
+        return f.scale * (f.Q[i, j] + f.Q[j, i] if i < j else f.Q[i, i] if key[1:] else f.b[i])
+
+    forms = [l.form for l in model.lindblads]
+    W = np.array([[weight(f, key) if f else 0.0 for key in keys] for f in forms])
+    W = W.reshape(len(forms), len(keys))  # n_L x len(keys), also with no Lindblad
+    used = W.any(axis=0)
+    W = np.hstack([W[:, used], np.eye(len(forms))[:, [f is None for f in forms]]])
+    return [key for key, u in zip(keys, used) if u], W, np.array([f.c if f else 0.0 for f in forms])
+
+
 def _sse_stack(model: OpenSystemModel, dt: float) -> tuple[sparse.csr_matrix, np.ndarray,
                                                          np.ndarray]:
-    """The real CSR [I + dt C; B_1; ...; B_m] of the monomials and formless Lindblads B with
-    their n_L x m weights W and n_L constants c (``OpenSystemModel.lindblad_weights``): what
-    :func:`_sse_steps` steps with."""
+    """The real CSR [I + dt C; B_1; ...; B_m] of :func:`_sse_weights`'s basis, S_i from
+    ``annihilation`` and S_i S_j from ``pair_operator`` with one unit weight, with its
+    weights W and constants c: what :func:`_sse_steps` steps with."""
     C, _ = _generator(model)
-    keys, W, c = model.lindblad_weights()
-    basis = [monomial(model.space, key) for key in keys]
+    keys, W, c = _sse_weights(model)
+    eye = np.eye(model.space.mode_count)
+    basis = [annihilation(model.space, *key) if len(key) == 1
+             else pair_operator(model.space, np.outer(*eye[list(key)])) for key in keys]
     basis += [l.op for l in model.lindblads if l.form is None]
     return sparse.vstack([sparse.identity(C.shape[0], format="csr") + dt * C,
                           *(B.matrix.real for B in basis)], format="csr"), W, c
@@ -766,30 +789,28 @@ def sse_ensemble(
 ) -> SimulationRecord:
     """Homodyne-unraveling trajectories by Euler-Maruyama with per-step normalization.
 
-    All trajectories evolve as one d x n_trajectories block on one generator
-    build, and each step is one product of that block with the stacked CSR
-    [I + dt C; B_1; ...; B_m] of the m monomials that the Lindblads are made of,
-    L_k = sum_m W_km B_m + c_k (:func:`_sse_stack`), which gives the drift and every B_m psi
-    at once; every <L_k> and the update follow through W and c (:func:`_sse_steps`).  At
-    cutoffs (12, 6, 4) the stack holds 5484 stored entries in 10 blocks, where
-    [dt C; L_1; ...; L_8] would hold 9870 in 9: the eight Lindblads share nine monomials.
-    On the cw cat, L = S^2 + c, the stack is [I + dt C; S^2], 44 entries against 60.  One
-    record holds the ensemble: each observable at ``t_grid`` (which :func:`step_grid` must
-    leave unchanged) [time, trajectory], ``final_state`` the d x n_trajectories amplitudes,
-    and ``extras["homodyne_currents"]`` [channel, interval, trajectory] the mean homodyne
-    current (sum of dW + <L + L^dag> dt) / interval.
-    Trajectory k's noise is keyed (seed, k, channel), whatever ``n_trajectories``;
-    a run is bit-reproducible for fixed (seed, n_trajectories, dt, Lindblad order).
-    A norm drift above ``SSE_NORM_DRIFT_MAX`` raises :class:`ConvergenceError`
-    naming the trajectory and the step.
+    All trajectories evolve as one d x n_trajectories block on one generator build, and each
+    step is one product of that block with the stacked CSR [I + dt C; B_1; ...; B_m] of the m
+    monomials that the Lindblads are made of, L_k = sum_m W_km B_m + c_k (:func:`_sse_weights`),
+    which gives the drift and every B_m psi at once; every <L_k> and the update follow through W
+    and c (:func:`_sse_steps`).  The stack gains where Lindblads share monomials: at cutoffs
+    (12, 6, 4) it holds 5484 stored entries in 10 blocks, where [dt C; L_1; ...; L_8] would hold
+    9870 in 9, as the eight Lindblads share nine monomials.  On the cw cat, L = S^2 + c, it is
+    [I + dt C; S^2], 44 entries against 60, but at d=16 a step costs what its numpy calls cost,
+    and the W and c algebra made a `trajectories` op take 0.129 s, against 0.114 s through
+    [dt C; L].  One record holds the ensemble: each observable at ``t_grid`` (which
+    :func:`step_grid` must leave unchanged) [time, trajectory], ``final_state`` the
+    d x n_trajectories amplitudes, and ``extras["homodyne_currents"]`` [channel, interval,
+    trajectory] the mean homodyne current (sum of dW + <L + L^dag> dt) / interval.  Trajectory
+    k's noise is keyed (seed, k, channel), whatever ``n_trajectories``; a run is bit-reproducible
+    for fixed (seed, n_trajectories, dt, Lindblad order).  A norm drift above
+    ``SSE_NORM_DRIFT_MAX`` raises :class:`ConvergenceError` naming the trajectory and the step.
 
-    The noise is summed into the currents, in step order, one output interval at a time,
-    in pieces of at most ``SSE_CHUNK_STEPS`` steps from one buffer that short intervals share
-    (:func:`_noise_streams`); a longer interval's current is the sum of its pieces' sums, so
-    it rounds differently from one sum of all its steps.  Beyond the returned record, the
-    working set is the block, the stacked products, (m + 1) x d x n_trajectories, the
-    step's sum, d x n_trajectories, and the buffer, n_channels x ``SSE_CHUNK_STEPS`` x
-    n_trajectories x 8 B at most.
+    The noise is summed into the currents, in step order, one output interval at a time, in
+    pieces of at most ``SSE_CHUNK_STEPS`` steps from one buffer that short intervals share
+    (:func:`_noise_streams`); a longer interval's current is the sum of its pieces' sums, so it
+    rounds differently from one sum of all its steps.  :func:`sse_floats` counts the working
+    set.
     """
     if psi0.space != model.space:
         raise ValueError("initial state lives on a different space")
@@ -840,6 +861,23 @@ def sse_trajectory(
     """One homodyne trajectory: :func:`sse_ensemble` of one, noise keyed (seed, 0, ch), so each
     observable is [time, 1], ``final_state`` d x 1 and the currents [channel, interval, 1]."""
     return sse_ensemble(model, psi0, t_grid, 1, seed, dt, observables)
+
+
+def sse_floats(model: OpenSystemModel, t, dt: float, n_trajectories: int) -> int:
+    """The float64s that :func:`sse_ensemble` on the dt-lattice grid ``t`` with one observable,
+    and :func:`ensemble_mean` on its series, hold from the first step on (the stack's build
+    peaks before it, at 0.55 MB at d=288): the stack, at 12 B an entry and 4 B a row, I + dt C
+    no fuller than C and I and a monomial no fuller than d; per trajectory the complex block,
+    the m + 1 complex products, the step's sum, the complex series, ``ensemble_mean``'s copy
+    and deviations; and per channel and trajectory the noise buffer, the currents and a seeded
+    stream of 128 floats (a numpy 2.4 Generator takes 874-890 B under tracemalloc)."""
+    keys, W, _ = _sse_weights(model)
+    (n_channels, m), d, steps = W.shape, model.space.dim, round(t[-1] / dt)
+    stored = (_generator(model)[0].nnz + (len(keys) + 1) * d
+              + sum(l.op.matrix.nnz for l in model.lindblads if l.form is None))
+    trajectory = (2 * (m + 3) * d + 4 * len(t)
+                  + n_channels * (min(steps, SSE_CHUNK_STEPS) + len(t) - 1 + 128))
+    return (3 * stored + (m + 1) * d) // 2 + 1 + n_trajectories * trajectory
 
 
 def ensemble_mean(series: np.ndarray):

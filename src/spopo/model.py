@@ -18,9 +18,7 @@ Displacing a Lindblad by a constant and adding the corresponding quadratic
 Hamiltonian are two halves of the same coherent drive; both appear above.
 Lindblad ordering (linear ascending, then nonlinear ascending label) is a
 fixed contract so trajectory noise channels are reproducible under a seed.
-Each built Lindblad carries the quadratic form its matrix is built from
-(``QuadraticForm``), so a solver can act through the form's monomials S_i and
-S_i S_j and its constant.
+Each built Lindblad carries the quadratic form its matrix is built from (``QuadraticForm``).
 """
 
 import math
@@ -62,24 +60,6 @@ class QuadraticForm:
             op = op + self.c * sparse.identity(space.dim, dtype=complex)
         return LinearOperator(space, op)
 
-    def monomials(self) -> dict[tuple, float]:
-        """Each monomial's nonzero weight, keyed as :func:`monomial` reads it: (i,) for S_i,
-        (i, j) with i <= j for S_i S_j = S_j S_i.  The constant c is not among them."""
-        n = len(self.b)
-        weights = {(i,): self.scale * self.b[i] for i in range(n)}
-        weights |= {(i, j): self.scale * (self.Q[i, j] + self.Q[j, i] if i < j else self.Q[i, i])
-                    for i in range(n) for j in range(i, n)}
-        return {key: w for key, w in weights.items() if w != 0.0}
-
-
-def monomial(space: FockSpace, key: tuple) -> LinearOperator:
-    """The monomial of a :meth:`QuadraticForm.monomials` key: S_i or S_i S_j."""
-    if len(key) == 1:
-        return hilbert.annihilation(space, *key)
-    pair = np.zeros((space.mode_count,) * 2)
-    pair[key] = 1.0
-    return hilbert.pair_operator(space, pair)
-
 
 @dataclass(frozen=True)
 class Lindblad:
@@ -119,20 +99,6 @@ class OpenSystemModel:
                 for l in self.lindblads
             ],
         }
-
-    def lindblad_weights(self) -> tuple[list[tuple], np.ndarray, np.ndarray]:
-        """The keys of the monomials that the Lindblads' forms use, S_i then S_i S_j (i <= j),
-        each once however many Lindblads share it, and the n_L x m real weights W and n_L
-        constants c with L_k = sum_m W_km B_m + c_k I.  B is the keys' monomials
-        (:func:`monomial`), then each formless Lindblad's own operator, in Lindblad order."""
-        weights = [l.form.monomials() if l.form else {} for l in self.lindblads]
-        keys = sorted(set().union(*weights), key=lambda key: (len(key), key))
-        formless = [k for k, l in enumerate(self.lindblads) if l.form is None]
-        W = np.zeros((len(self.lindblads), len(keys) + len(formless)))
-        for k, row in enumerate(weights):
-            W[k, [keys.index(key) for key in row]] = list(row.values())
-        W[formless, len(keys) + np.arange(len(formless))] = 1.0
-        return keys, W, np.array([l.form.c if l.form else 0.0 for l in self.lindblads])
 
 
 def liouvillian_matrix(model: OpenSystemModel) -> sparse.csr_matrix:

@@ -589,9 +589,9 @@ def test_grid_no_array_holds_exits_3_naming_its_field(tmp_path, capsys, command,
 def test_trajectories_size_check_counts_the_sse_working_set(tmp_path, capsys, monkeypatch):
     # d=16, one channel, 4 trajectories and 100 steps: the amplitudes take 1 KB, and with the
     # stacked product's two complex blocks (I + dt C and S^2), the step's sum, the noise
-    # buffer, the currents and the series the check counts 7.7 KB (tracemalloc reads the
-    # SSE's peak at 19 KB, its noise generators and the stack's build among it); a memory of
-    # twice the amplitudes must refuse the run before it starts
+    # buffer, the currents, the noise generators, the series and the stack the check counts
+    # 12.7 KB (tracemalloc reads a warm process's SSE peak at 21 KB, 16 KB of it the stack's
+    # build); a memory of twice the amplitudes must refuse the run before it starts
     payload = {
         "model": {"family": "cw-single", "p": 2.0, "cutoffs": [16]},
         "dynamics": {"t_max": 0.1, "dt": 1e-3, "n_points": 3, "n_trajectories": 4},
@@ -633,7 +633,7 @@ def test_trajectories_size_check_counts_the_series_and_their_ensemble_statistics
         tmp_path, capsys, monkeypatch):
     # 50 trajectories of 2001 output times on d=4: the complex series, ensemble_mean's copy of
     # their real parts and its deviations outweigh the amplitudes; the run peaks at about
-    # 4.2 MB under tracemalloc, the count is 4.4 MB, and a 3.5 MB machine must refuse it
+    # 4.2 MB under tracemalloc, the count is 4.5 MB, and a 3.5 MB machine must refuse it
     payload = {
         "model": {"family": "cw-single", "p": 2.0, "cutoffs": [4]},
         "dynamics": {"t_max": 2.0, "dt": 1e-3, "n_points": 2001, "n_trajectories": 50},

@@ -1173,7 +1173,7 @@ def test_sse_steps_a_formless_lindblad_through_its_own_matrix(start):
     comb = sse_comb_model()
     dephasing = Lindblad(number_operator(comb.space, 0), "dephasing", 1)
     mdl = OpenSystemModel(comb.space, comb.H, comb.lindblads + (dephasing,), comb.params)
-    keys, W, c = mdl.lindblad_weights()
+    keys, W, c = dynamics._sse_weights(mdl)
     assert W.shape == (9, len(keys) + 1) and c[-1] == 0.0
     assert W[-1, -1] == 1.0 and not W[-1, :-1].any() and not W[:-1, -1].any()
     psi0 = sse_start(mdl.space, start)
@@ -1199,6 +1199,50 @@ def test_sse_stack_of_the_desk_comb():
     C, Ls = dynamics._generator(mdl)
     assert sparse.vstack([1e-3 * C, *Ls]).nnz == 9870
 
+
+
+def test_sse_basis_leaves_out_an_empty_monomial():
+    # at a cutoff of 2, S_3^2 = sqrt(n - 1) sqrt(n) has no stored entry (n <= 1), so the
+    # (4, 3, 2) comb steps through 9 row blocks and an 8 x 8 W, where keeping S_3^2 gave 10
+    # blocks and 8 x 9, with the same 213 stored entries
+    mdl = sse_comb_model()
+    keys, W, c = dynamics._sse_weights(mdl)
+    assert (2, 2) not in keys and W.shape == (8, 8)
+    stacked, stack_W, stack_c = dynamics._sse_stack(mdl, 1e-3)
+    assert stacked.shape == (9 * 24, 24) and stacked.nnz == 213
+    assert all(stacked[m * 24:(m + 1) * 24].nnz for m in range(9))
+    assert np.array_equal(W, stack_W) and np.array_equal(c, stack_c)
+
+
+def test_sse_stack_of_the_cw_cat():
+    # L = S^2 + p / 2: the constant rides in c, so the stack is [I + dt C; S^2], 2 row blocks
+    mdl = build_lossless(single_mode_set(1.0), p=2.0, cutoffs=(16,))
+    stacked, W, c = dynamics._sse_stack(mdl, 1e-3)
+    assert stacked.shape == (2 * 16, 16) and stacked.nnz == 44
+    assert np.array_equal(W, [[1.0]]) and np.array_equal(c, [1.0])
+
+
+@pytest.mark.parametrize("cutoffs, n_trajectories, steps, n_points", [
+    ((12, 6, 4), 8, 4000, 41),
+    ((6, 4, 3), 16, 200, 41),
+    ((4, 3, 2), 32, 50, 11),
+], ids=["sse-ensemble", "d72", "d24"])
+def test_sse_floats_bound_the_ensembles_peak(cutoffs, n_trajectories, steps, n_points):
+    # the sse-ensemble workload's settings and two smaller combs: the count must cover the
+    # n_channels x n_trajectories noise Generators (874-890 B each) and, at (12, 6, 4), the
+    # stack's 5484 stored entries (77 kB), without which the peak topped it on all three
+    mdl = desk_comb(cutoffs)
+    t = np.linspace(0.0, steps * 1e-3, n_points)
+    obs = {"n_total": total_number_operator(mdl.space)}
+    np.random.default_rng(0).normal(size=1)  # numpy.random's first-call allocations
+    tracemalloc.start()
+    try:
+        rec = sse_ensemble(mdl, vacuum_state(mdl.space), t, n_trajectories, 5, observables=obs)
+        ensemble_mean(rec.observables["n_total"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * dynamics.sse_floats(mdl, t, 1e-3, n_trajectories)
 
 @pytest.mark.parametrize("chunk", [None, 30, 7])
 def test_sse_streamed_noise_matches_the_all_at_once_reference(monkeypatch, chunk):

@@ -13,7 +13,6 @@ from spopo.model import (
     build_lossless,
     build_spopo,
     liouvillian_matrix,
-    monomial,
 )
 from spopo.phasematch import DispersionParams
 from spopo.supermode import build_supermodes, single_mode_set
@@ -252,9 +251,10 @@ def test_each_lindblad_is_the_sum_of_its_forms_monomials(build):
     # S_3^2 both shift the index by 2, and matching a matrix's diagonals to monomials cannot
     # tell them apart
     mdl = build()
-    keys, W, c = mdl.lindblad_weights()
-    basis = [monomial(mdl.space, key).matrix for key in keys]
-    identity = sparse.identity(mdl.space.dim)
+    d = mdl.space.dim
+    stacked, W, c = dynamics._sse_stack(mdl, 1e-3)
+    basis = [stacked[m * d:(m + 1) * d] for m in range(1, W.shape[1] + 1)]  # after I + dt C
+    identity = sparse.identity(d)
     for l, weights, constant in zip(mdl.lindblads, W, c):
         assert oracles.same_csr(l.form.operator(mdl.space).matrix, l.op.matrix)
         rebuilt = sum(w * B for w, B in zip(weights, basis) if w) + constant * identity
